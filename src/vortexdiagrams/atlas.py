@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from . import lemmas
 from .diagram import (
     Diagram,
+    RuleReport,
     canonical_key,
     canonical_masks,
     from_canonical_masks,
@@ -147,6 +148,14 @@ def _scan_chunk(args):
     return classes, raw, valid
 
 
+def branches_to_json(branches: dict) -> dict:
+    """Branch ledgers and verdicts by multiplier class, as reports print them."""
+    return {
+        cls: {"ledger": led.to_json(), "verdict": ver.to_json()}
+        for cls, (led, ver) in sorted(branches.items())
+    }
+
+
 @dataclass
 class SurvivorEntry:
     key: str
@@ -166,10 +175,7 @@ class SurvivorEntry:
             "verdict": self.verdict.to_json(),
         }
         if self.branches:
-            out["branches"] = {
-                cls: {"ledger": led.to_json(), "verdict": ver.to_json()}
-                for cls, (led, ver) in sorted(self.branches.items())
-            }
+            out["branches"] = branches_to_json(self.branches)
         return out
 
 
@@ -182,7 +188,6 @@ class EnumerationReport:
     candidates_raw: int
     candidates_valid: int
     unique_classes: int
-    workers: int
     diff_vs_catalog: dict | None = None
 
     def survivor_keys(self) -> list:
@@ -191,7 +196,6 @@ class EnumerationReport:
     def to_json(self) -> dict:
         out = {
             "n": self.n,
-            "workers": self.workers,
             "candidates_raw": self.candidates_raw,
             "candidates_valid": self.candidates_valid,
             "unique_classes": self.unique_classes,
@@ -217,16 +221,62 @@ def _decide_memo(ledger: ConstraintLedger) -> Verdict:
     return verdict
 
 
-def _judge_class(n: int, masks) -> tuple:
-    """Run validate, lemmas and ledger decisions on one canonical class."""
-    d = from_canonical_masks(n, masks)
-    key = canonical_key(d).decode()
-    report = validate(d)
-    if not report.valid:
-        return ("rejected", {"key": key, "stage": "validate", "reason": "; ".join(report.failures)})
+@dataclass(frozen=True)
+class Judgment:
+    """The verdict on one diagram and everything that led to it.
+
+    `outcome` is "invalid", "excluded" or "retained".  An excluded diagram
+    names what excluded it in `excluded_by`: a lemma, or
+    "constraint-infeasibility" (the base ledger) or "branch-infeasibility"
+    (every multiplier branch).  Later stages are None or empty when an
+    earlier one already settled the outcome.
+    """
+
+    outcome: str
+    rules: RuleReport
+    excluded_by: str | None = None
+    analysis: lemmas.DiagramAnalysis | None = None
+    verdict: Verdict | None = None  # of the base ledger
+    branches: dict = field(default_factory=dict)  # lambda class -> (ConstraintLedger, Verdict)
+
+
+def judge(d: Diagram) -> Judgment:
+    """Validate `d`, apply the lemmas, then decide its base and branch ledgers.
+
+    The one decision path behind both `enumerate` and `check`.
+    """
+    rules = validate(d)
+    if not rules.valid:
+        return Judgment("invalid", rules)
     analysis = lemmas.analyze(d)
     if analysis.exclusion is not None:
-        f = analysis.exclusion
+        return Judgment("excluded", rules, analysis.exclusion.lemma, analysis)
+    verdict = _decide_memo(analysis.base_ledger)
+    if verdict.infeasible:
+        return Judgment("excluded", rules, "constraint-infeasibility", analysis, verdict)
+    branches = {
+        cls: (led, _decide_memo(led)) for cls, led in sorted(analysis.branch_ledgers.items())
+    }
+    if branches and all(ver.infeasible for _, ver in branches.values()):
+        return Judgment("excluded", rules, "branch-infeasibility", analysis, verdict, branches)
+    return Judgment("retained", rules, None, analysis, verdict, branches)
+
+
+def _judge_class(n: int, masks) -> tuple:
+    """Judge one canonical class as a survivor entry or a rejection record."""
+    d = from_canonical_masks(n, masks)
+    key = canonical_key(d).decode()
+    j = judge(d)
+    if j.outcome == "retained":
+        analysis = j.analysis
+        entry = SurvivorEntry(
+            key, d, stroke_count_C(d), analysis.base_ledger, j.verdict, j.branches, analysis.findings
+        )
+        return ("survivor", entry)
+    if j.outcome == "invalid":
+        return ("rejected", {"key": key, "stage": "validate", "reason": "; ".join(j.rules.failures)})
+    f = j.analysis.exclusion
+    if f is not None:
         return (
             "rejected",
             {
@@ -238,36 +288,15 @@ def _judge_class(n: int, masks) -> tuple:
                 "binding": list(f.binding),
             },
         )
-    verdict = _decide_memo(analysis.base_ledger)
-    if verdict.infeasible:
-        return (
-            "rejected",
-            {
-                "key": key,
-                "stage": "ledger",
-                "reason": "constraint-infeasibility",
-                "certificate": verdict.certificate.to_json(),
-                "ledger": analysis.base_ledger.to_json(),
-            },
-        )
-    branches = {}
-    if analysis.branch_ledgers:
-        for cls, led in sorted(analysis.branch_ledgers.items()):
-            branches[cls] = (led, _decide_memo(led))
-        if all(ver.infeasible for _, ver in branches.values()):
-            return (
-                "rejected",
-                {
-                    "key": key,
-                    "stage": "ledger",
-                    "reason": "branch-infeasibility",
-                    "ledger": analysis.base_ledger.to_json(),
-                },
-            )
-    entry = SurvivorEntry(
-        key, d, stroke_count_C(d), analysis.base_ledger, verdict, branches, analysis.findings
-    )
-    return ("survivor", entry)
+    payload = {
+        "key": key,
+        "stage": "ledger",
+        "reason": j.excluded_by,
+        "ledger": j.analysis.base_ledger.to_json(),
+    }
+    if j.excluded_by == "constraint-infeasibility":
+        payload["certificate"] = j.verdict.certificate.to_json()
+    return ("rejected", payload)
 
 
 def enumerate_diagrams(
@@ -326,10 +355,9 @@ def enumerate_diagrams(
         candidates_raw=raw,
         candidates_valid=valid,
         unique_classes=len(classes),
-        workers=workers,
     )
     if with_catalog_diff or (with_catalog_diff is None and n == 5):
-        report.diff_vs_catalog = diff_report(report, load_catalog())
+        report.diff_vs_catalog = diff_report(report.survivor_keys(), load_catalog())
     return report
 
 
@@ -398,9 +426,9 @@ def load_catalog() -> list:
     return entries
 
 
-def diff_report(report: EnumerationReport, catalog) -> dict:
+def diff_report(survivor_keys, catalog) -> dict:
     """Canonical-key set difference between survivors and catalog possibles."""
-    enumerated = set(report.survivor_keys())
+    enumerated = set(survivor_keys)
     curated = {e.key for e in catalog if e.status == "possible"}
     return {
         "missing": sorted(curated - enumerated),

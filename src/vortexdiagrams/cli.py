@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import atlas, lemmas, numeric, quadrilateral
-from .diagram import Diagram, canonical_key, stroke_count_C, validate
-from .vorticity import decide
+from . import atlas, numeric, quadrilateral
+from .diagram import Diagram, canonical_key, stroke_count_C
 
 
 def _dump(data, out=None) -> None:
@@ -66,61 +64,47 @@ def _infeasibility_reason(analysis, verdict) -> str:
 
 def _cmd_check(args) -> int:
     d = _load_diagram(args.diagram)
-    report = validate(d)
+    j = atlas.judge(d)
     result: dict = {
         "diagram": d.to_json(),
         "canonical_key": canonical_key(d).decode(),
         "c_class": stroke_count_C(d),
-        "valid": report.valid,
-        "rule_failures": list(report.failures),
+        "valid": j.rules.valid,
+        "rule_failures": list(j.rules.failures),
+        "outcome": j.outcome,
     }
-    if not report.valid:
-        result["outcome"] = "invalid"
-        _dump(result, args.out)
-        return 1
-    analysis = lemmas.analyze(d)
-    result["findings"] = [f.to_json() for f in analysis.findings]
-    result["ledger"] = analysis.base_ledger.to_json()
-    if analysis.exclusion is not None:
-        result["outcome"] = "excluded"
-        result["excluded_by"] = analysis.exclusion.lemma
-        result["reason"] = analysis.exclusion.reason
-        _dump(result, args.out)
-        return 1
-    verdict = decide(analysis.base_ledger, seed=atlas.LEDGER_SEED)
-    result["verdict"] = verdict.to_json()
-    if verdict.infeasible:
-        result["outcome"] = "excluded"
-        result["excluded_by"] = "constraint-infeasibility"
-        result["reason"] = _infeasibility_reason(analysis, verdict)
-        _dump(result, args.out)
-        return 1
-    branches = {}
-    for cls, led in sorted(analysis.branch_ledgers.items()):
-        branches[cls] = {"ledger": led.to_json(), "verdict": decide(led, seed=atlas.LEDGER_SEED).to_json()}
-    if branches:
-        result["branches"] = branches
-        if all(b["verdict"]["verdict"] == "Infeasible" for b in branches.values()):
-            result["outcome"] = "excluded"
-            result["excluded_by"] = "branch-infeasibility"
-            _dump(result, args.out)
-            return 1
-    result["outcome"] = "retained"
+    if j.analysis is not None:
+        result["findings"] = [f.to_json() for f in j.analysis.findings]
+        result["ledger"] = j.analysis.base_ledger.to_json()
+    if j.verdict is not None:
+        result["verdict"] = j.verdict.to_json()
+    if j.branches:
+        result["branches"] = atlas.branches_to_json(j.branches)
+    if j.excluded_by is not None:
+        result["excluded_by"] = j.excluded_by
+    if j.analysis is not None and j.analysis.exclusion is not None:
+        result["reason"] = j.analysis.exclusion.reason
+    elif j.excluded_by == "constraint-infeasibility":
+        result["reason"] = _infeasibility_reason(j.analysis, j.verdict)
     _dump(result, args.out)
-    return 0
+    return 0 if j.outcome == "retained" else 1
+
+
+def _load_survivor_keys(path: str) -> list:
+    with open(path) as fh:
+        report = json.load(fh)
+    survivors = report.get("survivors") if isinstance(report, dict) else None
+    if not isinstance(survivors, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("key"), str) for s in survivors
+    ):
+        raise ValueError(f"{path}: not an enumeration report with keyed survivors")
+    return [s["key"] for s in survivors]
 
 
 def _cmd_catalog(args) -> int:
     entries = atlas.load_catalog()
     if args.diff:
-        with open(args.diff) as fh:
-            report = json.load(fh)
-        enumerated = {s["key"] for s in report["survivors"]}
-        curated = {e.key for e in entries if e.status == "possible"}
-        diff = {
-            "missing": sorted(curated - enumerated),
-            "extra": sorted(enumerated - curated),
-        }
+        diff = atlas.diff_report(_load_survivor_keys(args.diff), entries)
         _dump(diff, args.out)
         return 0 if not diff["missing"] and not diff["extra"] else 1
     payload = {
@@ -200,11 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate valid diagram classes")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("VORTEXDIAGRAMS_WORKERS", "1")),
-    )
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-raw-candidates", type=int, default=None,
                    help="refuse (rather than truncate) beyond this raw candidate count")
     p.add_argument("--out")

@@ -33,6 +33,11 @@ def _normalize_pairs(pairs, n: int) -> frozenset:
     return frozenset(out)
 
 
+def _is_ints(values) -> bool:
+    """A JSON array of integers (booleans excluded)."""
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
 @dataclass(frozen=True)
 class Diagram:
     n: int
@@ -87,14 +92,17 @@ class Diagram:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Diagram":
-        return cls(
-            data["n"],
-            [tuple(p) for p in data.get("z_strokes", [])],
-            [tuple(p) for p in data.get("w_strokes", [])],
-            data.get("z_circles", []),
-            data.get("w_circles", []),
-        )
+    def from_json(cls, data) -> "Diagram":
+        """Inverse of `to_json`; raises ValueError on JSON of the wrong shape."""
+        if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 0:
+            raise ValueError("a diagram must be a JSON object with a vertex count 'n' >= 0")
+        strokes = [data.get(k, []) for k in ("z_strokes", "w_strokes")]
+        circles = [data.get(k, []) for k in ("z_circles", "w_circles")]
+        if not all(
+            isinstance(s, list) and all(_is_ints(p) and len(p) == 2 for p in s) for s in strokes
+        ) or not all(_is_ints(c) for c in circles):
+            raise ValueError("strokes must be lists of integer pairs, circles lists of integers")
+        return cls(data["n"], *([tuple(p) for p in s] for s in strokes), *circles)
 
     def __repr__(self):
         j = self.to_json()

@@ -114,7 +114,7 @@ class Certificate:
     its vanishing contradict the nonzero constraints.
     """
 
-    kind: str  # direct-disequality | vanishing-monomial | sum-of-squares | saturation-unit
+    kind: str  # direct-disequality | vanishing-monomial | sum-of-squares
     polynomial: Polynomial
     subset: tuple[int, ...] = ()
     multiplier: Polynomial | None = None
@@ -281,7 +281,6 @@ def decide(
     order: MonomialOrder = GREVLEX,
     attempts: int = 200,
     seed: int = 0,
-    rabinowitsch: bool = False,
 ) -> Verdict:
     """Decide real feasibility of `ledger` with a certificate or witness.
 
@@ -298,31 +297,10 @@ def decide(
         cert = _certificate_search(ledger, basis, order)
         if cert is not None:
             return Verdict("Infeasible", certificate=cert)
-        if rabinowitsch:
-            cert = _saturation_probe(ledger, order)
-            if cert is not None:
-                return Verdict("Infeasible", certificate=cert)
     witness = _search_witness(ledger, attempts, seed + 1)
     if witness is not None:
         return Verdict("Feasible", witness=witness)
     return Verdict("Unknown")
-
-
-def _saturation_probe(ledger: ConstraintLedger, order: MonomialOrder):
-    """Rabinowitsch-style probe (experimental, off by default): adjoin
-    1 - a*prod(nonzeros) and test whether the ideal becomes trivial.
-    Proves only complex infeasibility of the strict system; kept out of the
-    default path so that certificates stay human-auditable."""
-    aux = Polynomial.variable("a")
-    prod = Polynomial.constant(1)
-    for q in ledger.nonzeros:
-        prod = prod * q
-    gens = list(ledger.equalities) + [Polynomial.constant(1) - aux * prod]
-    basis = groebner_basis(gens, order)
-    one = Polynomial.constant(1)
-    if reduces_to_zero(one, basis, order):
-        return Certificate("saturation-unit", one)
-    return None
 
 
 def verify_certificate(
@@ -356,8 +334,6 @@ def verify_certificate(
             return False
         if not set(certificate.subset) <= set(range(1, ledger.n + 1)):
             return False
-    elif certificate.kind == "saturation-unit":
-        return _saturation_probe(ledger, order) is not None
     else:
         return False
     if not ledger.equalities:

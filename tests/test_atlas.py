@@ -127,13 +127,13 @@ def report5():
 
 class TestDiff:
     def test_reproduction_diff_is_empty(self, report5):
-        diff = diff_report(report5, load_catalog())
+        diff = diff_report(report5.survivor_keys(), load_catalog())
         assert diff == {"missing": [], "extra": []}
 
     def test_missing_entry_is_reported(self, report5):
         catalog = load_catalog()
         trimmed = [e for e in catalog if e.figure_ref != "C2 #2"]
-        diff = diff_report(report5, trimmed)
+        diff = diff_report(report5.survivor_keys(), trimmed)
         assert diff["missing"] == []
         assert len(diff["extra"]) == 1
 
@@ -143,7 +143,7 @@ class TestDiff:
         duplicate = CatalogEntry(
             ROBERTS.relabeled(mapping), 2, "possible", None, "C2 dup", "", "unknown"
         )
-        diff = diff_report(report5, catalog + [duplicate])
+        diff = diff_report(report5.survivor_keys(), catalog + [duplicate])
         assert diff == {"missing": [], "extra": []}
 
 

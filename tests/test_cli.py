@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import main
 from vortexdiagrams.diagram import Diagram
 from vortexdiagrams.numeric import synthetic_sequence
@@ -54,6 +55,36 @@ class TestCheck:
         assert main(["check", str(path), "--out", str(out)]) == 1
         assert json.loads(out.read_text())["excluded_by"] == "Dumbbell"
 
+    @pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.figure_ref)
+    def test_catalog_entry_outcome(self, entry, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(entry.diagram.to_json()))
+        out = tmp_path / "res.json"
+        code = main(["check", str(path), "--out", str(out)])
+        result = json.loads(out.read_text())
+        if entry.status == "possible":
+            assert (code, result["outcome"]) == (0, "retained")
+        else:
+            assert (code, result["outcome"]) == (1, "excluded")
+            assert result["excluded_by"] == entry.excluding_lemma
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            (["check"], []),
+            (["check"], {"n": "5", "z_strokes": [[1, 2]]}),
+            (["check"], {"n": 5, "z_strokes": [[1, "2"]]}),
+            (["check"], {"n": -2}),
+            (["catalog", "--diff"], [1]),
+        ],
+    )
+    def test_is_usage_error(self, command, data, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert main(command + [str(path)]) == 2
+
 
 class TestEnumerate:
     def test_small_run(self, tmp_path, capsys):
@@ -65,12 +96,6 @@ class TestEnumerate:
 
     def test_bad_n_is_usage_error(self):
         assert main(["enumerate", "--n", "9"]) == 2
-
-    def test_worker_default_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VORTEXDIAGRAMS_WORKERS", "2")
-        out = tmp_path / "report.json"
-        assert main(["enumerate", "--n", "3", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["workers"] == 2
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

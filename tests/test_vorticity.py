@@ -187,31 +187,31 @@ class TestDecideProperties:
         assert seen > 10
 
     def test_unknown_is_reported_not_coerced(self):
-        # an equality with no rational point in reach of the search pool:
-        # G1^2 + G2^2 - 7 = 0 has no rational solutions at all
-        p = G[1] * G[1] + G[2] * G[2] - 7
-        verdict = decide(ConstraintLedger((p,)))
-        assert verdict.kind == "Unknown"
-        assert verdict.witness is None
-
-    def test_saturation_flag_off_by_default(self):
-        # (G1-G2)*G3 = 0 with G1-G2 required nonzero is really infeasible,
-        # but no default certificate family captures it: honest Unknown.
-        p = (G[1] - G[2]) * G[3]
-        led = ConstraintLedger((p,), (G[1] - G[2],))
-        assert decide(led).kind == "Unknown"
-        flagged = decide(led, rabinowitsch=True)
-        assert flagged.infeasible
-        assert flagged.certificate.kind == "saturation-unit"
-        assert verify_certificate(led, flagged.certificate)
+        ledgers = [
+            # an equality with no rational point in reach of the search pool:
+            # G1^2 + G2^2 - 7 = 0 has no rational solutions at all
+            ConstraintLedger((G[1] * G[1] + G[2] * G[2] - 7,)),
+            # (G1-G2)*G3 = 0 with G1-G2 required nonzero is really infeasible,
+            # but no certificate family captures it
+            ConstraintLedger(((G[1] - G[2]) * G[3],), (G[1] - G[2],)),
+        ]
+        for led in ledgers:
+            verdict = decide(led)
+            assert verdict.kind == "Unknown"
+            assert verdict.witness is None
 
 
 class TestVerifyCertificate:
     def test_rejects_wrong_shape(self):
         led = ConstraintLedger((gamma_sum([2, 3]), angular_momentum([1, 2, 3])))
         verdict = decide(led)
-        forged = verdict.certificate.__class__("vanishing-monomial", G[1] + G[2])
-        assert not verify_certificate(led, forged)
+        forged = [
+            verdict.certificate.__class__("vanishing-monomial", G[1] + G[2]),
+            # no longer a certificate kind, even for a ledger this infeasible
+            verdict.certificate.__class__("saturation-unit", Polynomial.constant(1)),
+        ]
+        for cert in forged:
+            assert not verify_certificate(led, cert)
 
     def test_rejects_non_member(self):
         led = ConstraintLedger((gamma_sum([2, 3]),))
