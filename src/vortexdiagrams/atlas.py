@@ -302,7 +302,6 @@ def _judge_class(n: int, masks) -> tuple:
 def enumerate_diagrams(
     n: int = 5,
     workers: int = 1,
-    with_catalog_diff: bool | None = None,
     max_raw_candidates: int | None = None,
 ) -> EnumerationReport:
     """Exhaustively enumerate valid diagram classes for n vertices.
@@ -310,7 +309,8 @@ def enumerate_diagrams(
     Deterministic: the survivor set, histogram and rejection list do not
     depend on the worker count.  When a budget is given and the raw
     candidate space exceeds it, the run refuses up front rather than
-    truncating silently.
+    truncating silently.  At n=5 the report carries its diff against the
+    curated catalog, which covers n=5 only.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
@@ -356,7 +356,7 @@ def enumerate_diagrams(
         candidates_valid=valid,
         unique_classes=len(classes),
     )
-    if with_catalog_diff or (with_catalog_diff is None and n == 5):
+    if n == 5:
         report.diff_vs_catalog = diff_report(report.survivor_keys(), load_catalog())
     return report
 

@@ -2,17 +2,19 @@
 
 Sparse dict-of-terms polynomials with Buchberger-style Groebner bases,
 multivariate division (normal forms) and ideal membership.  Sized for the
-small rings this project needs (eight variables, low degree); coefficients
-are always exact `Fraction`s so that identities proved here are proofs,
-not float coincidences.
+small ring this project needs (the eleven variables of `DEFAULT_VARS`,
+low degree); coefficients are always exact `Fraction`s so that identities
+proved here are proofs, not float coincidences.
+
+There is one monomial order, grevlex by ring position: a ring tuple lists
+its variables from most to least significant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
+from operator import neg
 import json
 import re
 
@@ -26,46 +28,14 @@ class ResourceLimitError(RuntimeError):
     """Raised when a basis computation exceeds its configured budget."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order: graded reverse lexicographic or lexicographic.
+def _grevlex_key(exps: tuple):
+    """Sort key of an exponent tuple: larger key, larger monomial.
 
-    `priority` lists variable names from most to least significant.
+    Graded reverse lexicographic by ring position: higher total degree
+    wins, and a tie goes to the smaller exponent in the last variable
+    where the two differ.
     """
-
-    kind: str = "grevlex"
-    priority: tuple[str, ...] = DEFAULT_VARS
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order kind {self.kind!r}")
-
-    def key_fn(self, ring: tuple[str, ...]):
-        """Return a sort key function on exponent tuples of `ring`.
-
-        Larger key = larger monomial.
-        """
-        perm = tuple(ring.index(v) for v in self.priority if v in ring)
-        if len(perm) != len(ring):
-            raise ValueError("order priority does not cover the ring variables")
-        return _order_key(self.kind, perm)
-
-
-@lru_cache(maxsize=None)
-def _order_key(kind: str, perm: tuple[int, ...]):
-    if kind == "lex":
-        def key(exps, _perm=perm):
-            return tuple(exps[i] for i in _perm)
-    else:
-        rev = tuple(reversed(perm))
-
-        def key(exps, _rev=rev):
-            return (sum(exps), tuple(-exps[i] for i in _rev))
-    return key
-
-
-GREVLEX = MonomialOrder("grevlex", DEFAULT_VARS)
-LEX = MonomialOrder("lex", DEFAULT_VARS)
+    return (sum(exps), tuple(map(neg, exps[::-1])))
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -207,21 +177,13 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> tuple:
+    def leading_monomial(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key_fn(self.ring))
+        return max(self.terms, key=_grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        if lc == 1:
-            return self
-        return Polynomial({m: c / lc for m, c in self.terms.items()}, self.ring, _clean=False)
+    def leading_coefficient(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
 
     def variables(self) -> set[str]:
         used = set()
@@ -243,17 +205,16 @@ class Polynomial:
             total += term
         return total
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        key = order.key_fn(self.ring)
-        return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda mc: _grevlex_key(mc[0]), reverse=True)
 
     # -- serialization ----------------------------------------------------
 
-    def to_text(self, order: MonomialOrder = GREVLEX) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for m, c in self.sorted_terms(order):
+        for m, c in self.sorted_terms():
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -271,9 +232,9 @@ class Polynomial:
         text = " ".join(chunks)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-    def to_json_terms(self, order: MonomialOrder = GREVLEX) -> list[dict]:
+    def to_json_terms(self) -> list[dict]:
         out = []
-        for m, c in self.sorted_terms(order):
+        for m, c in self.sorted_terms():
             exps = {self.ring[i]: e for i, e in enumerate(m) if e}
             out.append({"coeff": str(c), "exps": exps})
         return out
@@ -341,23 +302,24 @@ def _normalize_var(name: str) -> str:
 # -- division and normal forms ------------------------------------------
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
+def _divisor(terms: dict) -> tuple:
+    """``(lead monomial, lead coefficient, terms)`` of a nonzero term map."""
+    lm = max(terms, key=_grevlex_key)
+    return lm, terms[lm], terms
+
+
+def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of `p` under multivariate division by `basis`.
 
     No term of the result is divisible by any basis leading term, and
     ``p - result`` lies in the ideal generated by `basis` (exact division,
     no scalar slack).
     """
-    divisors = []
-    key = order.key_fn(p.ring)
-    for g in basis:
-        if g:
-            lm = g.leading_monomial(order)
-            divisors.append((lm, g.terms[lm], g.terms))
+    divisors = [_divisor(g.terms) for g in basis if g]
     work = dict(p.terms)
     remainder: dict = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=_grevlex_key)
         c = work.pop(m)
         for lm, lc, gterms in divisors:
             if _mono_divides(lm, m):
@@ -387,30 +349,20 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
 
 
 def _to_int_terms(p: Polynomial) -> dict:
-    if not p.terms:
-        return {}
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    terms = {m: int(c * den) for m, c in p.terms.items()}
-    content = 0
-    for c in terms.values():
-        content = gcd(content, c)
-    if content > 1:
-        terms = {m: c // content for m, c in terms.items()}
-    return terms
+    return _int_strip({m: int(c * den) for m, c in p.terms.items()})
 
 
 def _int_strip(terms: dict) -> dict:
-    content = 0
-    for c in terms.values():
-        content = gcd(content, c)
+    content = gcd(*terms.values())
     if content > 1:
         return {m: c // content for m, c in terms.items()}
     return terms
 
 
-def _int_reduce(terms: dict, divisors, key, counter=None) -> dict:
+def _int_reduce(terms: dict, divisors, counter=None) -> dict:
     """Pseudo-reduction of integer `terms` by `divisors`; full tail reduction.
 
     Returns a remainder equal to a nonzero rational multiple of the exact
@@ -419,7 +371,7 @@ def _int_reduce(terms: dict, divisors, key, counter=None) -> dict:
     work = dict(terms)
     remainder: dict = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=_grevlex_key)
         c = work.pop(m)
         for lm, lc, gterms in divisors:
             if _mono_divides(lm, m):
@@ -473,7 +425,6 @@ def _int_spoly(f: dict, g: dict, lmf: tuple, lmg: tuple) -> dict:
 
 def groebner_basis(
     gens,
-    order: MonomialOrder = GREVLEX,
     max_basis_terms: int = 50_000,
     max_pair_reductions: int = 200_000,
 ) -> list[Polynomial]:
@@ -488,20 +439,16 @@ def groebner_basis(
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
-    key = order.key_fn(ring)
     counter = {"reductions": 0, "max_reductions": max_pair_reductions}
 
-    basis: list[dict] = []
+    basis: list[tuple] = []  # _divisor triples, in insertion order
     lms: list[tuple] = []
 
-    def divisors():
-        return [(lms[i], basis[i][lms[i]], basis[i]) for i in range(len(basis))]
-
     for g in gens:
-        r = _int_reduce(_to_int_terms(g), divisors(), key, counter)
+        r = _int_reduce(_to_int_terms(g), basis, counter)
         if r:
-            basis.append(r)
-            lms.append(max(r, key=key))
+            basis.append(_divisor(r))
+            lms.append(basis[-1][0])
 
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
 
@@ -509,7 +456,7 @@ def groebner_basis(
         return all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j]))
 
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(_mono_lcm(lms[ij[0]], lms[ij[1]])), ij))
+        i, j = min(pairs, key=lambda ij: (_grevlex_key(_mono_lcm(lms[ij[0]], lms[ij[1]])), ij))
         pairs.discard((i, j))
         if coprime(i, j):
             continue
@@ -522,61 +469,50 @@ def groebner_basis(
             for k in range(len(basis))
         ):
             continue
-        s = _int_spoly(basis[i], basis[j], lms[i], lms[j])
-        r = _int_reduce(s, divisors(), key, counter)
+        s = _int_spoly(basis[i][2], basis[j][2], lms[i], lms[j])
+        r = _int_reduce(s, basis, counter)
         if r:
-            basis.append(r)
-            lms.append(max(r, key=key))
+            basis.append(_divisor(r))
+            lms.append(basis[-1][0])
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
-            if sum(len(b) for b in basis) > max_basis_terms:
+            if sum(len(b[2]) for b in basis) > max_basis_terms:
                 raise ResourceLimitError(f"basis term budget exceeded ({max_basis_terms})")
 
     # Interreduce: drop generators whose lead is divisible by another lead,
     # then reduce each survivor against the rest (its lead is irreducible
     # among minimal leads, so full reduction just cleans the tail).
-    keep = [
-        i
+    minimal = [
+        basis[i]
         for i in range(len(basis))
         if not any(j != i and _mono_divides(lms[j], lms[i]) for j in range(len(basis)))
     ]
-    minimal = [(lms[i], basis[i]) for i in keep]
-    reduced: list[dict] = []
-    for idx, (lm, terms) in enumerate(minimal):
-        others = [(l, t[l], t) for k, (l, t) in enumerate(minimal) if k != idx]
-        reduced.append(_int_reduce(terms, others, key))
     polys = []
-    for terms in reduced:
-        lm = max(terms, key=key)
-        lc = Fraction(terms[lm])
+    for idx, (_, _, terms) in enumerate(minimal):
+        lm, lc, reduced = _divisor(_int_reduce(terms, minimal[:idx] + minimal[idx + 1:]))
         polys.append(
-            Polynomial({m: Fraction(c) / lc for m, c in terms.items()}, ring, _clean=False)
+            Polynomial({m: Fraction(c, lc) for m, c in reduced.items()}, ring, _clean=False)
         )
-    polys.sort(key=lambda p: key(p.leading_monomial(order)))
+    polys.sort(key=lambda p: _grevlex_key(p.leading_monomial()))
     return polys
 
 
-def reduces_to_zero(p: Polynomial, basis, order: MonomialOrder = GREVLEX) -> bool:
+def reduces_to_zero(p: Polynomial, basis) -> bool:
     """Fast zero-test for the normal form of `p` against `basis`."""
     if not p:
         return True
-    if not basis:
-        return False
-    key = order.key_fn(p.ring)
-    ints = [_to_int_terms(g) for g in basis if g]
-    divisors = [(max(t, key=key), t[max(t, key=key)], t) for t in ints]
-    return not _int_reduce(_to_int_terms(p), divisors, key)
+    divisors = [_divisor(_to_int_terms(g)) for g in basis if g]
+    return not _int_reduce(_to_int_terms(p), divisors)
 
 
-def ideal_member(p: Polynomial, gens, order: MonomialOrder = GREVLEX, **budgets) -> bool:
+def ideal_member(p: Polynomial, gens) -> bool:
     """True iff `p` lies in the ideal generated by `gens`."""
-    basis = groebner_basis(gens, order, **budgets)
-    return reduces_to_zero(p, basis, order)
+    return reduces_to_zero(p, groebner_basis(gens))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = _mono_lcm(lmf, lmg)
-    tf = Polynomial({_mono_div(lcm, lmf): 1 / f.leading_coefficient(order)}, f.ring, _clean=False)
-    tg = Polynomial({_mono_div(lcm, lmg): 1 / g.leading_coefficient(order)}, g.ring, _clean=False)
+    tf = Polynomial({_mono_div(lcm, lmf): 1 / f.leading_coefficient()}, f.ring, _clean=False)
+    tg = Polynomial({_mono_div(lcm, lmg): 1 / g.leading_coefficient()}, g.ring, _clean=False)
     return tf * f - tg * g

@@ -416,10 +416,6 @@ class DiagramAnalysis:
     branch_ledgers: dict  # lambda class -> ConstraintLedger (branch constraints only)
     provenance: dict  # polynomial text -> list of "lemma(color)" sources
 
-    @property
-    def excluded_structurally(self) -> bool:
-        return self.exclusion is not None
-
 
 def analyze(d: Diagram) -> DiagramAnalysis:
     """Run all matchers and assemble the diagram's constraint ledgers.

@@ -263,15 +263,6 @@ def _jacobian(x, gamma, lam, h=1e-7):
 
 # -- classification --------------------------------------------------------
 
-STATIONARY_KINDS = (
-    "equilibrium",
-    "rigidly-translating",
-    "relative-equilibrium",
-    "collapse",
-    "non-stationary",
-)
-
-
 def classify(z, gamma, rtol: float = 1e-8) -> str:
     """Stationary type of a collision-free configuration.
 

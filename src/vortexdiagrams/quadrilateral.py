@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactpoly import (
-    GREVLEX,
-    MonomialOrder,
-    Polynomial,
-    groebner_basis,
-    normal_form,
-    reduces_to_zero,
-)
+from .exactpoly import Polynomial, groebner_basis, normal_form, reduces_to_zero
 
 
 def _vars():
@@ -107,18 +100,20 @@ class MembershipResult:
         }
 
 
-def verify_membership(order: MonomialOrder = GREVLEX, **budgets) -> MembershipResult:
+def verify_membership() -> MembershipResult:
     """Prove the target product lies in the quadrilateral ideal.
 
     The reduction is re-checked against a basis computed from the reversed
     generator list (a different Buchberger pair order) and once more with
-    the exact-division normal form, so the certificate does not depend on
-    one particular computation path.
+    the exact-division normal form.  Reduced bases are unique, so the
+    reversed run computes the same basis with the same code; it is not an
+    independent check.  Cofactor certificates, checked by multiplication
+    alone, are ROADMAP item 3.
     """
     gens, target = quadrilateral_system()
-    basis = groebner_basis(gens, order, **budgets)
-    member = reduces_to_zero(target, basis, order)
-    basis_rev = groebner_basis(tuple(reversed(gens)), order, **budgets)
-    recheck = reduces_to_zero(target, basis_rev, order)
-    exact_zero = not normal_form(target, basis, order)
+    basis = groebner_basis(gens)
+    member = reduces_to_zero(target, basis)
+    basis_rev = groebner_basis(tuple(reversed(gens)))
+    recheck = reduces_to_zero(target, basis_rev)
+    exact_zero = not normal_form(target, basis)
     return MembershipResult(member, len(basis), recheck, exact_zero)

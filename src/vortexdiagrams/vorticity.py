@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .exactpoly import (
     DEFAULT_VARS,
-    GREVLEX,
-    MonomialOrder,
     Polynomial,
     groebner_basis,
     parse_polynomial,
@@ -25,8 +23,9 @@ from .exactpoly import (
 )
 
 N_VORTICES = 5
-MAX_VORTICES = 8
-GAMMA_VARS = tuple(f"G{i}" for i in range(1, MAX_VORTICES + 1))
+# Random rational points tried by `decide`'s late witness search, after the
+# certificate search has failed; the quick search before it tries 40.
+WITNESS_ATTEMPTS = 200
 
 
 def gamma_var(i: int) -> Polynomial:
@@ -234,10 +233,10 @@ def _monomial(exps: dict) -> Polynomial:
     return Polynomial({tuple(e): Fraction(1)}, DEFAULT_VARS, _clean=False)
 
 
-def _certificate_search(ledger: ConstraintLedger, basis, order: MonomialOrder):
+def _certificate_search(ledger: ConstraintLedger, basis):
     # (a) a polynomial required nonzero lies in the equality ideal.
     for q in ledger.nonzeros:
-        if reduces_to_zero(q, basis, order):
+        if reduces_to_zero(q, basis):
             return Certificate("direct-disequality", q)
     gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
     # (b) a monomial in the (nonzero) vorticities lies in the ideal: some
@@ -246,14 +245,14 @@ def _certificate_search(ledger: ConstraintLedger, basis, order: MonomialOrder):
     for size in (1, 2, 3):
         for S in itertools.combinations(range(1, ledger.n + 1), size):
             m = _monomial({f"G{i}": 1 for i in S})
-            if reduces_to_zero(m, basis, order):
+            if reduces_to_zero(m, basis):
                 return Certificate("vanishing-monomial", m, subset=S)
     for exps in itertools.product(range(3), repeat=ledger.n):
         deg = sum(exps)
         if not 2 <= deg <= 4 or max(exps) < 2:
             continue
         m = _monomial({g: e for g, e in zip(gammas, exps) if e})
-        if reduces_to_zero(m, basis, order):
+        if reduces_to_zero(m, basis):
             subset = tuple(i for i, e in enumerate(exps, start=1) if e)
             return Certificate("vanishing-monomial", m, subset=subset)
     # (c) a sum of squares of monomials lies in the ideal: over the reals
@@ -271,17 +270,12 @@ def _certificate_search(ledger: ConstraintLedger, basis, order: MonomialOrder):
                 for i in S:
                     part = gamma_var(i) * mult
                     candidate = candidate + part * part
-                if reduces_to_zero(candidate, basis, order):
+                if reduces_to_zero(candidate, basis):
                     return Certificate("sum-of-squares", candidate, subset=S, multiplier=mult)
     return None
 
 
-def decide(
-    ledger: ConstraintLedger,
-    order: MonomialOrder = GREVLEX,
-    attempts: int = 200,
-    seed: int = 0,
-) -> Verdict:
+def decide(ledger: ConstraintLedger, seed: int = 0) -> Verdict:
     """Decide real feasibility of `ledger` with a certificate or witness.
 
     Infeasible verdicts carry a polynomial of the equality ideal whose
@@ -289,29 +283,29 @@ def decide(
     verdicts carry an exact rational witness.  Unknown is an honest third
     outcome, never silently coerced.
     """
-    quick = _search_witness(ledger, min(attempts, 40), seed)
+    quick = _search_witness(ledger, 40, seed)
     if quick is not None:
         return Verdict("Feasible", witness=quick)
     if ledger.equalities:
-        basis = groebner_basis(ledger.equalities, order)
-        cert = _certificate_search(ledger, basis, order)
+        basis = groebner_basis(ledger.equalities)
+        cert = _certificate_search(ledger, basis)
         if cert is not None:
             return Verdict("Infeasible", certificate=cert)
-    witness = _search_witness(ledger, attempts, seed + 1)
+    witness = _search_witness(ledger, WITNESS_ATTEMPTS, seed + 1)
     if witness is not None:
         return Verdict("Feasible", witness=witness)
     return Verdict("Unknown")
 
 
-def verify_certificate(
-    ledger: ConstraintLedger, certificate: Certificate, order: MonomialOrder = GREVLEX
-) -> bool:
-    """Independently re-check an infeasibility certificate.
+def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    """Re-check an infeasibility certificate.
 
-    Recomputes a Groebner basis from the reversed generator list (a
-    different Buchberger run), re-reduces the exhibited polynomial, and
-    checks that the certificate's shape actually carries the claimed
-    real-arithmetic contradiction.
+    Checks that the certificate's shape carries the claimed real-arithmetic
+    contradiction, then recomputes a Groebner basis from the reversed
+    generator list and re-reduces the exhibited polynomial.  Reduced bases
+    are unique, so that run computes the same basis with the same code: it
+    catches a certificate that does not match its ledger, not a fault in
+    the kernel.  Checks by code other than the kernel are ROADMAP item 3.
     """
     allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
     if certificate.kind == "direct-disequality":
@@ -338,5 +332,5 @@ def verify_certificate(
         return False
     if not ledger.equalities:
         return False
-    basis = groebner_basis(tuple(reversed(ledger.equalities)), order)
-    return reduces_to_zero(certificate.polynomial, basis, order)
+    basis = groebner_basis(tuple(reversed(ledger.equalities)))
+    return reduces_to_zero(certificate.polynomial, basis)

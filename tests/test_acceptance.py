@@ -216,7 +216,7 @@ def test_criterion_5_equivariance():
 
 
 def test_criterion_6_small_n_oracle():
-    report = enumerate_diagrams(3, with_catalog_diff=False)
+    report = enumerate_diagrams(3)
     assert set(report.survivor_keys()) == oracle_enumerate3()
     announce("ACCEPTANCE 6 PASS: three-vertex enumeration equals the independent oracle")
 

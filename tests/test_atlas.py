@@ -27,7 +27,7 @@ class TestBudget:
             enumerate_diagrams(5, max_raw_candidates=1000)
 
     def test_budget_large_enough_passes(self):
-        report = enumerate_diagrams(3, with_catalog_diff=False, max_raw_candidates=10_000)
+        report = enumerate_diagrams(3, max_raw_candidates=10_000)
         assert report.candidates_raw == 25 * 64
 
 
@@ -51,17 +51,17 @@ from oracle3 import oracle_enumerate3
 
 class TestSmallN:
     def test_enumerate3_matches_oracle(self):
-        report = enumerate_diagrams(3, with_catalog_diff=False)
+        report = enumerate_diagrams(3)
         assert set(report.survivor_keys()) == oracle_enumerate3()
 
     def test_enumerate4_is_deterministic(self):
-        a = enumerate_diagrams(4, with_catalog_diff=False)
-        b = enumerate_diagrams(4, with_catalog_diff=False)
+        a = enumerate_diagrams(4)
+        b = enumerate_diagrams(4)
         assert a.survivor_keys() == b.survivor_keys()
         assert a.histogram == b.histogram
 
     def test_pipeline_partitions_classes(self):
-        report = enumerate_diagrams(4, with_catalog_diff=False)
+        report = enumerate_diagrams(4)
         assert len(report.survivors) + len(report.rejected) == report.unique_classes
         keys = set(report.survivor_keys())
         assert not keys & {r["key"] for r in report.rejected}
@@ -122,7 +122,7 @@ class TestCatalog:
 
 @pytest.fixture(scope="module")
 def report5():
-    return enumerate_diagrams(5, with_catalog_diff=False)
+    return enumerate_diagrams(5)
 
 
 class TestDiff:

@@ -199,7 +199,15 @@ def test_canonicalization_bounded_to_eight_vertices():
 
 
 def test_canonical_key_works_beyond_the_table_fast_path():
-    d6 = Diagram(6, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
-    mapping = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2, 6: 1}
-    assert canonical_key(d6.relabeled(mapping)) == canonical_key(d6)
-    assert canonical_key(d6.color_swapped()) == canonical_key(d6)
+    # n <= 6 takes the lookup tables of canonical_masks; n = 7, 8 the bit loop
+    for d in (
+        Diagram(7, [(1, 2), (5, 6)], [(3, 4), (6, 7)], [1, 2, 6], [3, 4]),
+        Diagram(8, [(1, 2), (7, 8)], [(3, 4), (2, 5)], [1, 2], [3, 4, 8]),
+    ):
+        shift = {v: v % d.n + 1 for v in range(1, d.n + 1)}
+        key = canonical_key(d)
+        assert canonical_key(d.relabeled(shift)) == key
+        assert canonical_key(d.color_swapped()) == key
+        rep = canonical_form(d)
+        assert canonical_key(rep) == key
+        assert canonical_form(rep) == rep
