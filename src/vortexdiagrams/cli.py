@@ -15,6 +15,7 @@ import sys
 
 from . import atlas, numeric, quadrilateral
 from .diagram import Diagram, canonical_key, stroke_count_C
+from .exactpoly import ResourceLimitError
 
 
 def _dump(data, out=None) -> None:
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,24 @@ proved here are proofs, not float coincidences.
 
 There is one monomial order, grevlex by ring position: a ring tuple lists
 its variables from most to least significant.
+
+`Polynomial` keys its terms by exponent tuples.  Buchberger and the
+zero-test run on one integer kernel instead: content-stripped integer
+coefficients and packed monomials, one Python int per monomial whose
+integer order is the grevlex order, so that products are additions and
+divisibility is one subtraction and mask (layout below, limit
+`MAX_DEGREE`).  `groebner_basis` returns a `Basis`, which converts its
+generators to packed divisors once; every `reduces_to_zero` against it
+reuses them.  `normal_form` divides with `Fraction`s over exponent tuples
+and is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import neg
 import json
 import re
@@ -302,20 +314,19 @@ def _normalize_var(name: str) -> str:
 # -- division and normal forms ------------------------------------------
 
 
-def _divisor(terms: dict) -> tuple:
-    """``(lead monomial, lead coefficient, terms)`` of a nonzero term map."""
-    lm = max(terms, key=_grevlex_key)
-    return lm, terms[lm], terms
-
-
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of `p` under multivariate division by `basis`.
 
     No term of the result is divisible by any basis leading term, and
     ``p - result`` lies in the ideal generated by `basis` (exact division,
-    no scalar slack).
+    no scalar slack).  This is the `Fraction` reference for the packed
+    integer kernel below.
     """
-    divisors = [_divisor(g.terms) for g in basis if g]
+    divisors = []
+    for g in basis:
+        if g:
+            lm = g.leading_monomial()
+            divisors.append((lm, g.terms[lm], g.terms))
     work = dict(p.terms)
     remainder: dict = {}
     while work:
@@ -340,19 +351,84 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     return Polynomial(remainder, p.ring, _clean=False)
 
 
-# -- integer kernel for basis computation --------------------------------
+# -- packed monomials -------------------------------------------------------
 #
-# Buchberger runs on content-stripped integer polynomials: remainders are
-# the same up to a nonzero rational scalar, which zero-tests and leading
-# monomials do not see, and Python int arithmetic is much faster than
-# Fraction churn.
+# The integer kernel keys each monomial of an n-variable ring by one Python
+# int made of n + 1 fields of _FIELD_BITS bits.  The top field holds the
+# total degree; below it, field i (counted from the bottom) holds
+# MAX_DEGREE - e_i, so the last variable sits just under the degree.
+# Integer order is then grevlex by ring position: the higher degree wins,
+# and a tie goes to the smaller exponent in the last variable where the
+# two monomials differ.  With `one` the key of the unit monomial,
+#
+#     key(m1 * m2) = key(m1) + key(m2) - one,
+#
+# and m1 divides m2 iff no field of (key(m1) | guards) - key(m2) borrows
+# its guard bit (the top bit of each variable field, always clear in a
+# key).  No exponent exceeds the total degree and reduction never raises
+# the degree, so checking the degree where a monomial enters the kernel
+# (input terms and S-polynomial lcms) keeps every field in range.
+
+_FIELD_BITS = 16
+_GUARD_BIT = 1 << (_FIELD_BITS - 1)
+# Largest total degree, hence largest exponent, that a packed key holds.
+MAX_DEGREE = _GUARD_BIT - 1
 
 
-def _to_int_terms(p: Polynomial) -> dict:
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _int_strip({m: int(c * den) for m, c in p.terms.items()})
+class _Packing:
+    """The packed-monomial layout of a ring with `nvars` variables."""
+
+    __slots__ = ("nvars", "one", "guards", "degree_shift")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.degree_shift = _FIELD_BITS * nvars
+        self.one = sum(MAX_DEGREE << (_FIELD_BITS * i) for i in range(nvars))
+        self.guards = sum(_GUARD_BIT << (_FIELD_BITS * i) for i in range(nvars))
+
+    def pack(self, exps: tuple) -> int:
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise ResourceLimitError(
+                f"total degree {degree} exceeds the packed-monomial limit {MAX_DEGREE}"
+            )
+        key = self.one + (degree << self.degree_shift)
+        for i, e in enumerate(exps):
+            if e:
+                key -= e << (_FIELD_BITS * i)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(
+            MAX_DEGREE - ((key >> (_FIELD_BITS * i)) & MAX_DEGREE) for i in range(self.nvars)
+        )
+
+    def lcm(self, k1: int, k2: int) -> int:
+        """Key of the lcm; its degree field may exceed MAX_DEGREE (it is
+        the top field, so it cannot wrap), which `_int_spoly` checks."""
+        key = degree = 0
+        for i in range(self.nvars):
+            shift = _FIELD_BITS * i
+            field = min((k1 >> shift) & MAX_DEGREE, (k2 >> shift) & MAX_DEGREE)
+            key |= field << shift
+            degree += MAX_DEGREE - field
+        return key | (degree << self.degree_shift)
+
+
+# -- integer kernel ----------------------------------------------------------
+#
+# Buchberger and the zero-test run on content-stripped integer polynomials
+# (dicts from packed key to int): remainders are the same up to a nonzero
+# rational scalar, which zero-tests and leading monomials do not see, and
+# Python int arithmetic is much faster than Fraction churn.  A divisor is
+# ``(lead | guards, lead, lead coefficient, tail)`` with the tail a tuple of
+# ``(key, coefficient)`` pairs.
+
+
+def _int_terms(p: Polynomial, packing: _Packing) -> dict:
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    pack = packing.pack
+    return _int_strip({pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
 
 
 def _int_strip(terms: dict) -> dict:
@@ -362,59 +438,82 @@ def _int_strip(terms: dict) -> dict:
     return terms
 
 
-def _int_reduce(terms: dict, divisors, counter=None) -> dict:
-    """Pseudo-reduction of integer `terms` by `divisors`; full tail reduction.
+def _divisor(terms: dict, guards: int) -> tuple:
+    lm = max(terms)
+    return lm | guards, lm, terms[lm], tuple((m, c) for m, c in terms.items() if m != lm)
 
-    Returns a remainder equal to a nonzero rational multiple of the exact
-    normal form.
+
+def _int_reduce(terms: dict, divisors, guards: int, counter=None, full: bool = True) -> dict:
+    """Pseudo-reduction of integer `terms` by `divisors`, leading term first.
+
+    Returns a content-stripped remainder equal to a nonzero rational
+    multiple of the exact normal form.  With ``full=False`` it stops at the
+    first irreducible term and returns that term alone: remainder terms are
+    only ever rescaled by nonzero factors, so it is nonzero iff the normal
+    form is.  Pending terms wait in a max-heap of keys (Monagan & Pearce);
+    a key cancelled to zero leaves a stale heap entry that is skipped.
     """
     work = dict(terms)
+    heap = [-m for m in work]
+    heapify(heap)
     remainder: dict = {}
-    while work:
-        m = max(work, key=_grevlex_key)
-        c = work.pop(m)
-        for lm, lc, gterms in divisors:
-            if _mono_divides(lm, m):
-                if counter is not None:
-                    counter["reductions"] += 1
-                    if counter["reductions"] > counter["max_reductions"]:
-                        raise ResourceLimitError(
-                            f"pair reduction budget exceeded ({counter['max_reductions']})"
-                        )
-                q = _mono_div(m, lm)
-                d = gcd(c, lc)
-                scale, factor = lc // d, c // d
-                if scale != 1:
-                    for k in work:
-                        work[k] *= scale
-                    for k in remainder:
-                        remainder[k] *= scale
-                for mg, cg in gterms.items():
-                    if mg == lm:
-                        continue
-                    mm = _mono_mul(mg, q)
-                    nc = work.get(mm, 0) - factor * cg
-                    if nc:
-                        work[mm] = nc
-                    else:
-                        work.pop(mm, None)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for top, lm, lc, tail in divisors:
+            if (top - m) & guards == guards:
                 break
         else:
+            if not full:
+                return {m: c}
             remainder[m] = c
+            continue
+        if counter is not None:
+            counter["reductions"] += 1
+            if counter["reductions"] > counter["max_reductions"]:
+                raise ResourceLimitError(
+                    f"pair reduction budget exceeded ({counter['max_reductions']})"
+                )
+        d = gcd(c, lc)
+        scale, factor = lc // d, c // d
+        if scale != 1:
+            for k in work:
+                work[k] *= scale
+            for k in remainder:
+                remainder[k] *= scale
+        shift = m - lm
+        for mg, cg in tail:
+            mm = mg + shift
+            nc = work.get(mm)
+            if nc is None:
+                work[mm] = -factor * cg
+                heappush(heap, -mm)
+            else:
+                nc -= factor * cg
+                if nc:
+                    work[mm] = nc
+                else:
+                    del work[mm]
     return _int_strip(remainder)
 
 
-def _int_spoly(f: dict, g: dict, lmf: tuple, lmg: tuple) -> dict:
-    lcm = _mono_lcm(lmf, lmg)
-    cf, cg = f[lmf], g[lmg]
+def _int_spoly(f: tuple, g: tuple, lcm_fg: int, packing: _Packing) -> dict:
+    degree = lcm_fg >> packing.degree_shift
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(
+            f"S-polynomial degree {degree} exceeds the packed-monomial limit {MAX_DEGREE}"
+        )
+    _, lmf, cf, tailf = f
+    _, lmg, cg, tailg = g
     d = gcd(cf, cg)
-    mf, mg = _mono_div(lcm, lmf), _mono_div(lcm, lmg)
     sf, sg = cg // d, cf // d
-    res: dict = {}
-    for m, c in f.items():
-        res[_mono_mul(m, mf)] = c * sf
-    for m, c in g.items():
-        mm = _mono_mul(m, mg)
+    shift = lcm_fg - lmf
+    res = {m + shift: c * sf for m, c in tailf}
+    shift = lcm_fg - lmg
+    for m, c in tailg:
+        mm = m + shift
         nc = res.get(mm, 0) - c * sg
         if nc:
             res[mm] = nc
@@ -423,86 +522,144 @@ def _int_spoly(f: dict, g: dict, lmf: tuple, lmg: tuple) -> dict:
     return res
 
 
+class Basis(Sequence):
+    """Polynomials together with their packed integer divisors.
+
+    The divisors are built once, when the basis is made, so that every
+    `reduces_to_zero` against it reuses them.  A basis reads as the
+    sequence of its polynomials and compares equal to a list (or basis) of
+    the same polynomials in the same order.
+    """
+
+    __slots__ = ("polys", "ring", "_packing", "_divisors")
+
+    def __init__(self, polys, ring: tuple[str, ...] = DEFAULT_VARS):
+        self.polys = tuple(polys)
+        self.ring = ring
+        self._packing = packing = _Packing(len(ring))
+        self._divisors = tuple(
+            _divisor(_int_terms(g, packing), packing.guards) for g in self.polys if g
+        )
+
+    def __getitem__(self, index):
+        return self.polys[index]
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __eq__(self, other):
+        if isinstance(other, Basis):
+            return self.polys == other.polys
+        if isinstance(other, (list, tuple)):
+            return list(self.polys) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Basis({list(self.polys)!r})"
+
+
 def groebner_basis(
     gens,
     max_basis_terms: int = 50_000,
     max_pair_reductions: int = 200_000,
-) -> list[Polynomial]:
+) -> Basis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Buchberger with normal (smallest-lcm) pair selection and both classic
     pair-pruning criteria.  Output generators are monic, tails fully
     reduced, sorted by leading monomial: deterministic for a given input.
-    Raises ResourceLimitError when the configured budgets are exceeded.
+    Raises ResourceLimitError when the configured budgets are exceeded or
+    a degree outgrows the packed monomials (`MAX_DEGREE`).
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
+    packing = _Packing(len(ring))
+    guards = packing.guards
     counter = {"reductions": 0, "max_reductions": max_pair_reductions}
 
-    basis: list[tuple] = []  # _divisor triples, in insertion order
-    lms: list[tuple] = []
+    basis: list[tuple] = []  # divisors, in insertion order
+    pairs: list[tuple] = []  # heap of (lcm key, i, j)
+    pending: set = set()  # the (i, j) still in `pairs`
+    total_terms = 0
+
+    def add(terms: dict) -> None:
+        nonlocal total_terms
+        div = _divisor(terms, guards)
+        new = len(basis)
+        for k in range(new):
+            heappush(pairs, (packing.lcm(basis[k][1], div[1]), k, new))
+            pending.add((k, new))
+        basis.append(div)
+        total_terms += len(terms)
 
     for g in gens:
-        r = _int_reduce(_to_int_terms(g), basis, counter)
+        r = _int_reduce(_int_terms(g, packing), basis, guards, counter)
         if r:
-            basis.append(_divisor(r))
-            lms.append(basis[-1][0])
+            add(r)
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-
-    def coprime(i, j):
-        return all(a == 0 or b == 0 for a, b in zip(lms[i], lms[j]))
-
+    degree_shift = packing.degree_shift
     while pairs:
-        i, j = min(pairs, key=lambda ij: (_grevlex_key(_mono_lcm(lms[ij[0]], lms[ij[1]])), ij))
-        pairs.discard((i, j))
-        if coprime(i, j):
-            continue
-        lcm_ij = _mono_lcm(lms[i], lms[j])
+        lcm_ij, i, j = heappop(pairs)
+        pending.discard((i, j))
+        lmi, lmj = basis[i][1], basis[j][1]
+        if lcm_ij >> degree_shift == (lmi >> degree_shift) + (lmj >> degree_shift):
+            continue  # coprime leads
         if any(
             k != i and k != j
-            and _mono_divides(lms[k], lcm_ij)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
+            and (basis[k][0] - lcm_ij) & guards == guards
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
             for k in range(len(basis))
         ):
             continue
-        s = _int_spoly(basis[i][2], basis[j][2], lms[i], lms[j])
-        r = _int_reduce(s, basis, counter)
+        r = _int_reduce(_int_spoly(basis[i], basis[j], lcm_ij, packing), basis, guards, counter)
         if r:
-            basis.append(_divisor(r))
-            lms.append(basis[-1][0])
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-            if sum(len(b[2]) for b in basis) > max_basis_terms:
+            add(r)
+            if total_terms > max_basis_terms:
                 raise ResourceLimitError(f"basis term budget exceeded ({max_basis_terms})")
 
     # Interreduce: drop generators whose lead is divisible by another lead,
     # then reduce each survivor against the rest (its lead is irreducible
     # among minimal leads, so full reduction just cleans the tail).
     minimal = [
-        basis[i]
-        for i in range(len(basis))
-        if not any(j != i and _mono_divides(lms[j], lms[i]) for j in range(len(basis)))
+        div
+        for i, div in enumerate(basis)
+        if not any(j != i and (basis[j][0] - div[1]) & guards == guards for j in range(len(basis)))
     ]
-    polys = []
-    for idx, (_, _, terms) in enumerate(minimal):
-        lm, lc, reduced = _divisor(_int_reduce(terms, minimal[:idx] + minimal[idx + 1:]))
-        polys.append(
-            Polynomial({m: Fraction(c, lc) for m, c in reduced.items()}, ring, _clean=False)
-        )
-    polys.sort(key=lambda p: _grevlex_key(p.leading_monomial()))
-    return polys
+    reduced = []
+    for idx, (_, lm, lc, tail) in enumerate(minimal):
+        terms = dict(tail)
+        terms[lm] = lc
+        terms = _int_reduce(terms, minimal[:idx] + minimal[idx + 1:], guards)
+        reduced.append((max(terms), terms))
+    reduced.sort(key=lambda lead_terms: lead_terms[0])
+    unpack = packing.unpack
+    polys = [
+        Polynomial({unpack(m): Fraction(c, terms[lead]) for m, c in terms.items()}, ring, _clean=False)
+        for lead, terms in reduced
+    ]
+    return Basis(polys, ring)
 
 
 def reduces_to_zero(p: Polynomial, basis) -> bool:
-    """Fast zero-test for the normal form of `p` against `basis`."""
+    """Zero-test for the normal form of `p` against `basis`.
+
+    `basis` is a `Basis` (what `groebner_basis` returns), whose packed
+    divisors are reused, or any iterable of polynomials, converted here.
+    The answer is False as soon as a leading term is irreducible.
+    """
     if not p:
         return True
-    divisors = [_divisor(_to_int_terms(g)) for g in basis if g]
-    return not _int_reduce(_to_int_terms(p), divisors)
+    if not isinstance(basis, Basis):
+        basis = Basis(basis, p.ring)
+    elif basis.ring != p.ring:
+        raise ValueError("polynomials over different rings")
+    packing = basis._packing
+    return not _int_reduce(_int_terms(p, packing), basis._divisors, packing.guards, full=False)
 
 
 def ideal_member(p: Polynomial, gens) -> bool:
@@ -512,7 +669,7 @@ def ideal_member(p: Polynomial, gens) -> bool:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = _mono_lcm(lmf, lmg)
-    tf = Polynomial({_mono_div(lcm, lmf): 1 / f.leading_coefficient()}, f.ring, _clean=False)
-    tg = Polynomial({_mono_div(lcm, lmg): 1 / g.leading_coefficient()}, g.ring, _clean=False)
+    lcm_fg = _mono_lcm(lmf, lmg)
+    tf = Polynomial({_mono_div(lcm_fg, lmf): 1 / f.leading_coefficient()}, f.ring, _clean=False)
+    tg = Polynomial({_mono_div(lcm_fg, lmg): 1 / g.leading_coefficient()}, g.ring, _clean=False)
     return tf * f - tg * g

@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactpoly import (
     DEFAULT_VARS,
@@ -163,66 +164,139 @@ def satisfies(ledger: ConstraintLedger, assignment: dict) -> bool:
     )
 
 
-def _linear_in(p: Polynomial, var: str, partial: dict):
-    """Coefficients (a, b) with p = a*var + b after substituting `partial`.
+# The witness pool over its common denominator: every pool value is
+# a numerator of `_POOL_NUMERATORS` divided by `_POOL_DENOMINATOR`.
+_POOL_DENOMINATOR = lcm(*(v.denominator for v in WITNESS_POOL))
+_POOL_NUMERATORS = tuple(int(v * _POOL_DENOMINATOR) for v in WITNESS_POOL)
 
-    Returns None when the substituted polynomial has degree > 1 in `var`.
+
+def _integer_form(p: Polynomial, slots: dict) -> tuple:
+    """`p` as integer terms over the strengths named in `slots`.
+
+    Each term is ``(coefficient, gap, factors)``: the coefficient times the
+    lcm of p's denominators, the term's degree below p's, and the slot of
+    each variable factor, repeated by exponent.  At a point x = t / den,
+    ``_int_value(form, t, den)`` is p(x) times a nonzero constant, so it
+    vanishes exactly when p(x) does.  A term in a variable outside `slots`
+    is dropped: `satisfies` reads such a variable as 0.
     """
-    idx = p.ring.index(var)
-    a = Fraction(0)
-    b = Fraction(0)
+    kept = []
     for m, c in p.terms.items():
-        val = c
+        factors = []
         for i, e in enumerate(m):
-            if i == idx or not e:
-                continue
-            val *= Fraction(partial[p.ring[i]]) ** e
-        if m[idx] == 0:
-            b += val
-        elif m[idx] == 1:
-            a += val
+            if e:
+                slot = slots.get(p.ring[i])
+                if slot is None:
+                    break
+                factors += [slot] * e
         else:
-            return None
-    return a, b
+            kept.append((c, factors))
+    if not kept:
+        return ()
+    scale = lcm(*(c.denominator for c, _ in kept))
+    degree = max(len(f) for _, f in kept)
+    return tuple(
+        (c.numerator * (scale // c.denominator), degree - len(f), tuple(f)) for c, f in kept
+    )
 
 
-def _solve_last_variable(ledger: ConstraintLedger, sample: dict, var: str):
-    """Try to complete `sample` by solving every equality for `var`."""
-    partial = dict(sample)
-    partial.pop(var, None)
-    value = None
-    for p in ledger.equalities:
-        lin = _linear_in(p, var, partial)
-        if lin is None:
+def _int_value(form: tuple, point: list, den: int) -> int:
+    total = 0
+    for c, gap, factors in form:
+        for slot in factors:
+            c *= point[slot]
+        if gap:
+            c *= den**gap
+        total += c
+    return total
+
+
+def _int_holds(eqs: list, nzs: list, point: list, den: int) -> bool:
+    """Integer twin of `satisfies` at the point ``point / den``."""
+    return all(not _int_value(f, point, den) for f in eqs) and all(
+        _int_value(f, point, den) for f in nzs
+    )
+
+
+def _linear_split(form: tuple, slot: int):
+    """Forms ``(a, b)`` with form = a * x + b in the variable at `slot`.
+
+    `a` carries one more power of the denominator than its terms' gap, so
+    that at ``point / den`` the root is exactly ``-value(b) / value(a)``.
+    None when `form` has degree above 1 in that variable.
+    """
+    lin, const = [], []
+    for c, gap, factors in form:
+        k = factors.count(slot)
+        if k > 1:
             return None
-        a, b = lin
-        if a == 0:
-            if b != 0:
+        if k:
+            lin.append((c, gap + 1, tuple(f for f in factors if f != slot)))
+        else:
+            const.append((c, gap, factors))
+    return tuple(lin), tuple(const)
+
+
+def _solve_slot(splits, point: list, den: int):
+    """Root ``(num, a)`` solving every split equality for one variable, the
+    others fixed at ``point / den``; None if they disagree or it is 0."""
+    root = None
+    for lin, const in splits:
+        a = _int_value(lin, point, den)
+        b = _int_value(const, point, den)
+        if not a:
+            if b:
                 return None
             continue
-        candidate = -b / a
-        if value is None:
-            value = candidate
-        elif value != candidate:
+        if root is None:
+            root = (-b, a)
+        elif root[0] * a != -b * root[1]:
             return None
-    if value is None or value == 0:
+    if root is None or not root[0]:
         return None
-    full = dict(partial)
-    full[var] = value
-    return full if satisfies(ledger, full) else None
+    return root
 
 
 def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
+    """Random pool points, each also completed by solving the equalities
+    for one variable when they are linear in it, last variable first.
+
+    The ledger is compiled once into integer form and points are pool
+    numerators over `_POOL_DENOMINATOR`, so an attempt makes no `Fraction`.
+    A point that passes the integer check is returned only after
+    `satisfies` confirms it exactly.
+    """
     rng = random.Random(seed)
     gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
+    slots = {g: i for i, g in enumerate(gammas)}
+    eqs = [_integer_form(p, slots) for p in ledger.equalities]
+    nzs = [_integer_form(q, slots) for q in ledger.nonzeros]
+    solvable = []
+    if eqs:
+        for slot in reversed(range(len(gammas))):
+            splits = [_linear_split(f, slot) for f in eqs]
+            if None not in splits:
+                solvable.append((slot, splits))
+    den = _POOL_DENOMINATOR
     for _ in range(attempts):
-        sample = {g: rng.choice(WITNESS_POOL) for g in gammas}
-        if satisfies(ledger, sample):
-            return sample
-        for var in reversed(gammas):
-            full = _solve_last_variable(ledger, sample, var)
-            if full is not None:
-                return full
+        point = [rng.choice(_POOL_NUMERATORS) for _ in gammas]
+        if _int_holds(eqs, nzs, point, den):
+            witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
+            if satisfies(ledger, witness):
+                return witness
+        for slot, splits in solvable:
+            root = _solve_slot(splits, point, den)
+            if root is None:
+                continue
+            num, a = root
+            full = [t * a for t in point]
+            full[slot] = num * den
+            if not _int_holds(eqs, nzs, full, den * a):
+                continue
+            witness = {g: Fraction(t, den) for g, t in zip(gammas, point) if slots[g] != slot}
+            witness[gammas[slot]] = Fraction(num, a)
+            if satisfies(ledger, witness):
+                return witness
     return None
 
 

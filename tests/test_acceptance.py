@@ -4,6 +4,7 @@ Each test prints a PASS line (bypassing capture) after its assertions, so
 a full run reads as a checklist.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -17,7 +18,8 @@ from oracle3 import oracle_enumerate3
 from vortexdiagrams import lemmas, numeric
 from vortexdiagrams.atlas import diff_report, enumerate_diagrams, load_catalog
 from vortexdiagrams.diagram import Diagram, canonical_key, stroke_count_C, validate
-from vortexdiagrams.quadrilateral import verify_membership
+from vortexdiagrams.exactpoly import groebner_basis
+from vortexdiagrams.quadrilateral import quadrilateral_system, verify_membership
 from vortexdiagrams.vorticity import (
     ConstraintLedger,
     angular_momentum,
@@ -26,6 +28,13 @@ from vortexdiagrams.vorticity import (
     satisfies,
     verify_certificate,
 )
+
+# sha256 of `vortexdiagrams enumerate --n 5` stdout (the report payload as
+# JSON with sorted keys and indent 2, plus a newline) and of the
+# quadrilateral basis text (one `to_text()` per generator, newline-joined).
+# A change that alters either output must update the hash and say why.
+REPORT_N5_SHA256 = "f3a6053c1c0ea564cea2a5710ded33c4e43f68e9d6dd262461c82d4f31d3b935"
+QUADRILATERAL_BASIS_SHA256 = "bbd4fe4fe0d248245a1d4e942cd47335627b44e704a9ee2add8c9ca9e54ed7a1"
 
 EXPECTED_HISTOGRAM = {0: 4, 2: 1, 3: 0, 4: 10, 5: 5, 6: 8, 7: 1, 8: 2}
 
@@ -277,3 +286,16 @@ def test_criterion_9_worker_determinism(report_single, report_parallel):
     eight = json.dumps(report_parallel.to_json(), sort_keys=True).encode()
     assert one == eight
     announce("ACCEPTANCE 9 PASS: worker counts 1 and 8 give byte-identical reports")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_criterion_10_byte_identical_outputs(report_single):
+    payload = json.dumps(report_single.to_json(), sort_keys=True, indent=2) + "\n"
+    assert _sha256(payload) == REPORT_N5_SHA256
+    gens, _ = quadrilateral_system()
+    basis_text = "\n".join(p.to_text() for p in groebner_basis(gens))
+    assert _sha256(basis_text) == QUADRILATERAL_BASIS_SHA256
+    announce("ACCEPTANCE 10 PASS: n=5 report and quadrilateral basis text byte-identical to the record")

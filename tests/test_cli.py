@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from vortexdiagrams import quadrilateral
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import main
 from vortexdiagrams.diagram import Diagram
@@ -184,6 +186,14 @@ class TestVerifyGroebner:
         assert main(["verify-groebner", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["verified"] is True
+
+    def test_exhausted_budget_is_internal_error(self, monkeypatch, capsys):
+        small = functools.partial(quadrilateral.groebner_basis, max_pair_reductions=5)
+        monkeypatch.setattr(quadrilateral, "groebner_basis", small)
+        assert main(["verify-groebner"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pair reduction budget exceeded (5)\n"
 
 
 class TestUsage:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
+    MAX_DEGREE,
+    Basis,
     Polynomial,
     ResourceLimitError,
     _grevlex_key,
@@ -248,3 +251,111 @@ class TestSerialization:
     def test_canonical_text_ordering_is_stable(self):
         p = G2 + G1 + G3**2
         assert p.to_text() == "G3^2 + G1 + G2"
+
+
+class TestPackedKernel:
+    def test_degree_at_the_limit(self):
+        at = G1 ** (MAX_DEGREE - 1) * G2  # total degree exactly MAX_DEGREE
+        assert reduces_to_zero(at, groebner_basis([G2 - G3, G3]))
+        assert not reduces_to_zero(at, groebner_basis([G3]))
+        assert reduces_to_zero(G1**MAX_DEGREE, groebner_basis([G1**MAX_DEGREE - G2, G2]))
+        assert groebner_basis([at + G3]) == [at + G3]
+
+    def test_degree_one_past_the_limit(self):
+        for past in (G1**MAX_DEGREE * G2, G1 ** (MAX_DEGREE + 1)):
+            with pytest.raises(ResourceLimitError, match=f"limit {MAX_DEGREE}"):
+                reduces_to_zero(past, groebner_basis([G3]))
+            with pytest.raises(ResourceLimitError, match=f"limit {MAX_DEGREE}"):
+                groebner_basis([past + G3])
+
+    def test_s_polynomial_degree_limit(self):
+        # lcm(G1^(MAX-1), G1*G2) has degree MAX_DEGREE; the coprime pair with
+        # lead G2*G3 (lcm degree MAX_DEGREE + 1) is pruned before any product.
+        basis = groebner_basis([G1 ** (MAX_DEGREE - 1) - G3, G1 * G2])
+        assert {p.to_text() for p in basis} == {f"G1^{MAX_DEGREE - 1} - G3", "G1*G2", "G2*G3"}
+        with pytest.raises(ResourceLimitError, match=f"S-polynomial degree {MAX_DEGREE + 1}"):
+            groebner_basis([G1**MAX_DEGREE - G3, G1 * G2])
+
+    def test_zero_test_matches_fraction_reference(self):
+        # Random ideals in G1..G5; candidates may carry a, b and G8, which no
+        # generator contains, up to exponents at the packed limit.
+        rng = random.Random(6)
+        absent = [Polynomial.variable(v) for v in ("a", "b", "G8")]
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            gens = [g for g in (random_poly(rng, 3) for _ in range(rng.randint(1, 3))) if g]
+            if not gens:
+                continue
+            member = sum((g * random_poly(rng) for g in gens), Polynomial.zero())
+            candidates = [random_poly(rng), member, member + random_poly(rng, max_terms=1)]
+            far = rng.choice(absent)
+            candidates += [
+                c * far ** (MAX_DEGREE - c.total_degree() - rng.randint(0, 2)) for c in candidates if c
+            ]
+            for divisors in (groebner_basis(gens), gens):
+                for p in candidates:
+                    expected = not normal_form(p, divisors)
+                    assert reduces_to_zero(p, divisors) == expected, (gens, p)
+                    outcomes[expected] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_basis_reads_as_its_polynomials(self):
+        basis = groebner_basis([G1 + G2, G1 - G2])
+        assert isinstance(basis, Basis)
+        assert len(basis) == 2 and list(basis) == [basis[0], basis[1]]
+        assert basis == [G2, G1] and [G2, G1] == basis
+        assert basis != [G1, G2]
+        assert sum(len(p.terms) for p in basis) == 2
+
+    def test_zero_test_rejects_another_ring(self):
+        small = ("G1", "G2")
+        with pytest.raises(ValueError):
+            reduces_to_zero(Polynomial.variable("G1", small), groebner_basis([G1]))
+
+
+class TestSympyOracle:
+    """`groebner_basis` against sympy's reduced grevlex basis over the same ring."""
+
+    @staticmethod
+    def _sympy_basis(gens):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols(DEFAULT_VARS)
+        polys = [
+            sympy.Poly.from_dict(
+                {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()},
+                *syms,
+                domain="QQ",
+            )
+            for g in gens
+        ]
+        out = set()
+        for q in sympy.groebner(polys, *syms, order="grevlex", domain="QQ").polys:
+            # Poly.monic would divide by the lex leading coefficient.
+            p = Polynomial({m: Fraction(int(c.p), int(c.q)) for m, c in q.terms()})
+            out.add(p * (1 / p.leading_coefficient()))
+        return out
+
+    @staticmethod
+    def _ours(gens):
+        basis = groebner_basis(gens)
+        assert all(p.leading_coefficient() == 1 for p in basis)
+        return set(basis)
+
+    def test_random_ideals(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 15:
+            gens = [g for g in (random_poly(rng, 3) for _ in range(rng.randint(1, 3))) if g]
+            if not gens:
+                continue
+            assert self._ours(gens) == self._sympy_basis(gens), gens
+            checked += 1
+
+    def test_catalog_base_ledgers(self):
+        checked = 0
+        for entry in load_catalog():
+            gens = entry.ledger.equalities
+            if gens:
+                assert self._ours(gens) == self._sympy_basis(gens), entry.figure_ref
+                checked += 1
+        assert checked == 33

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from vortexdiagrams.exactpoly import Polynomial, groebner_basis, reduces_to_zero
+from vortexdiagrams import vorticity
+from vortexdiagrams.exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
 from vortexdiagrams.vorticity import (
+    WITNESS_POOL,
     ConstraintLedger,
     angular_momentum,
     decide,
@@ -199,6 +201,78 @@ class TestDecideProperties:
             verdict = decide(led)
             assert verdict.kind == "Unknown"
             assert verdict.witness is None
+
+
+def _fraction_search_witness(ledger, attempts, seed):
+    """The witness search in plain `Fraction` arithmetic: random pool points,
+    each also completed by solving every equality for one variable (last
+    first) when all are linear in it."""
+    rng = random.Random(seed)
+    gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
+    for _ in range(attempts):
+        sample = {g: rng.choice(WITNESS_POOL) for g in gammas}
+        if satisfies(ledger, sample):
+            return sample
+        for var in reversed(gammas):
+            partial = {g: v for g, v in sample.items() if g != var}
+            value = None
+            for p in ledger.equalities:
+                idx = p.ring.index(var)
+                if any(m[idx] > 1 for m in p.terms):
+                    break
+                a = b = Fraction(0)
+                for m, c in p.terms.items():
+                    for i, e in enumerate(m):
+                        if e and i != idx:
+                            c *= partial.get(p.ring[i], 0) ** e
+                    if m[idx]:
+                        a += c
+                    else:
+                        b += c
+                if not a:
+                    if b:
+                        break
+                    continue
+                if value is None:
+                    value = -b / a
+                elif value != -b / a:
+                    break
+            else:
+                if value:
+                    full = dict(partial, **{var: value})
+                    if satisfies(ledger, full):
+                        return full
+    return None
+
+
+class TestWitnessSearch:
+    def test_matches_fraction_reference(self, monkeypatch):
+        rng = random.Random(30)
+        pool = [gamma_sum(J) for size in (1, 2, 3) for J in itertools.combinations(range(1, 6), size)]
+        pool += [angular_momentum(J) for J in itertools.combinations(range(1, 6), 3)]
+        # inhomogeneous terms and fractional coefficients, absent from ledgers
+        # the lemmas emit
+        pool += [
+            parse_polynomial(t)
+            for t in ("1/2*G1*G2 + G3 - 3/4", "G4^2 - 4", "2/3*G5 + 1", "G1*G2*G3 - 6*G4 + 1/3")
+        ]
+        confirmed = []
+        monkeypatch.setattr(
+            vorticity, "satisfies", lambda led, w: confirmed.append(w) or satisfies(led, w)
+        )
+        found = 0
+        for seed in range(120):
+            ledger = ConstraintLedger(
+                tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
+                tuple(rng.choice(pool) for _ in range(rng.randint(0, 2))),
+            )
+            confirmed.clear()
+            got = vorticity._search_witness(ledger, 40, seed)
+            assert got == _fraction_search_witness(ledger, 40, seed), ledger
+            # one exact confirmation per returned witness, none per attempt
+            assert confirmed == ([got] if got is not None else [])
+            found += got is not None
+        assert 20 <= found <= 100, found
 
 
 class TestVerifyCertificate:
