@@ -550,8 +550,8 @@ class Basis(Sequence):
     def __eq__(self, other):
         if isinstance(other, Basis):
             return self.polys == other.polys
-        if isinstance(other, (list, tuple)):
-            return list(self.polys) == list(other)
+        if isinstance(other, list):
+            return list(self.polys) == other
         return NotImplemented
 
     __hash__ = None
