@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -22,8 +23,10 @@ from .diagram import (
     Diagram,
     RuleReport,
     canonical_key,
-    canonical_masks,
+    canonical_masks,  # unused here; perfbench/tracer.py wraps atlas.canonical_masks
     from_canonical_masks,
+    masks_key,
+    orbit_masks,
     stroke_count_C,
     validate,
     _pair_index,
@@ -126,11 +129,16 @@ def _valid_circle_masks(self_data, other_parts, n: int) -> list:
 
 
 def _scan_chunk(args):
-    """Enumerate one slice of partition pairs; return canonical classes."""
+    """Enumerate one slice of partition pairs; return canonical classes.
+
+    Every valid labeled diagram counts in `valid`, but only one not yet met
+    in an earlier orbit has its orbit computed: the orbit joins `seen` and
+    its minimum, the canonical masks, joins the classes.
+    """
     n, lo, hi = args
     data = _partition_data(n)
-    stroked = [d for d in data if d[0]]
     classes = set()
+    seen = set()
     raw = 0
     valid = 0
     pairs = [(i, j) for i in range(len(data)) for j in range(len(data))]
@@ -144,7 +152,11 @@ def _scan_chunk(args):
         for zc in zmasks:
             for wc in wmasks:
                 valid += 1
-                classes.add(canonical_masks(n, zd[0], wd[0], zc, wc))
+                masks = (zd[0], wd[0], zc, wc)
+                if masks not in seen:
+                    orbit = orbit_masks(n, *masks)
+                    seen |= orbit
+                    classes.add(min(orbit))
     return classes, raw, valid
 
 
@@ -265,7 +277,7 @@ def judge(d: Diagram) -> Judgment:
 def _judge_class(n: int, masks) -> tuple:
     """Judge one canonical class as a survivor entry or a rejection record."""
     d = from_canonical_masks(n, masks)
-    key = canonical_key(d).decode()
+    key = masks_key(n, masks)
     j = judge(d)
     if j.outcome == "retained":
         analysis = j.analysis
@@ -299,6 +311,12 @@ def _judge_class(n: int, masks) -> tuple:
     return ("rejected", payload)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def enumerate_diagrams(
     n: int = 5,
     workers: int = 1,
@@ -307,13 +325,17 @@ def enumerate_diagrams(
     """Exhaustively enumerate valid diagram classes for n vertices.
 
     Deterministic: the survivor set, histogram and rejection list do not
-    depend on the worker count.  When a budget is given and the raw
+    depend on the worker count.  The scan is split into `workers` chunks,
+    run by at most as many processes as there are chunks and CPUs
+    available to this process.  When a budget is given and the raw
     candidate space exceeds it, the run refuses up front rather than
     truncating silently.  At n=5 the report carries its diff against the
     curated catalog, which covers n=5 only.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     bell = len(set_partitions(n))
     space = bell * bell * (1 << (2 * n))
     if max_raw_candidates is not None and space > max_raw_candidates:
@@ -323,13 +345,14 @@ def enumerate_diagrams(
     data_len = bell**2
     classes: set = set()
     raw = valid = 0
-    if workers <= 1:
+    if workers == 1:
         got, raw, valid = _scan_chunk((n, 0, data_len))
         classes |= got
     else:
         step = math.ceil(data_len / workers)
         chunks = [(n, lo, min(lo + step, data_len)) for lo in range(0, data_len, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, len(chunks), _available_cpus())
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for got, r, v in pool.map(_scan_chunk, chunks):
                 classes |= got
                 raw += r

@@ -292,33 +292,6 @@ def _perm_actions(n: int):
     return tuple(actions)
 
 
-def _bit_table(bit_targets, offset: int, width: int) -> list:
-    """Lookup table: mask chunk of `width` bits at `offset` -> mapped mask."""
-    table = [0] * (1 << width)
-    for mask in range(1, 1 << width):
-        low = mask & (mask - 1)
-        if low:
-            table[mask] = table[low] | table[mask ^ low]
-        else:
-            table[mask] = 1 << bit_targets[offset + mask.bit_length() - 1]
-    return table
-
-
-@lru_cache(maxsize=4)
-def _mask_tables(n: int):
-    """Split-byte lookup tables mask -> permuted mask, per permutation."""
-    npairs = n * (n - 1) // 2
-    lo_width = min(npairs, 8)
-    hi_width = npairs - lo_width
-    tables = []
-    for pair_map, vert_map in _perm_actions(n):
-        plo = _bit_table(pair_map, 0, lo_width)
-        phi = _bit_table(pair_map, lo_width, hi_width) if hi_width else [0]
-        vtab = _bit_table(vert_map, 0, n)
-        tables.append((plo, phi, vtab))
-    return tuple(tables)
-
-
 def _masks(d: Diagram):
     index = _pair_index(d.n)
     zm = sum(1 << index[p] for p in d.z_strokes)
@@ -328,47 +301,36 @@ def _masks(d: Diagram):
     return zm, wm, zc, wc
 
 
+def _permuted(mask: int, targets) -> int:
+    """`mask` with bit i moved to bit targets[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << targets[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def orbit_masks(n: int, zm: int, wm: int, zc: int, wc: int) -> set:
+    """Every (z, w, zc, wc) image of the masks under relabeling and swap."""
+    out = set()
+    for pair_map, vert_map in _perm_actions(n):
+        z2, w2 = _permuted(zm, pair_map), _permuted(wm, pair_map)
+        zc2, wc2 = _permuted(zc, vert_map), _permuted(wc, vert_map)
+        out.add((z2, w2, zc2, wc2))
+        out.add((w2, z2, wc2, zc2))
+    return out
+
+
 def canonical_masks(n: int, zm: int, wm: int, zc: int, wc: int):
     """Lexicographically minimal (z, w, zc, wc) over relabeling and swap."""
-    if n <= 6:
-        best = None
-        zlo, zhi = zm & 255, zm >> 8
-        wlo, whi = wm & 255, wm >> 8
-        for plo, phi, vtab in _mask_tables(n):
-            z2 = plo[zlo] | phi[zhi]
-            w2 = plo[wlo] | phi[whi]
-            zc2, wc2 = vtab[zc], vtab[wc]
-            for cand in ((z2, w2, zc2, wc2), (w2, z2, wc2, zc2)):
-                if best is None or cand < best:
-                    best = cand
-        return best
-    best = None
-    for pair_map, vert_map in _perm_actions(n):
-        z2 = w2 = zc2 = wc2 = 0
-        m = zm
-        while m:
-            low = m & (-m)
-            z2 |= 1 << pair_map[low.bit_length() - 1]
-            m ^= low
-        m = wm
-        while m:
-            low = m & (-m)
-            w2 |= 1 << pair_map[low.bit_length() - 1]
-            m ^= low
-        m = zc
-        while m:
-            low = m & (-m)
-            zc2 |= 1 << vert_map[low.bit_length() - 1]
-            m ^= low
-        m = wc
-        while m:
-            low = m & (-m)
-            wc2 |= 1 << vert_map[low.bit_length() - 1]
-            m ^= low
-        for cand in ((z2, w2, zc2, wc2), (w2, z2, wc2, zc2)):
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(orbit_masks(n, zm, wm, zc, wc))
+
+
+def masks_key(n: int, masks) -> str:
+    """The canonical key text of canonical masks."""
+    zm, wm, zc, wc = masks
+    return f"{n}:{zm:x}:{wm:x}:{zc:x}:{wc:x}"
 
 
 def canonical_key(d: Diagram) -> bytes:
@@ -376,9 +338,7 @@ def canonical_key(d: Diagram) -> bytes:
     and the z/w swap."""
     if d.n > 8:
         raise ValueError("canonicalization supported for n <= 8")
-    zm, wm, zc, wc = _masks(d)
-    best = canonical_masks(d.n, zm, wm, zc, wc)
-    return f"{d.n}:{best[0]:x}:{best[1]:x}:{best[2]:x}:{best[3]:x}".encode()
+    return masks_key(d.n, canonical_masks(d.n, *_masks(d))).encode()
 
 
 def from_canonical_masks(n: int, masks) -> Diagram:

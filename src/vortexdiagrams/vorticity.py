@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .exactpoly import (
@@ -307,45 +308,62 @@ def _monomial(exps: dict) -> Polynomial:
     return Polynomial({tuple(e): Fraction(1)}, DEFAULT_VARS, _clean=False)
 
 
-def _certificate_search(ledger: ConstraintLedger, basis):
-    # (a) a polynomial required nonzero lies in the equality ideal.
-    for q in ledger.nonzeros:
-        if reduces_to_zero(q, basis):
-            return Certificate("direct-disequality", q)
-    gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
+def _sum_of_squares(subset, mult: Polynomial) -> Polynomial:
+    """The sum over i in `subset` of (G_i * mult)^2."""
+    total = Polynomial.zero()
+    for i in subset:
+        part = gamma_var(i) * mult
+        total = total + part * part
+    return total
+
+
+@lru_cache(maxsize=None)
+def _certificate_candidates(n: int) -> tuple:
+    """Monomial and sum-of-squares certificates, in search order.
+
+    They depend on n only, so each n builds them once.
+    """
+    gammas = [f"G{i}" for i in range(1, n + 1)]
+    out = []
     # (b) a monomial in the (nonzero) vorticities lies in the ideal: some
     # vorticity would vanish.  Squarefree subsets first, then a small grid
     # of higher exponents.
     for size in (1, 2, 3):
-        for S in itertools.combinations(range(1, ledger.n + 1), size):
+        for S in itertools.combinations(range(1, n + 1), size):
             m = _monomial({f"G{i}": 1 for i in S})
-            if reduces_to_zero(m, basis):
-                return Certificate("vanishing-monomial", m, subset=S)
-    for exps in itertools.product(range(3), repeat=ledger.n):
+            out.append(Certificate("vanishing-monomial", m, subset=S))
+    for exps in itertools.product(range(3), repeat=n):
         deg = sum(exps)
         if not 2 <= deg <= 4 or max(exps) < 2:
             continue
         m = _monomial({g: e for g, e in zip(gammas, exps) if e})
-        if reduces_to_zero(m, basis):
-            subset = tuple(i for i, e in enumerate(exps, start=1) if e)
-            return Certificate("vanishing-monomial", m, subset=subset)
+        subset = tuple(i for i, e in enumerate(exps, start=1) if e)
+        out.append(Certificate("vanishing-monomial", m, subset=subset))
     # (c) a sum of squares of monomials lies in the ideal: over the reals
     # each part vanishes, forcing some vorticity to zero.
     multipliers = [_monomial({})]
     multipliers += [_monomial({g: 1}) for g in gammas]
     multipliers += [
-        _monomial({gammas[j]: 1, gammas[k]: 1}) for j in range(ledger.n) for k in range(j + 1, ledger.n)
+        _monomial({gammas[j]: 1, gammas[k]: 1}) for j in range(n) for k in range(j + 1, n)
     ]
     multipliers += [_monomial({g: 2}) for g in gammas]
     for mult in multipliers:
-        for size in range(1, ledger.n + 1):
-            for S in itertools.combinations(range(1, ledger.n + 1), size):
-                candidate = Polynomial.zero()
-                for i in S:
-                    part = gamma_var(i) * mult
-                    candidate = candidate + part * part
-                if reduces_to_zero(candidate, basis):
-                    return Certificate("sum-of-squares", candidate, subset=S, multiplier=mult)
+        for size in range(1, n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                out.append(
+                    Certificate("sum-of-squares", _sum_of_squares(S, mult), subset=S, multiplier=mult)
+                )
+    return tuple(out)
+
+
+def _certificate_search(ledger: ConstraintLedger, basis):
+    # (a) a polynomial required nonzero lies in the equality ideal.
+    for q in ledger.nonzeros:
+        if reduces_to_zero(q, basis):
+            return Certificate("direct-disequality", q)
+    for cert in _certificate_candidates(ledger.n):
+        if reduces_to_zero(cert.polynomial, basis):
+            return cert
     return None
 
 
@@ -391,12 +409,8 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
         if not certificate.polynomial.variables() <= allowed:
             return False
     elif certificate.kind == "sum-of-squares":
-        rebuilt = Polynomial.zero()
         mult = certificate.multiplier if certificate.multiplier is not None else Polynomial.constant(1)
-        for i in certificate.subset:
-            part = gamma_var(i) * mult
-            rebuilt = rebuilt + part * part
-        if rebuilt != certificate.polynomial:
+        if _sum_of_squares(certificate.subset, mult) != certificate.polynomial:
             return False
         if not mult.variables() <= allowed:
             return False

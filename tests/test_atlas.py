@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from vortexdiagrams import atlas
 from vortexdiagrams.atlas import (
     CatalogEntry,
     diff_report,
@@ -29,6 +30,59 @@ class TestBudget:
     def test_budget_large_enough_passes(self):
         report = enumerate_diagrams(3, max_raw_candidates=10_000)
         assert report.candidates_raw == 25 * 64
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes: list = []
+    chunks: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        FakePool.chunks.append(len(items))
+        return map(fn, items)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(atlas, "ProcessPoolExecutor", FakePool)
+        FakePool.sizes, FakePool.chunks = [], []
+        return FakePool
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_below_one_is_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            enumerate_diagrams(3, workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, chunks, size",
+        [(10_000, 2, 25, 2), (10_000, 64, 25, 25), (3, 64, 3, 3), (8, 2, 7, 2)],
+    )
+    def test_pool_is_bounded_by_chunks_and_cpus(
+        self, fake_pool, monkeypatch, workers, cpus, chunks, size
+    ):
+        monkeypatch.setattr(atlas, "_available_cpus", lambda: cpus)
+        report = enumerate_diagrams(3, workers=workers)
+        assert fake_pool.sizes == [size]
+        assert fake_pool.chunks == [chunks]
+        assert report.to_json() == enumerate_diagrams(3).to_json()
+
+    def test_work_is_split_into_worker_count_chunks(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(atlas, "_available_cpus", lambda: 2)
+        enumerate_diagrams(5, workers=8)
+        assert fake_pool.sizes == [2]
+        assert fake_pool.chunks == [8]
 
 
 class TestPartitions:

@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,11 @@ class TestEnumerate:
 
     def test_bad_n_is_usage_error(self):
         assert main(["enumerate", "--n", "9"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workers, capsys):
+        assert main(["enumerate", "--n", "3", "--workers", workers]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -199,6 +208,15 @@ class TestVerifyGroebner:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    def test_runs_as_a_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexdiagrams", "catalog"], env=env, capture_output=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["possible"] == 31
 
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2

@@ -12,8 +12,10 @@ from vortexdiagrams.diagram import (
     classify_edges,
     closeness,
     components,
+    orbit_masks,
     stroke_count_C,
     validate,
+    _masks,
 )
 
 
@@ -164,6 +166,16 @@ class TestCanonical:
             for j in range(i + 1, len(diagrams)):
                 assert (keys[i] == keys[j]) == (orbits[i] == orbits[j])
 
+    def test_orbit_masks_match_relabeled_diagrams(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            d = random_diagram(rng, 4)
+            expected = set()
+            for perm in itertools.permutations(range(1, 5)):
+                r = d.relabeled({i + 1: perm[i] for i in range(4)})
+                expected |= {_masks(r), _masks(r.color_swapped())}
+            assert orbit_masks(4, *_masks(d)) == expected
+
     def test_canonical_form_is_in_orbit_and_fixed(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -198,8 +210,8 @@ def test_canonicalization_bounded_to_eight_vertices():
         canonical_key(big)
 
 
-def test_canonical_key_works_beyond_the_table_fast_path():
-    # n <= 6 takes the lookup tables of canonical_masks; n = 7, 8 the bit loop
+def test_canonical_key_at_seven_and_eight_vertices():
+    # the largest n canonical_key supports, beyond enumerate's 3..6
     for d in (
         Diagram(7, [(1, 2), (5, 6)], [(3, 4), (6, 7)], [1, 2, 6], [3, 4]),
         Diagram(8, [(1, 2), (7, 8)], [(3, 4), (2, 5)], [1, 2], [3, 4, 8]),

@@ -1,0 +1,62 @@
+"""Invariants checked at every supported n (3..6).
+
+The paper gives no reference beyond n=5, so n=6 is checked by invariants:
+the orbits of the classes partition the valid labeled diagrams, every class
+is its own canonical form, worker counts agree, and the report is pinned by
+a recorded hash.
+"""
+
+import functools
+import hashlib
+import json
+
+import pytest
+
+from vortexdiagrams.atlas import enumerate_diagrams
+from vortexdiagrams.diagram import canonical_masks, orbit_masks
+
+VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
+
+# sha256 of `vortexdiagrams enumerate --n 6` stdout, as acceptance 10 pins n=5.
+REPORT_N6_SHA256 = "506a9558111931725b98b0b130191fd07a5ab65f0bc06ed4a000cea6ba038b34"
+
+
+@functools.lru_cache(maxsize=None)
+def report(n: int, workers: int = 1):
+    return enumerate_diagrams(n, workers=workers)
+
+
+def class_masks(rep) -> list:
+    keys = rep.survivor_keys() + [r["key"] for r in rep.rejected]
+    return [tuple(int(x, 16) for x in key.split(":")[1:]) for key in keys]
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_orbits_partition_the_valid_labeled_diagrams(n):
+    rep = report(n)
+    classes = class_masks(rep)
+    assert len(classes) == rep.unique_classes
+    assert rep.candidates_valid == VALID_LABELED[n]
+    assert sum(len(orbit_masks(n, *masks)) for masks in classes) == VALID_LABELED[n]
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_every_class_is_its_own_canonical_form(n):
+    for masks in class_masks(report(n)):
+        assert canonical_masks(n, *masks) == masks
+
+
+def test_n6_counts_and_histogram():
+    rep = report(6)
+    assert rep.unique_classes == 268
+    assert len(rep.survivors) == 146
+    assert rep.histogram == {0: 15, 2: 7, 3: 9, 4: 32, 5: 27, 6: 29, 7: 15, 8: 9, 9: 1, 10: 2}
+
+
+def test_n6_worker_counts_agree():
+    assert report(6, workers=2).to_json() == report(6).to_json()
+
+
+def test_n6_report_is_byte_identical_to_the_record():
+    payload = json.dumps(report(6).to_json(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_N6_SHA256
