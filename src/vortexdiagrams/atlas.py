@@ -139,11 +139,9 @@ def _scan_chunk(args):
     data = _partition_data(n)
     classes = set()
     seen = set()
-    raw = 0
     valid = 0
     pairs = [(i, j) for i in range(len(data)) for j in range(len(data))]
     for i, j in pairs[lo:hi]:
-        raw += 1 << (2 * n)
         zd, wd = data[i], data[j]
         if not zd[0] or not wd[0]:
             continue
@@ -157,7 +155,7 @@ def _scan_chunk(args):
                     orbit = orbit_masks(n, *masks)
                     seen |= orbit
                     classes.add(min(orbit))
-    return classes, raw, valid
+    return classes, valid
 
 
 def branches_to_json(branches: dict) -> dict:
@@ -221,15 +219,12 @@ class EnumerationReport:
         return out
 
 
-_VERDICT_MEMO: dict = {}
-
-
-def _decide_memo(ledger: ConstraintLedger) -> Verdict:
+def _decide_memo(ledger: ConstraintLedger, memo: dict) -> Verdict:
     """Many classes share a ledger; reuse verdicts across them."""
-    verdict = _VERDICT_MEMO.get(ledger)
+    verdict = memo.get(ledger)
     if verdict is None:
         verdict = decide(ledger, seed=LEDGER_SEED)
-        _VERDICT_MEMO[ledger] = verdict
+        memo[ledger] = verdict
     return verdict
 
 
@@ -252,33 +247,36 @@ class Judgment:
     branches: dict = field(default_factory=dict)  # lambda class -> (ConstraintLedger, Verdict)
 
 
-def judge(d: Diagram) -> Judgment:
+def judge(d: Diagram, memo: dict | None = None) -> Judgment:
     """Validate `d`, apply the lemmas, then decide its base and branch ledgers.
 
-    The one decision path behind both `enumerate` and `check`.
+    The one decision path behind both `enumerate` and `check`.  `memo`
+    maps ledgers to verdicts already decided in this run; without one,
+    every ledger is decided afresh.
     """
+    memo = {} if memo is None else memo
     rules = validate(d)
     if not rules.valid:
         return Judgment("invalid", rules)
     analysis = lemmas.analyze(d)
     if analysis.exclusion is not None:
         return Judgment("excluded", rules, analysis.exclusion.lemma, analysis)
-    verdict = _decide_memo(analysis.base_ledger)
+    verdict = _decide_memo(analysis.base_ledger, memo)
     if verdict.infeasible:
         return Judgment("excluded", rules, "constraint-infeasibility", analysis, verdict)
     branches = {
-        cls: (led, _decide_memo(led)) for cls, led in sorted(analysis.branch_ledgers.items())
+        cls: (led, _decide_memo(led, memo)) for cls, led in sorted(analysis.branch_ledgers.items())
     }
     if branches and all(ver.infeasible for _, ver in branches.values()):
         return Judgment("excluded", rules, "branch-infeasibility", analysis, verdict, branches)
     return Judgment("retained", rules, None, analysis, verdict, branches)
 
 
-def _judge_class(n: int, masks) -> tuple:
+def _judge_class(n: int, masks, memo: dict) -> tuple:
     """Judge one canonical class as a survivor entry or a rejection record."""
     d = from_canonical_masks(n, masks)
     key = masks_key(n, masks)
-    j = judge(d)
+    j = judge(d, memo)
     if j.outcome == "retained":
         analysis = j.analysis
         entry = SurvivorEntry(
@@ -343,24 +341,22 @@ def enumerate_diagrams(
             f"{space} raw candidates exceed the budget of {max_raw_candidates}"
         )
     data_len = bell**2
-    classes: set = set()
-    raw = valid = 0
     if workers == 1:
-        got, raw, valid = _scan_chunk((n, 0, data_len))
-        classes |= got
+        classes, valid = _scan_chunk((n, 0, data_len))
     else:
         step = math.ceil(data_len / workers)
         chunks = [(n, lo, min(lo + step, data_len)) for lo in range(0, data_len, step)]
         processes = min(workers, len(chunks), _available_cpus())
+        classes, valid = set(), 0
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for got, r, v in pool.map(_scan_chunk, chunks):
+            for got, v in pool.map(_scan_chunk, chunks):
                 classes |= got
-                raw += r
                 valid += v
     survivors = []
     rejected = []
+    memo: dict = {}
     for masks in sorted(classes):
-        kind, payload = _judge_class(n, masks)
+        kind, payload = _judge_class(n, masks, memo)
         if kind == "survivor":
             survivors.append(payload)
         else:
@@ -375,7 +371,7 @@ def enumerate_diagrams(
         survivors,
         rejected,
         histogram,
-        candidates_raw=raw,
+        candidates_raw=space,
         candidates_valid=valid,
         unique_classes=len(classes),
     )

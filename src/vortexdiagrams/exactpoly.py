@@ -2,7 +2,7 @@
 
 Sparse dict-of-terms polynomials with Buchberger-style Groebner bases,
 multivariate division (normal forms) and ideal membership.  Sized for the
-small ring this project needs (the eleven variables of `DEFAULT_VARS`,
+small ring this project needs (the ten variables of `DEFAULT_VARS`,
 low degree); coefficients are always exact `Fraction`s so that identities
 proved here are proofs, not float coincidences.
 
@@ -30,7 +30,7 @@ from operator import neg
 import json
 import re
 
-DEFAULT_VARS = ("a", "b", "c", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
+DEFAULT_VARS = ("a", "b", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

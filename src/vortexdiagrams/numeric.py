@@ -32,6 +32,28 @@ class AmbiguousExponentError(ValueError):
     """A fitted order exponent sits on the edge of the decision band."""
 
 
+# Two positions closer than this collide.
+COLLISION_DISTANCE = 1e-13
+
+
+def _differences(u) -> np.ndarray:
+    """D[j, k] = u_k - u_j; raises CollisionError if two entries collide."""
+    u = np.asarray(u, dtype=complex)
+    D = u[None, :] - u[:, None]
+    close = np.abs(D) < COLLISION_DISTANCE
+    np.fill_diagonal(close, False)
+    if close.any():
+        j, k = np.argwhere(close)[0]  # close is symmetric, so j < k
+        raise CollisionError(f"vertices {j+1},{k+1} coincide")
+    return D
+
+
+def _off_diagonal_quotient(num, D) -> np.ndarray:
+    """num / D elementwise off the diagonal, zero on it."""
+    off = ~np.eye(len(D), dtype=bool)
+    return np.divide(num, D, out=np.zeros_like(D), where=off)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A point of the extended system (not necessarily a solution)."""
@@ -39,8 +61,6 @@ class Configuration:
     gamma: tuple
     z: tuple
     w: tuple
-    Z: tuple  # row-major n x n, antisymmetric, zero diagonal
-    W: tuple
     lam: complex
 
     @property
@@ -54,10 +74,12 @@ class Configuration:
         return np.array(self.w, dtype=complex)
 
     def Z_matrix(self) -> np.ndarray:
-        return np.array(self.Z, dtype=complex).reshape(self.n, self.n)
+        """Z[j, k] = 1/(w_k - w_j): antisymmetric, zero diagonal."""
+        return _off_diagonal_quotient(1.0, _differences(self.w))
 
     def W_matrix(self) -> np.ndarray:
-        return np.array(self.W, dtype=complex).reshape(self.n, self.n)
+        """W[j, k] = 1/(z_k - z_j): antisymmetric, zero diagonal."""
+        return _off_diagonal_quotient(1.0, _differences(self.z))
 
     @property
     def is_real(self) -> bool:
@@ -83,78 +105,43 @@ class Configuration:
         )
 
 
-def _difference_matrices(z, w, min_separation=1e-13):
-    n = len(z)
-    Z = np.zeros((n, n), dtype=complex)
-    W = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            zjk = z[k] - z[j]
-            wjk = w[k] - w[j]
-            if abs(zjk) < min_separation or abs(wjk) < min_separation:
-                raise CollisionError(f"vertices {j+1},{k+1} coincide")
-            Z[j, k] = 1.0 / wjk
-            W[j, k] = 1.0 / zjk
-    return Z, W
-
-
 def make_configuration(gamma, z, w=None, lam=1.0 + 0.0j) -> Configuration:
-    """Build a Configuration, deriving w (conjugate), Z and W."""
+    """Build a Configuration, deriving w as the conjugate of z by default.
+
+    Raises CollisionError if two entries of z, or of w, collide.
+    """
     z = [complex(v) for v in z]
     w = [v.conjugate() for v in z] if w is None else [complex(v) for v in w]
-    Z, W = _difference_matrices(z, w)
-    return Configuration(
-        tuple(float(g) for g in gamma),
-        tuple(z),
-        tuple(w),
-        tuple(Z.flatten()),
-        tuple(W.flatten()),
-        complex(lam),
-    )
+    _differences(z)
+    _differences(w)
+    return Configuration(tuple(float(g) for g in gamma), tuple(z), tuple(w), complex(lam))
 
 
 def velocities(z, gamma) -> np.ndarray:
     """V_n = sum over j of Gamma_j / conj(z_n - z_j)."""
-    z = np.asarray(z, dtype=complex)
-    n = len(z)
-    V = np.zeros(n, dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            if j == m:
-                continue
-            diff = z[m] - z[j]
-            if abs(diff) < 1e-13:
-                raise CollisionError(f"vertices {j+1},{m+1} coincide")
-            V[m] += gamma[j] / diff.conjugate()
-    return V
+    D = _differences(z)
+    g = np.asarray(gamma, dtype=float)
+    # Divide and sum in this order to round as the pairwise loop does; a
+    # product with 1/conj(D) rounds differently and moves solver results.
+    return _off_diagonal_quotient(g[:, None], np.conj(D)).sum(axis=0)
 
 
 def residual(c: Configuration) -> float:
     """Max-norm residual of the full extended system at `c`."""
-    n = c.n
     z, w = c.z_array(), c.w_array()
-    Z, W = c.Z_matrix(), c.W_matrix()
-    worst = 0.0
-    for m in range(n):
-        bal_z = c.lam * z[m] - sum(c.gamma[j] * Z[j, m] for j in range(n) if j != m)
-        bal_w = c.lam.conjugate() * w[m] - sum(c.gamma[j] * W[j, m] for j in range(n) if j != m)
-        worst = max(worst, abs(bal_z), abs(bal_w))
-    for j in range(n):
-        for k in range(j + 1, n):
-            zjk = z[k] - z[j]
-            wjk = w[k] - w[j]
-            if abs(zjk) < 1e-13 or abs(wjk) < 1e-13:
-                raise CollisionError(f"vertices {j+1},{k+1} coincide")
-            worst = max(
-                worst,
-                abs(Z[j, k] * wjk - 1.0),
-                abs(W[j, k] * zjk - 1.0),
-                abs(Z[j, k] + Z[k, j]),
-                abs(W[j, k] + W[k, j]),
-            )
-    return float(worst)
+    Dz, Dw = _differences(z), _differences(w)
+    Z, W = _off_diagonal_quotient(1.0, Dw), _off_diagonal_quotient(1.0, Dz)
+    g = np.array(c.gamma)
+    upper = np.triu_indices(c.n, 1)
+    parts = (
+        c.lam * z - g @ Z,
+        c.lam.conjugate() * w - g @ W,
+        (Z * Dw - 1.0)[upper],
+        (W * Dz - 1.0)[upper],
+        (Z + Z.T)[upper],
+        (W + W.T)[upper],
+    )
+    return float(max(np.max(np.abs(p), initial=0.0) for p in parts))
 
 
 # -- solver ----------------------------------------------------------------
@@ -400,10 +387,12 @@ def probe(sample: SingularSequenceSample, tol: float = 0.15) -> Diagram:
     eps = [e for e, _ in sample.points]
     configs = [c for _, c in sample.points]
     n = configs[0].n
-    for e, c in sample.points:
+    Zs = [c.Z_matrix() for c in configs]
+    Ws = [c.W_matrix() for c in configs]
+    for e, c, Z, W in zip(eps, configs, Zs, Ws):
         for norm_val in (
-            max(np.max(np.abs(c.z_array())), np.max(np.abs(c.Z_matrix()))),
-            max(np.max(np.abs(c.w_array())), np.max(np.abs(c.W_matrix()))),
+            max(np.max(np.abs(c.z_array())), np.max(np.abs(Z))),
+            max(np.max(np.abs(c.w_array())), np.max(np.abs(W))),
         ):
             if abs(math.log(norm_val) - math.log(e**-2)) > tol * abs(math.log(e**2)) + 1.0:
                 raise ValueError(f"sample at epsilon={e} violates the max-norm normalization")
@@ -421,8 +410,8 @@ def probe(sample: SingularSequenceSample, tol: float = 0.15) -> Diagram:
     w_strokes = []
     for j in range(n):
         for k in range(j + 1, n):
-            zjk = fit_exponent(eps, [c.Z_matrix()[j, k] for c in configs])
-            wjk = fit_exponent(eps, [c.W_matrix()[j, k] for c in configs])
+            zjk = fit_exponent(eps, [Z[j, k] for Z in Zs])
+            wjk = fit_exponent(eps, [W[j, k] for W in Ws])
             if _decide_maximal(zjk, tol, f"Z_{j+1}{k+1}"):
                 z_strokes.append((j + 1, k + 1))
             if _decide_maximal(wjk, tol, f"W_{j+1}{k+1}"):

@@ -108,7 +108,7 @@ def verify_membership() -> MembershipResult:
     the exact-division normal form.  Reduced bases are unique, so the
     reversed run computes the same basis with the same code; it is not an
     independent check.  Cofactor certificates, checked by multiplication
-    alone, are ROADMAP item 3.
+    alone, are ROADMAP item 2.
     """
     gens, target = quadrilateral_system()
     basis = groebner_basis(gens)

@@ -26,7 +26,9 @@ from .exactpoly import (
 
 N_VORTICES = 5
 # Random rational points tried by `decide`'s late witness search, after the
-# certificate search has failed; the quick search before it tries 40.
+# certificate search has failed; the quick search before it tries 40.  The
+# late search never succeeds at n=5 (2 runs), but at n=6 it runs 19 times
+# and finds 8 witnesses that would otherwise leave their ledgers Unknown.
 WITNESS_ATTEMPTS = 200
 
 
@@ -397,7 +399,7 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
     generator list and re-reduces the exhibited polynomial.  Reduced bases
     are unique, so that run computes the same basis with the same code: it
     catches a certificate that does not match its ledger, not a fault in
-    the kernel.  Checks by code other than the kernel are ROADMAP item 3.
+    the kernel.  Checks by code other than the kernel are ROADMAP item 2.
     """
     allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
     if certificate.kind == "direct-disequality":

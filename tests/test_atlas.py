@@ -247,3 +247,33 @@ class TestStageMonotonicity:
         assert not keys & ledger_rejected
         for s in report5.survivors:
             assert validate(s.diagram).valid
+
+
+class TestVerdictMemo:
+    @pytest.fixture
+    def decide_calls(self, monkeypatch):
+        calls = []
+
+        def counting(ledger, seed=0):
+            calls.append(ledger)
+            return decide(ledger, seed=seed)
+
+        monkeypatch.setattr(atlas, "decide", counting)
+        return calls
+
+    def test_each_enumeration_decides_its_own_ledgers(self, decide_calls):
+        enumerate_diagrams(5)
+        assert len(decide_calls) == 50
+        enumerate_diagrams(5)
+        assert len(decide_calls) == 100
+
+    def test_judge_without_memo_decides_afresh(self, decide_calls):
+        atlas.judge(ROBERTS)
+        once = len(decide_calls)
+        assert once >= 1
+        atlas.judge(ROBERTS)
+        assert len(decide_calls) == 2 * once
+        memo: dict = {}
+        atlas.judge(ROBERTS, memo)
+        atlas.judge(ROBERTS, memo)
+        assert len(decide_calls) == 3 * once

@@ -23,6 +23,7 @@ from vortexdiagrams.exactpoly import (
 
 G = [Polynomial.variable(f"G{i}") for i in range(1, 6)]
 G1, G2, G3, G4, G5 = G
+G1_AT = DEFAULT_VARS.index("G1")  # G1..G5 sit at positions G1_AT..G1_AT + 4
 
 
 def random_poly(rng, max_terms=4, max_deg=2, max_coeff=5):
@@ -30,7 +31,7 @@ def random_poly(rng, max_terms=4, max_deg=2, max_coeff=5):
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * len(DEFAULT_VARS)
         for _ in range(rng.randint(0, max_deg)):
-            exps[rng.randrange(3, 8)] += 1
+            exps[rng.randrange(G1_AT, G1_AT + 5)] += 1
         c = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
         m = tuple(exps)
         terms[m] = terms.get(m, Fraction(0)) + c
@@ -50,7 +51,7 @@ def polys(draw):
     terms = {}
     for _ in range(n_terms):
         exps = [0] * len(DEFAULT_VARS)
-        for idx in draw(st.lists(st.integers(min_value=3, max_value=7), max_size=3)):
+        for idx in draw(st.lists(st.integers(min_value=G1_AT, max_value=G1_AT + 4), max_size=3)):
             exps[idx] += 1
         terms[tuple(exps)] = Fraction(draw(coeffs))
     return Polynomial(terms)

@@ -248,3 +248,79 @@ class TestConfigurationIO:
         assert np.allclose(again.z_array(), c.z_array())
         assert again.lam == c.lam
         assert again.is_real
+
+
+def _loop_velocities(z, gamma):
+    """The double loop the array kernel replaced, kept as the reference."""
+    z = np.asarray(z, dtype=complex)
+    V = np.zeros(len(z), dtype=complex)
+    for m in range(len(z)):
+        for j in range(len(z)):
+            if j != m:
+                V[m] += gamma[j] / (z[m] - z[j]).conjugate()
+    return V
+
+
+def _loop_inverse_differences(u):
+    """M[j, k] = 1/(u_k - u_j) off the diagonal, by a double loop."""
+    n = len(u)
+    M = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                M[j, k] = 1.0 / (u[k] - u[j])
+    return M
+
+
+def _loop_residual(c):
+    z, w = list(c.z), list(c.w)
+    Z, W = _loop_inverse_differences(w), _loop_inverse_differences(z)
+    worst = 0.0
+    for m in range(c.n):
+        bal_z = c.lam * z[m] - sum(c.gamma[j] * Z[j, m] for j in range(c.n) if j != m)
+        bal_w = c.lam.conjugate() * w[m] - sum(c.gamma[j] * W[j, m] for j in range(c.n) if j != m)
+        worst = max(worst, abs(bal_z), abs(bal_w))
+        for k in range(m + 1, c.n):
+            worst = max(
+                worst,
+                abs(Z[m, k] * (w[k] - w[m]) - 1.0),
+                abs(W[m, k] * (z[k] - z[m]) - 1.0),
+                abs(Z[m, k] + Z[k, m]),
+                abs(W[m, k] + W[k, m]),
+            )
+    return worst
+
+
+def _random_inputs(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        scale = 10.0 ** int(rng.integers(-6, 7))
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+        w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+        gamma = rng.uniform(-3, 3, n).tolist()
+        lam = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        yield z, w, gamma, lam
+
+
+class TestDifferenceKernel:
+    """The array kernel against plain double loops over vertex pairs."""
+
+    def test_velocities_match_the_loop_bit_for_bit(self):
+        for z, _, gamma, _ in _random_inputs(0):
+            assert velocities(z, gamma).tobytes() == _loop_velocities(z, gamma).tobytes()
+
+    def test_matrices_and_residual_match_the_loop(self):
+        for z, w, gamma, lam in _random_inputs(1):
+            c = make_configuration(gamma, z, w, lam)
+            for got, ref in ((c.Z_matrix(), _loop_inverse_differences(w)), (c.W_matrix(), _loop_inverse_differences(z))):
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+            assert residual(c) == pytest.approx(_loop_residual(c), rel=1e-15)
+
+    def test_collisions_raise(self):
+        z = [0.0, 1.0, 1.0 + 1e-14, 2j]
+        with pytest.raises(CollisionError, match="vertices 2,3"):
+            velocities(z, [1.0] * 4)
+        apart = [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(CollisionError, match="vertices 2,3"):
+            make_configuration([1.0] * 4, apart, z)
