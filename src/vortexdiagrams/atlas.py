@@ -10,6 +10,7 @@ procedure.  Survivors are compared against the curated catalog.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -133,10 +134,12 @@ def _scan_chunk(args):
 
     Every valid labeled diagram counts in `valid`, but only one not yet met
     in an earlier orbit has its orbit computed: the orbit joins `seen` and
-    its minimum, the canonical masks, joins the classes.
+    its minimum, the canonical masks, joins the classes.  Circle masks are
+    cached: those of (i, j)'s z side are (j, i)'s w side.
     """
     n, lo, hi = args
     data = _partition_data(n)
+    circle_masks = functools.cache(lambda own, other: _valid_circle_masks(data[own], data[other][1], n))
     classes = set()
     seen = set()
     valid = 0
@@ -145,8 +148,8 @@ def _scan_chunk(args):
         zd, wd = data[i], data[j]
         if not zd[0] or not wd[0]:
             continue
-        zmasks = _valid_circle_masks(zd, wd[1], n)
-        wmasks = _valid_circle_masks(wd, zd[1], n)
+        zmasks = circle_masks(i, j)
+        wmasks = circle_masks(j, i)
         for zc in zmasks:
             for wc in wmasks:
                 valid += 1

@@ -2,7 +2,8 @@
 
 Evaluates residuals of the coupled system in positions z, conjugate
 variables w, inverse-difference variables Z, W and multiplier lambda,
-solves it for real configurations by damped Gauss-Newton, classifies
+solves it for real configurations by damped Gauss-Newton with a
+closed-form Jacobian (abandoning attempts that stall), classifies
 stationary configurations, checks the conserved identities, and maps
 synthetic singular sequences onto two-colored diagrams by fitting the
 decay order of every component.
@@ -34,6 +35,9 @@ class AmbiguousExponentError(ValueError):
 
 # Two positions closer than this collide.
 COLLISION_DISTANCE = 1e-13
+
+# A solver attempt is abandoned if this many accepted steps do not halve its residual.
+STALL_STEPS = 10
 
 
 def _differences(u) -> np.ndarray:
@@ -167,10 +171,12 @@ def solve(
 ) -> Configuration:
     """Find a real normalized configuration for the given strengths.
 
-    Damped Gauss-Newton from randomized starts; attempts run in seed order
-    and the first success wins, so results are reproducible.  Raises
-    NoConvergenceError when the budget is exhausted.  When `trace` is a
-    list it receives the accepted residual norms of the winning attempt.
+    Damped Gauss-Newton with a closed-form Jacobian from randomized starts;
+    attempts run in seed order and the first success wins, so results are
+    reproducible.  An attempt whose residual has not halved over the last
+    STALL_STEPS accepted steps is abandoned.  Raises NoConvergenceError
+    when the budget is exhausted.  When `trace` is a list it receives the
+    accepted residual norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
     if any(g == 0 for g in gamma):
@@ -180,9 +186,9 @@ def solve(
     for attempt in range(attempts):
         rng = np.random.default_rng(seed * 1009 + attempt)
         x = rng.standard_normal(2 * n) * 1.2
-        attempt_trace: list = [] if trace is not None else None
+        norms = []
         try:
-            x = _gauss_newton(x, gamma, lam, tol, max_iter, attempt_trace)
+            x = _gauss_newton(x, gamma, lam, tol, max_iter, norms)
         except (CollisionError, np.linalg.LinAlgError):
             continue
         if x is None:
@@ -196,25 +202,27 @@ def solve(
             config = make_configuration(gamma, z, None, lam)
             if residual(config) < tol:
                 if trace is not None:
-                    trace.extend(attempt_trace)
+                    trace.extend(norms)
                 return config
         except CollisionError:
             continue
     raise NoConvergenceError(f"no solution after {attempts} attempts")
 
 
-def _gauss_newton(x, gamma, lam, tol, max_iter, trace=None):
-    n = len(gamma)
+def _gauss_newton(x, gamma, lam, tol, max_iter, norms):
+    """Damped Gauss-Newton from `x`, appending accepted residual norms to
+    `norms`; None when the attempt fails or stalls."""
     try:
         F = _real_system(x, gamma, lam)
     except CollisionError:
         return None
     norm = np.linalg.norm(F, np.inf)
-    if trace is not None:
-        trace.append(float(norm))
+    norms.append(float(norm))
     for _ in range(max_iter):
         if norm < tol / 4:
             return x
+        if len(norms) > STALL_STEPS and norm > norms[-1 - STALL_STEPS] / 2:
+            return None  # stuck at a minimum where the residual is not zero
         J = _jacobian(x, gamma, lam)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         alpha = 1.0
@@ -228,8 +236,7 @@ def _gauss_newton(x, gamma, lam, tol, max_iter, trace=None):
             if new_norm < norm:  # accepted steps decrease the residual
                 x = x + alpha * step
                 F, norm = F_new, new_norm
-                if trace is not None:
-                    trace.append(float(norm))
+                norms.append(float(norm))
                 break
             alpha /= 2
         else:
@@ -237,15 +244,18 @@ def _gauss_newton(x, gamma, lam, tol, max_iter, trace=None):
     return x if norm < tol / 4 else None
 
 
-def _jacobian(x, gamma, lam, h=1e-7):
-    m = len(x)
-    F0 = _real_system(x, gamma, lam)
-    J = np.zeros((len(F0), m))
-    for i in range(m):
-        dx = np.zeros(m)
-        dx[i] = h
-        J[:, i] = (_real_system(x + dx, gamma, lam) - _real_system(x - dx, gamma, lam)) / (2 * h)
-    return J
+def _jacobian(x, gamma, lam):
+    """Closed-form Jacobian of `_real_system`.  V is antiholomorphic: with
+    B[m, k] = dV_m/d conj(z_k) = Gamma_k / conj(z_m - z_k)^2 for k != m and
+    B[m, m] = -sum_k B[m, k], dF/d Re z = lam I - B, dF/d Im z = i(lam I + B)."""
+    n = len(gamma)
+    D = _differences(x[:n] + 1j * x[n:])
+    B = _off_diagonal_quotient(np.asarray(gamma, dtype=float)[None, :], np.conj(D) ** 2)
+    B[np.diag_indices(n)] = -B.sum(axis=1)
+    J = np.hstack([lam * np.eye(n) - B, 1j * (lam * np.eye(n) + B)])
+    pin = np.zeros(2 * n)  # d Im(z_2 - z_1)
+    pin[n], pin[n + 1] = -1.0, 1.0
+    return np.vstack([J.real, J.imag, pin])
 
 
 # -- classification --------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexdiagrams import numeric
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.diagram import Diagram, canonical_key
 from vortexdiagrams.numeric import (
@@ -92,6 +93,65 @@ class TestSolve:
         solve([1.0, 1.0, 1.0, -2.0], 1.0, seed=3, trace=trace)
         assert len(trace) >= 2
         assert all(b < a for a, b in zip(trace, trace[1:]))
+
+    def test_unsolvable_input_fails_fast(self, monkeypatch):
+        # the angular-momentum identity lambda * sum(g |z|^2) = Gamma_1 Gamma_2
+        # = 1 rules out lambda = -1, so every attempt stalls; the exit ends them
+        calls = []
+        jacobian = numeric._jacobian
+
+        def counted(*args):
+            calls.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(numeric, "_jacobian", counted)
+        with pytest.raises(NoConvergenceError):
+            solve([1, 1], -1.0)
+        assert len(calls) < 180
+
+    def test_stall_exit_keeps_every_solvable_vector(self):
+        # acceptance 7's draw on another seed: every vector has a solution
+        rng = np.random.default_rng(7)
+        draws = 0
+        vectors = []
+        while len(vectors) < 24:
+            draws += 1
+            gamma = rng.uniform(-3, 3, 5)
+            if not np.any(np.abs(gamma) < 0.2):
+                vectors.append((gamma, draws))
+        for gamma, seed in vectors:
+            config = None
+            for lam in (1.0, -1.0):
+                try:
+                    config = solve(gamma, lam, seed=seed, attempts=10)
+                    break
+                except NoConvergenceError:
+                    continue
+            assert config is not None, gamma.tolist()
+            assert check_identities(config, tol=1e-9).passed, gamma.tolist()
+
+
+def _central_jacobian(x, gamma, lam, h=1e-7):
+    """Central differences of the solver's real system, the reference."""
+    J = np.zeros((len(x) + 1, len(x)))
+    for i in range(len(x)):
+        dx = np.zeros(len(x))
+        dx[i] = h
+        J[:, i] = (numeric._real_system(x + dx, gamma, lam) - numeric._real_system(x - dx, gamma, lam)) / (2 * h)
+    return J
+
+
+class TestJacobian:
+    def test_closed_form_matches_central_differences(self):
+        rng = np.random.default_rng(3)
+        for n in range(2, 9):
+            for lam in (1.0, -1.0, np.exp(0.3j)):
+                for _ in range(4):
+                    x = rng.standard_normal(2 * n)
+                    gamma = rng.uniform(-3, 3, n)
+                    got = numeric._jacobian(x, gamma, complex(lam))
+                    ref = _central_jacobian(x, gamma, complex(lam))
+                    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref)), (n, lam)
 
 
 class TestClassify:
