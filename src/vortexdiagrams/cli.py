@@ -5,6 +5,11 @@ verify-groebner.  Machine-readable output is JSON with sorted keys, so a
 fixed invocation produces byte-identical reports.  Exit codes: 0 success
 or valid, 1 domain-negative result (invalid diagram, infeasible ledger,
 no convergence), 2 usage or internal error.
+
+Each handler imports the module behind its subcommand, so a cold process
+pays only for what it runs: `solve` and `probe` load `numeric` and with
+it numpy, which the exact-algebra commands never call; `verify-groebner`
+loads `quadrilateral` without `atlas`, `lemmas` or the process pool.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import argparse
 import json
 import sys
 
-from . import atlas, numeric, quadrilateral
 from .diagram import Diagram, canonical_key, stroke_count_C
 from .exactpoly import ResourceLimitError
 
@@ -33,6 +37,8 @@ def _load_diagram(path: str) -> Diagram:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import atlas
+
     try:
         report = atlas.enumerate_diagrams(
             args.n, workers=args.workers, max_raw_candidates=args.max_raw_candidates
@@ -64,6 +70,8 @@ def _infeasibility_reason(analysis, verdict) -> str:
 
 
 def _cmd_check(args) -> int:
+    from . import atlas
+
     d = _load_diagram(args.diagram)
     j = atlas.judge(d)
     result: dict = {
@@ -103,6 +111,8 @@ def _load_survivor_keys(path: str) -> list:
 
 
 def _cmd_catalog(args) -> int:
+    from . import atlas
+
     entries = atlas.load_catalog()
     if args.diff:
         diff = atlas.diff_report(_load_survivor_keys(args.diff), entries)
@@ -118,6 +128,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import atlas
+
     d = _load_diagram(args.diagram)
     text = atlas.render(d, args.format)
     if args.out:
@@ -136,6 +148,8 @@ def _parse_lambda(text: str) -> complex:
 
 
 def _cmd_solve(args) -> int:
+    from . import numeric
+
     gamma = [float(x) for x in args.gamma.split(",")]
     try:
         config = numeric.solve(gamma, args.lam, seed=args.seed)
@@ -159,6 +173,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import numeric
+
     with open(args.samples) as fh:
         sample = numeric.SingularSequenceSample.from_jsonl(fh.read())
     try:
@@ -171,6 +187,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_verify_groebner(args) -> int:
+    from . import quadrilateral
+
     result = quadrilateral.verify_membership()
     _dump(result.to_json(), args.out)
     return 0 if result.verified else 1
@@ -227,10 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_gamma(argv: list) -> list:
+    """`--gamma -1,2` spelled as `--gamma=-1,2`.
+
+    argparse reads a token that starts with a minus sign as an option
+    unless the whole token is one number, so a strength list led by a
+    negative strength would never reach `--gamma` as its own token.
+    """
+    out: list = []
+    for token in argv:
+        if out and out[-1] == "--gamma" and token.startswith("-"):
+            out[-1] = "--gamma=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

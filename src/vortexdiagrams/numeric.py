@@ -174,14 +174,19 @@ def solve(
     Damped Gauss-Newton with a closed-form Jacobian from randomized starts;
     attempts run in seed order and the first success wins, so results are
     reproducible.  An attempt whose residual has not halved over the last
-    STALL_STEPS accepted steps is abandoned.  Raises NoConvergenceError
-    when the budget is exhausted.  When `trace` is a list it receives the
-    accepted residual norms of the winning attempt.
+    STALL_STEPS accepted steps is abandoned.  Raises ValueError for fewer
+    than two strengths or a strength that is zero or not finite, and
+    NoConvergenceError when the budget is exhausted.  When `trace` is a
+    list it receives the accepted residual norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
+    n = len(gamma)
+    if n < 2:
+        raise ValueError(f"at least two vortex strengths are needed, got {n}")
+    if not all(math.isfinite(g) for g in gamma):
+        raise ValueError("all vortex strengths must be finite")
     if any(g == 0 for g in gamma):
         raise ValueError("all vortex strengths must be nonzero")
-    n = len(gamma)
     lam = complex(lam)
     for attempt in range(attempts):
         rng = np.random.default_rng(seed * 1009 + attempt)

@@ -18,6 +18,7 @@ from math import lcm
 
 from .exactpoly import (
     DEFAULT_VARS,
+    ONE,
     Polynomial,
     groebner_basis,
     parse_polynomial,
@@ -349,12 +350,20 @@ def _certificate_candidates(n: int) -> tuple:
         _monomial({gammas[j]: 1, gammas[k]: 1}) for j in range(n) for k in range(j + 1, n)
     ]
     multipliers += [_monomial({g: 2}) for g in gammas]
+    # (G_i * mult)^2 is one monomial, 2(e_i + e_mult), and distinct i give
+    # distinct monomials, so each sum is built term by term with coefficient
+    # 1.  `verify_certificate` re-derives it with `_sum_of_squares`.
     for mult in multipliers:
+        (m,) = mult.terms
+        square = {}
+        for i in range(1, n + 1):
+            e = list(m)
+            e[DEFAULT_VARS.index(f"G{i}")] += 1
+            square[i] = tuple(2 * x for x in e)
         for size in range(1, n + 1):
             for S in itertools.combinations(range(1, n + 1), size):
-                out.append(
-                    Certificate("sum-of-squares", _sum_of_squares(S, mult), subset=S, multiplier=mult)
-                )
+                sos = Polynomial({square[i]: ONE for i in S}, DEFAULT_VARS, _clean=False)
+                out.append(Certificate("sum-of-squares", sos, subset=S, multiplier=mult))
     return tuple(out)
 
 

@@ -163,6 +163,20 @@ class TestSolveProbe:
         # zero strength is rejected up front as a usage-level error
         assert main(["solve", "--gamma", "1,0"]) == 2
 
+    def test_leading_negative_strength_needs_no_equals_sign(self, tmp_path, capsys):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        gamma = "-1,2,-1.5,0.7,2.2"
+        assert main(["solve", "--gamma", gamma, "--out", str(spaced)]) == 0
+        assert main(["solve", f"--gamma={gamma}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("gamma", ["1", "1,nan,2", "inf,1"])
+    def test_too_few_or_non_finite_strengths_are_usage_errors(self, gamma, capsys):
+        assert main(["solve", "--gamma", gamma]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_probe_round_trip(self, tmp_path):
         d = Diagram(5, [(1, 2), (3, 4)], [(2, 3), (1, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
         samples = tmp_path / "seq.jsonl"
@@ -203,6 +217,55 @@ class TestVerifyGroebner:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: pair reduction budget exceeded (5)\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_run(argv):
+    """Exit code of `main(argv)` in a fresh interpreter (None: import only),
+    and the modules that interpreter has loaded by then."""
+    script = (
+        "import json, sys\n"
+        "from vortexdiagrams import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = None if argv is None else cli.main(argv)\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+class TestImportFootprint:
+    """A cold command loads only the modules it runs; the pytest process
+    has imported everything already, so each check runs in a subprocess."""
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (None, {"numpy", "multiprocessing", "vortexdiagrams.atlas"}),
+            (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric"}),
+            (
+                ["verify-groebner"],
+                {"numpy", "multiprocessing", "vortexdiagrams.atlas", "vortexdiagrams.lemmas"},
+            ),
+        ],
+        ids=["import", "enumerate", "verify-groebner"],
+    )
+    def test_exact_algebra_commands_load_no_numpy(self, argv, absent):
+        code, modules = _fresh_run(argv)
+        assert code in (None, 0)
+        assert not absent & modules
+
+    def test_solve_loads_its_solver(self):
+        code, modules = _fresh_run(["solve", "--gamma", "1,1,1,-2,0.5"])
+        assert code == 0
+        assert {"numpy", "vortexdiagrams.numeric"} <= modules
 
 
 class TestUsage:

@@ -83,6 +83,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize(
+        "gamma", [[], [1.0], [1.0, math.nan, 2.0], [math.inf, 1.0], [1.0, -math.inf]]
+    )
+    def test_rejects_too_few_or_non_finite_strengths(self, gamma):
+        with pytest.raises(ValueError):
+            solve(gamma, 1.0)
+
     def test_deterministic_by_seed(self):
         a = solve([1.0, -2.0, 1.5], 1.0, seed=5)
         b = solve([1.0, -2.0, 1.5], 1.0, seed=5)

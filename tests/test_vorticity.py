@@ -293,3 +293,17 @@ class TestVerifyCertificate:
             ConstraintLedger((gamma_sum([2, 3]), angular_momentum([1, 2, 3])))
         ).certificate
         assert not verify_certificate(led, forged)
+
+
+class TestCertificateCandidates:
+    @pytest.mark.parametrize("n, count", [(3, 92), (4, 273), (5, 741), (6, 1916)])
+    def test_sums_of_squares_match_the_product_reference(self, n, count):
+        candidates = vorticity._certificate_candidates(n)
+        assert len(candidates) == count
+        squares = [c for c in candidates if c.kind == "sum-of-squares"]
+        assert squares
+        for cert in squares:
+            assert cert.polynomial == vorticity._sum_of_squares(cert.subset, cert.multiplier)
+            # The ledger's only equality is the candidate itself, so the
+            # membership step holds and a rejection could only be the shape.
+            assert verify_certificate(ConstraintLedger((cert.polynomial,), n=n), cert)
