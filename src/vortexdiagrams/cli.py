@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .diagram import Diagram, canonical_key, stroke_count_C
@@ -142,6 +143,8 @@ def _cmd_render(args) -> int:
 
 def _parse_lambda(text: str) -> complex:
     lam = complex(text.replace("i", "j"))
+    if not math.isfinite(abs(lam)):
+        raise argparse.ArgumentTypeError("the multiplier must be finite")
     if abs(abs(lam) - 1.0) > 1e-9:
         raise argparse.ArgumentTypeError("the multiplier must have unit modulus")
     return lam / abs(lam)

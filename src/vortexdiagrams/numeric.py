@@ -175,9 +175,10 @@ def solve(
     attempts run in seed order and the first success wins, so results are
     reproducible.  An attempt whose residual has not halved over the last
     STALL_STEPS accepted steps is abandoned.  Raises ValueError for fewer
-    than two strengths or a strength that is zero or not finite, and
-    NoConvergenceError when the budget is exhausted.  When `trace` is a
-    list it receives the accepted residual norms of the winning attempt.
+    than two strengths, a strength that is zero or not finite, or a
+    multiplier that is not finite, and NoConvergenceError when the budget
+    is exhausted.  When `trace` is a list it receives the accepted residual
+    norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
     n = len(gamma)
@@ -188,6 +189,8 @@ def solve(
     if any(g == 0 for g in gamma):
         raise ValueError("all vortex strengths must be nonzero")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError("the multiplier must be finite")
     for attempt in range(attempts):
         rng = np.random.default_rng(seed * 1009 + attempt)
         x = rng.standard_normal(2 * n) * 1.2

@@ -5,25 +5,32 @@ homogeneous balance polynomials in the cross-ratio-like unknowns a, b and
 three independent strengths.  Their ideal contains
 b^5 * (G1+G3+G4) * (G1^2+G1*G3+G1*G4+G3^2+G3*G4+G4^2), whose factors are
 all nonzero in context (the last one being half a sum of squares), which
-is the contradiction the exclusion rests on.  This module builds that
-system and certifies the membership by Groebner reduction.
+is the contradiction the exclusion rests on.
+
+This module builds that system over the five variables it uses and
+certifies the membership in two ways.  The first is a cofactor identity:
+`COFACTORS` holds polynomials h1..h4 with h1*p1 + h2*p2 + h3*p3 + h4*p4
+equal to the target, and `check_cofactor_identity` confirms that by
+`Polynomial` multiplication and addition alone, so the proof does not rest
+on the Groebner kernel (the "lift" of Cox, Little and O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 2).  The second is a reduction of the
+target to zero against the reduced Groebner basis, by the packed kernel
+and again by the `Fraction` normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactpoly import Polynomial, groebner_basis, normal_form, reduces_to_zero
+from .exactpoly import Polynomial, groebner_basis, normal_form, parse_polynomial, reduces_to_zero
+
+
+# The five variables the system uses, most significant first.
+RING = ("a", "b", "G1", "G3", "G4")
 
 
 def _vars():
-    return (
-        Polynomial.variable("a"),
-        Polynomial.variable("b"),
-        Polynomial.variable("G1"),
-        Polynomial.variable("G3"),
-        Polynomial.variable("G4"),
-    )
+    return tuple(Polynomial.variable(name, RING) for name in RING)
 
 
 def quadrilateral_system() -> tuple:
@@ -79,22 +86,54 @@ def quadrilateral_system() -> tuple:
     return (p1, p2, p3, p4), target
 
 
+# h1..h4 with sum h_i * p_i == target.  Each nonzero h_i is homogeneous of
+# degree 8 - deg p_i; h2 is 0.  Derived by `scripts/quad_cofactors.py`.
+COFACTORS = (
+    "-2*a^3*b + 5*a^2*b^2 - 4*a*b^3 + b^4 + 3*a^3*G1 - 5*a^2*b*G1 + a*b^2*G1"
+    " + 2*b^3*G1 - 3*a^2*b*G3 + 5*a*b^2*G3 - 2*b^3*G3 + 5*a^2*G1*G3 - 9*a*b*G1*G3"
+    " + 4*b^2*G1*G3 + a^2*G3^2 - 4*a*b*G3^2 + 2*b^2*G3^2 + a^3*G4 - a^2*b*G4"
+    " - 2*a*b*G1*G4 + b^2*G1*G4 + 2*a^2*G3*G4 - 4*a*b*G3*G4 + b^2*G3*G4 - a*b*G4^2",
+    "0",
+    "-2*a*b^3 + b^4 + 2*a*b^2*G1 - 2*b^3*G1 - 3*a*b*G1^2 + 2*b^2*G1^2 + a^2*b*G3"
+    " - 5*b^3*G3 - 5*a*b*G1*G3 + 4*b^2*G1*G3 - a*b^2*G4 - 4*a*b*G1*G4 + b^2*G1*G4"
+    " + a^2*G3*G4 - 5*a*b*G3*G4 - 2*a*b*G4^2",
+    "-2*a^3*b + a^2*b^2 + a^2*b*G1 - a*b^2*G1 - a*b*G1^2 + b^2*G1^2 - 3*a^2*b*G3"
+    " + a*b^2*G3 - 2*a*b*G1*G3 + b^2*G1*G3 - 3*a*b*G3^2 + b^2*G3^2 - 2*a^3*G4"
+    " + 2*a^2*b*G4 + a*b^2*G4 + b^3*G4 - 2*a*b*G1*G4 - 3*a^2*G3*G4 - a*b*G3*G4",
+)
+
+
+def check_cofactor_identity(gens, target, cofactors) -> bool:
+    """True iff sum(h_i * g_i) == target for the cofactor texts h_i.
+
+    Only `Polynomial` parsing, `*`, `+` and `==` run here: no division and
+    no Groebner basis, so the identity proves membership in the ideal of
+    `gens` independently of that kernel.
+    """
+    total = Polynomial.zero(RING)
+    for text, g in zip(cofactors, gens, strict=True):
+        total = total + parse_polynomial(text, RING) * g
+    return total == target
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
     basis_size: int
-    recheck_member: bool
+    cofactor_identity: bool
     exact_normal_form_zero: bool
+    cofactors: tuple
 
     @property
     def verified(self) -> bool:
-        return self.member and self.recheck_member and self.exact_normal_form_zero
+        return self.member and self.cofactor_identity and self.exact_normal_form_zero
 
     def to_json(self) -> dict:
         return {
             "member": self.member,
             "basis_size": self.basis_size,
-            "recheck_member": self.recheck_member,
+            "cofactor_identity": self.cofactor_identity,
+            "cofactors": list(self.cofactors),
             "exact_normal_form_zero": self.exact_normal_form_zero,
             "verified": self.verified,
         }
@@ -103,17 +142,16 @@ class MembershipResult:
 def verify_membership() -> MembershipResult:
     """Prove the target product lies in the quadrilateral ideal.
 
-    The reduction is re-checked against a basis computed from the reversed
-    generator list (a different Buchberger pair order) and once more with
-    the exact-division normal form.  Reduced bases are unique, so the
-    reversed run computes the same basis with the same code; it is not an
-    independent check.  Cofactor certificates, checked by multiplication
-    alone, are ROADMAP item 2.
+    One reduced Groebner basis is computed.  `member` is the packed
+    kernel's zero-test of the target against it, and
+    `exact_normal_form_zero` the `Fraction` normal form's, which checks
+    the kernel.  `cofactor_identity` checks sum h_i * p_i == target for
+    `COFACTORS` by multiplication alone, a proof that uses neither the
+    basis nor any division.  The result is verified when all three hold.
     """
     gens, target = quadrilateral_system()
     basis = groebner_basis(gens)
     member = reduces_to_zero(target, basis)
-    basis_rev = groebner_basis(tuple(reversed(gens)))
-    recheck = reduces_to_zero(target, basis_rev)
+    identity = check_cofactor_identity(gens, target, COFACTORS)
     exact_zero = not normal_form(target, basis)
-    return MembershipResult(member, len(basis), recheck, exact_zero)
+    return MembershipResult(member, len(basis), identity, exact_zero, COFACTORS)

@@ -209,6 +209,16 @@ class TestVerifyGroebner:
         assert main(["verify-groebner", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["verified"] is True
+        assert data["basis_size"] == 22
+        assert data["member"] is data["cofactor_identity"] is data["exact_normal_form_zero"] is True
+        assert data["cofactors"] == list(quadrilateral.COFACTORS)
+
+    def test_wrong_cofactor_exits_one(self, monkeypatch):
+        cofactors = list(quadrilateral.COFACTORS)
+        assert "9*a*b*G1*G3" in cofactors[0]
+        cofactors[0] = cofactors[0].replace("9*a*b*G1*G3", "8*a*b*G1*G3")
+        monkeypatch.setattr(quadrilateral, "COFACTORS", tuple(cofactors))
+        assert main(["verify-groebner"]) == 1
 
     def test_exhausted_budget_is_internal_error(self, monkeypatch, capsys):
         small = functools.partial(quadrilateral.groebner_basis, max_pair_reductions=5)
@@ -283,3 +293,11 @@ class TestUsage:
 
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2
+
+    @pytest.mark.parametrize("lam", ["nan", "nanj", "inf"])
+    def test_non_finite_multiplier_is_usage_error(self, lam, capsys):
+        assert main(["solve", "--gamma", "1,1,1", "--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert captured.err.count("error: argument --lambda: ") == 1

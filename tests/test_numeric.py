@@ -90,6 +90,11 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(gamma, 1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_rejects_non_finite_multiplier(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            solve([1.0, 1.0, 1.0], lam)
+
     def test_deterministic_by_seed(self):
         a = solve([1.0, -2.0, 1.5], 1.0, seed=5)
         b = solve([1.0, -2.0, 1.5], 1.0, seed=5)

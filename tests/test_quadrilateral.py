@@ -1,10 +1,25 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from vortexdiagrams import exactpoly, quadrilateral
 from vortexdiagrams.exactpoly import (
     Polynomial,
     groebner_basis,
     normal_form,
+    parse_polynomial,
     reduces_to_zero,
 )
-from vortexdiagrams.quadrilateral import quadrilateral_system, verify_membership
+from vortexdiagrams.quadrilateral import (
+    COFACTORS,
+    RING,
+    check_cofactor_identity,
+    quadrilateral_system,
+    verify_membership,
+)
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "quad_cofactors.py"
 
 
 def test_system_shape():
@@ -20,7 +35,7 @@ def test_system_shape():
 def test_membership_verified():
     result = verify_membership()
     assert result.member
-    assert result.recheck_member
+    assert result.cofactor_identity
     assert result.exact_normal_form_zero
     assert result.verified
 
@@ -28,10 +43,10 @@ def test_membership_verified():
 def test_factors_alone_are_not_members():
     gens, _ = quadrilateral_system()
     basis = groebner_basis(gens)
-    b = Polynomial.variable("b")
-    G1 = Polynomial.variable("G1")
-    G3 = Polynomial.variable("G3")
-    G4 = Polynomial.variable("G4")
+    b = Polynomial.variable("b", RING)
+    G1 = Polynomial.variable("G1", RING)
+    G3 = Polynomial.variable("G3", RING)
+    G4 = Polynomial.variable("G4", RING)
     assert not reduces_to_zero(b**5, basis)
     assert not reduces_to_zero(G1 + G3 + G4, basis)
 
@@ -52,3 +67,74 @@ def test_last_factor_is_half_a_square_sum():
 def test_deterministic_basis():
     gens, _ = quadrilateral_system()
     assert groebner_basis(gens) == groebner_basis(gens)
+
+
+def test_one_groebner_basis_per_verification(monkeypatch):
+    calls = []
+
+    def counted(gens):
+        calls.append(len(gens))
+        return groebner_basis(gens)
+
+    monkeypatch.setattr(quadrilateral, "groebner_basis", counted)
+    assert verify_membership().verified
+    assert calls == [4]
+
+
+class TestCofactors:
+    def test_identity_needs_no_groebner_kernel(self, monkeypatch):
+        gens, target = quadrilateral_system()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cofactor identity must not divide")
+
+        for module in (exactpoly, quadrilateral):
+            for name in ("_int_reduce", "groebner_basis", "normal_form", "reduces_to_zero"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert check_cofactor_identity(gens, target, COFACTORS)
+
+    def test_one_wrong_coefficient_fails_verification(self, monkeypatch):
+        cofactors = list(COFACTORS)
+        assert "9*a*b*G1*G3" in cofactors[0]
+        cofactors[0] = cofactors[0].replace("9*a*b*G1*G3", "8*a*b*G1*G3")
+        monkeypatch.setattr(quadrilateral, "COFACTORS", tuple(cofactors))
+        result = verify_membership()
+        assert result.member and result.exact_normal_form_zero
+        assert not result.cofactor_identity
+        assert not result.verified
+
+    def test_degrees_complement_the_generators(self):
+        gens, target = quadrilateral_system()
+        nonzero = 0
+        for text, g in zip(COFACTORS, gens, strict=True):
+            h = parse_polynomial(text, RING)
+            if h:
+                nonzero += 1
+                assert {sum(m) for m in h.terms} == {target.total_degree() - g.total_degree()}
+        assert nonzero == 3
+
+    def test_derivation_script_reproduces_them(self):
+        spec = importlib.util.spec_from_file_location("quad_cofactors", SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert tuple(h.to_text() for h in script.derive_cofactors()) == COFACTORS
+
+
+class TestSympyOracle:
+    def test_sympy_expands_the_identity_to_zero(self):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols(RING)
+        names = dict(zip(RING, syms))
+
+        def expr(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+                for m, c in p.terms.items()
+            )
+
+        gens, target = quadrilateral_system()
+        hs = [sympy.sympify(text.replace("^", "**"), locals=names) for text in COFACTORS]
+        total = sum(h * expr(g) for h, g in zip(hs, gens, strict=True))
+        assert sympy.expand(total - expr(target)) == 0
