@@ -142,7 +142,10 @@ def _cmd_render(args) -> int:
 
 
 def _parse_lambda(text: str) -> complex:
-    lam = complex(text.replace("i", "j"))
+    """A unit complex number; a trailing `i` is read as Python's `j`."""
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    lam = complex(text)
     if not math.isfinite(abs(lam)):
         raise argparse.ArgumentTypeError("the multiplier must be finite")
     if abs(abs(lam) - 1.0) > 1e-9:
@@ -248,17 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_gamma(argv: list) -> list:
-    """`--gamma -1,2` spelled as `--gamma=-1,2`.
+# Options whose value may start with a minus sign.
+_SIGNED_OPTIONS = ("--gamma", "--lambda")
+
+
+def _join_signed_values(argv: list) -> list:
+    """`--gamma -1,2` spelled as `--gamma=-1,2`, and likewise `--lambda -i`.
 
     argparse reads a token that starts with a minus sign as an option
     unless the whole token is one number, so a strength list led by a
-    negative strength would never reach `--gamma` as its own token.
+    negative strength, or a multiplier such as -0.6+0.8i, would never
+    reach its option as its own token.
     """
     out: list = []
     for token in argv:
-        if out and out[-1] == "--gamma" and token.startswith("-"):
-            out[-1] = "--gamma=" + token
+        if out and out[-1] in _SIGNED_OPTIONS and token.startswith("-"):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
@@ -267,7 +275,7 @@ def _join_gamma(argv: list) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

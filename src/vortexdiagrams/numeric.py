@@ -3,15 +3,16 @@
 Evaluates residuals of the coupled system in positions z, conjugate
 variables w, inverse-difference variables Z, W and multiplier lambda,
 solves it for real configurations by damped Gauss-Newton with a
-closed-form Jacobian (abandoning attempts that stall), classifies
-stationary configurations, checks the conserved identities, and maps
-synthetic singular sequences onto two-colored diagrams by fitting the
-decay order of every component.
+closed-form Jacobian and a stacked step-length ladder (abandoning
+attempts that stall), classifies stationary configurations, checks the
+conserved identities, and maps synthetic singular sequences onto
+two-colored diagrams by fitting the decay order of every component.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -39,23 +40,54 @@ COLLISION_DISTANCE = 1e-13
 # A solver attempt is abandoned if this many accepted steps do not halve its residual.
 STALL_STEPS = 10
 
+# Step lengths the line search tries, longest first: 1, 1/2, ..., 2**-26.
+STEP_LADDER = 0.5 ** np.arange(27)
+
+# The line search evaluates this many of the longest step lengths at once,
+# and the rest of the ladder only when none of them lowers the residual.
+LADDER_SPLIT = 8
+_LADDER_STAGES = (STEP_LADDER[:LADDER_SPLIT], STEP_LADDER[LADDER_SPLIT:])
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n-by-n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The n-by-n mask that is True off the diagonal, built once per n and read-only."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
 
 def _differences(u) -> np.ndarray:
-    """D[j, k] = u_k - u_j; raises CollisionError if two entries collide."""
+    """D[..., j, k] = u[..., k] - u[..., j], over any leading axes of u.
+
+    For one configuration (u of shape (n,)) a collision raises
+    CollisionError.  Over leading axes a colliding configuration is
+    returned as NaN instead, without touching the others: everything
+    computed from it is NaN and no comparison accepts it.
+    """
     u = np.asarray(u, dtype=complex)
-    D = u[None, :] - u[:, None]
-    close = np.abs(D) < COLLISION_DISTANCE
-    np.fill_diagonal(close, False)
-    if close.any():
-        j, k = np.argwhere(close)[0]  # close is symmetric, so j < k
-        raise CollisionError(f"vertices {j+1},{k+1} coincide")
+    D = u[..., None, :] - u[..., :, None]
+    close = (np.abs(D) < COLLISION_DISTANCE) & _off_diagonal(u.shape[-1])
+    if D.ndim == 2:
+        if close.any():
+            j, k = np.argwhere(close)[0]  # close is symmetric, so j < k
+            raise CollisionError(f"vertices {j+1},{k+1} coincide")
+    else:
+        D[close.any(axis=(-2, -1))] = np.nan
     return D
 
 
 def _off_diagonal_quotient(num, D) -> np.ndarray:
-    """num / D elementwise off the diagonal, zero on it."""
-    off = ~np.eye(len(D), dtype=bool)
-    return np.divide(num, D, out=np.zeros_like(D), where=off)
+    """num / D elementwise off the diagonal, zero on it, over any leading axes."""
+    return np.divide(num, D, out=np.zeros_like(D), where=_off_diagonal(D.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -122,12 +154,17 @@ def make_configuration(gamma, z, w=None, lam=1.0 + 0.0j) -> Configuration:
 
 
 def velocities(z, gamma) -> np.ndarray:
-    """V_n = sum over j of Gamma_j / conj(z_n - z_j)."""
+    """V_n = sum over j of Gamma_j / conj(z_n - z_j), over any leading axes of z.
+
+    One configuration raises CollisionError on a collision; over leading
+    axes a colliding configuration's velocities are NaN (see _differences).
+    """
     D = _differences(z)
     g = np.asarray(gamma, dtype=float)
     # Divide and sum in this order to round as the pairwise loop does; a
     # product with 1/conj(D) rounds differently and moves solver results.
-    return _off_diagonal_quotient(g[:, None], np.conj(D)).sum(axis=0)
+    with np.errstate(invalid="ignore"):  # NaN rows are collisions, already flagged
+        return _off_diagonal_quotient(g[:, None], np.conj(D)).sum(axis=-2)
 
 
 def residual(c: Configuration) -> float:
@@ -152,12 +189,13 @@ def residual(c: Configuration) -> float:
 
 
 def _real_system(x: np.ndarray, gamma, lam: complex) -> np.ndarray:
+    """The 2n + 1 real equations at x = (Re z, Im z), over any leading axes of x."""
     n = len(gamma)
-    z = x[:n] + 1j * x[n:]
+    z = x[..., :n] + 1j * x[..., n:]
     V = velocities(z, gamma)
     F = lam * z - V
-    pin = (z[1] - z[0]).imag  # rotation gauge
-    return np.concatenate([F.real, F.imag, [pin]])
+    pin = (z[..., 1] - z[..., 0]).imag  # rotation gauge
+    return np.concatenate([F.real, F.imag, pin[..., None]], axis=-1)
 
 
 def solve(
@@ -171,14 +209,16 @@ def solve(
 ) -> Configuration:
     """Find a real normalized configuration for the given strengths.
 
-    Damped Gauss-Newton with a closed-form Jacobian from randomized starts;
-    attempts run in seed order and the first success wins, so results are
-    reproducible.  An attempt whose residual has not halved over the last
-    STALL_STEPS accepted steps is abandoned.  Raises ValueError for fewer
-    than two strengths, a strength that is zero or not finite, or a
-    multiplier that is not finite, and NoConvergenceError when the budget
-    is exhausted.  When `trace` is a list it receives the accepted residual
-    norms of the winning attempt.
+    Damped Gauss-Newton with a closed-form Jacobian from randomized starts.
+    Each step takes the longest length on STEP_LADDER that lowers the
+    residual, found on a stacked step-length ladder: one array evaluation
+    per stage of the ladder.  Attempts run in seed order and the first
+    success wins, so results are reproducible.  An attempt whose residual
+    has not halved over the last STALL_STEPS accepted steps is abandoned.
+    Raises ValueError for fewer than two strengths, a strength that is zero
+    or not finite, or a multiplier that is not finite, and
+    NoConvergenceError when the budget is exhausted.  When `trace` is a
+    list it receives the accepted residual norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
     n = len(gamma)
@@ -233,23 +273,30 @@ def _gauss_newton(x, gamma, lam, tol, max_iter, norms):
             return None  # stuck at a minimum where the residual is not zero
         J = _jacobian(x, gamma, lam)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        alpha = 1.0
-        while alpha > 1e-8:
-            try:
-                F_new = _real_system(x + alpha * step, gamma, lam)
-            except CollisionError:
-                alpha /= 2
-                continue
-            new_norm = np.linalg.norm(F_new, np.inf)
-            if new_norm < norm:  # accepted steps decrease the residual
-                x = x + alpha * step
-                F, norm = F_new, new_norm
-                norms.append(float(norm))
-                break
-            alpha /= 2
-        else:
+        accepted = _line_search(x, step, norm, gamma, lam)
+        if accepted is None:
             return None
+        x, F, norm = accepted
+        norms.append(float(norm))
     return x if norm < tol / 4 else None
+
+
+def _line_search(x, step, norm, gamma, lam):
+    """The longest step x + alpha * step on STEP_LADDER whose residual norm
+    is below `norm`, as (x, F, norm); None when no step length lowers it.
+
+    Each stage of the ladder is one stacked evaluation; a step that
+    collides has a NaN norm and is never accepted.
+    """
+    for alphas in _LADDER_STAGES:
+        X = x + alphas[:, None] * step
+        F = _real_system(X, gamma, lam)
+        norms = np.abs(F).max(axis=1)
+        lower = np.flatnonzero(norms < norm)
+        if lower.size:
+            i = lower[0]
+            return X[i], F[i], norms[i]
+    return None
 
 
 def _jacobian(x, gamma, lam):
@@ -259,11 +306,14 @@ def _jacobian(x, gamma, lam):
     n = len(gamma)
     D = _differences(x[:n] + 1j * x[n:])
     B = _off_diagonal_quotient(np.asarray(gamma, dtype=float)[None, :], np.conj(D) ** 2)
-    B[np.diag_indices(n)] = -B.sum(axis=1)
-    J = np.hstack([lam * np.eye(n) - B, 1j * (lam * np.eye(n) + B)])
-    pin = np.zeros(2 * n)  # d Im(z_2 - z_1)
-    pin[n], pin[n + 1] = -1.0, 1.0
-    return np.vstack([J.real, J.imag, pin])
+    np.fill_diagonal(B, -B.sum(axis=1))
+    lam_eye = lam * _identity(n)
+    d_re, d_im = lam_eye - B, 1j * (lam_eye + B)
+    J = np.zeros((2 * n + 1, 2 * n))
+    J[:n, :n], J[n:-1, :n] = d_re.real, d_re.imag
+    J[:n, n:], J[n:-1, n:] = d_im.real, d_im.imag
+    J[-1, n], J[-1, n + 1] = -1.0, 1.0  # d Im(z_2 - z_1)
+    return J
 
 
 # -- classification --------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from vortexdiagrams import quadrilateral
 from vortexdiagrams.atlas import load_catalog
-from vortexdiagrams.cli import main
+from vortexdiagrams.cli import _join_signed_values, build_parser, main
 from vortexdiagrams.diagram import Diagram
 from vortexdiagrams.numeric import synthetic_sequence
 
@@ -171,6 +171,23 @@ class TestSolveProbe:
         assert spaced.read_bytes() == joined.read_bytes()
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "text, lam", [("-0.6+0.8i", complex(-0.6, 0.8)), ("-i", -1j), ("-1", -1.0), ("0.6-0.8i", complex(0.6, -0.8))]
+    )
+    def test_leading_minus_multiplier_needs_no_equals_sign(self, text, lam):
+        for argv in (["--lambda", text], [f"--lambda={text}"]):
+            args = build_parser().parse_args(_join_signed_values(["solve", "--gamma", "1,1,1", *argv]))
+            assert abs(args.lam - lam) < 1e-15
+
+    def test_both_signed_options_spaced(self, tmp_path, capsys):
+        # Gamma = (-1, -1) with lambda = -1 is the two-vortex solution reflected
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["solve", "--gamma", "-1,-1", "--lambda", "-1+0i", "--out", str(spaced)]) == 0
+        assert main(["solve", "--gamma=-1,-1", "--lambda=-1+0i", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert json.loads(spaced.read_text())["configuration"]["lambda"] == [-1.0, 0.0]
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("gamma", ["1", "1,nan,2", "inf,1"])
     def test_too_few_or_non_finite_strengths_are_usage_errors(self, gamma, capsys):
         assert main(["solve", "--gamma", gamma]) == 2
@@ -294,10 +311,11 @@ class TestUsage:
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2
 
-    @pytest.mark.parametrize("lam", ["nan", "nanj", "inf"])
+    @pytest.mark.parametrize("lam", ["nan", "nanj", "inf", "-inf", "-nan", "infi", "nan+nani"])
     def test_non_finite_multiplier_is_usage_error(self, lam, capsys):
         assert main(["solve", "--gamma", "1,1,1", "--lambda", lam]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: ")
         assert captured.err.count("error: argument --lambda: ") == 1
+        assert captured.err.endswith("error: argument --lambda: the multiplier must be finite\n")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -24,6 +26,11 @@ from vortexdiagrams.numeric import (
 )
 
 OMEGA = np.exp(2j * np.pi / 3)
+
+# sha256 of the solutions (lambda, z and w as sorted-key JSON) of acceptance
+# 7's first 24 strength vectors, lambda = +1 then -1 with attempts=10.  A
+# solver change must either keep these roots or re-pin them on purpose.
+SWEEP_SOLUTIONS_SHA256 = "4a799d0b695a429083526758fa13f5876cdca05eb086029cbe0b21dd8507a948"
 
 
 def two_vortex():
@@ -141,6 +148,138 @@ class TestSolve:
                     continue
             assert config is not None, gamma.tolist()
             assert check_identities(config, tol=1e-9).passed, gamma.tolist()
+
+    def test_sweep_solutions_are_pinned(self):
+        rng = np.random.default_rng(22)
+        draws = 0
+        rows = []
+        while len(rows) < 24:
+            draws += 1
+            gamma = rng.uniform(-3, 3, 5)
+            if np.any(np.abs(gamma) < 0.2):
+                continue
+            row = None
+            for lam in (1.0, -1.0):
+                try:
+                    data = solve(gamma, lam, seed=draws, attempts=10).to_json()
+                except NoConvergenceError:
+                    continue
+                row = {key: data[key] for key in ("lambda", "z", "w")}
+                break
+            rows.append(row)
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SOLUTIONS_SHA256
+
+
+def _halving_gauss_newton(x, gamma, lam, tol, max_iter, norms):
+    """The solver's Gauss-Newton with the line search as a halving loop, one
+    evaluation per step length: the reference for the stacked ladder."""
+    try:
+        F = numeric._real_system(x, gamma, lam)
+    except CollisionError:
+        return None
+    norm = np.linalg.norm(F, np.inf)
+    norms.append(float(norm))
+    for _ in range(max_iter):
+        if norm < tol / 4:
+            return x
+        if len(norms) > numeric.STALL_STEPS and norm > norms[-1 - numeric.STALL_STEPS] / 2:
+            return None
+        J = numeric._jacobian(x, gamma, lam)
+        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        alpha = 1.0
+        while alpha > 1e-8:
+            try:
+                F_new = numeric._real_system(x + alpha * step, gamma, lam)
+            except CollisionError:
+                alpha /= 2
+                continue
+            new_norm = np.linalg.norm(F_new, np.inf)
+            if new_norm < norm:
+                x = x + alpha * step
+                F, norm = F_new, new_norm
+                norms.append(float(norm))
+                break
+            alpha /= 2
+        else:
+            return None
+    return x if norm < tol / 4 else None
+
+
+def _run_gauss_newton(gauss_newton, x, gamma, lam):
+    """(final x as bytes, None or the exception type; accepted norms)."""
+    norms = []
+    try:
+        x = gauss_newton(x, gamma, complex(lam), 1e-12, 120, norms)
+    except (CollisionError, np.linalg.LinAlgError) as exc:
+        return type(exc), norms
+    return (None if x is None else x.tobytes()), norms
+
+
+class TestLineSearch:
+    """The stacked step-length ladder against the halving loop, bit for bit."""
+
+    def test_ladder_is_the_halving_sequence(self):
+        alphas, alpha = [], 1.0
+        while alpha > 1e-8:
+            alphas.append(alpha)
+            alpha /= 2
+        assert numeric.STEP_LADDER.tolist() == alphas
+
+    def test_same_trajectory_as_the_halving_loop(self):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for n in range(2, 9):
+            for lam in (1.0, -1.0, np.exp(0.3j)):
+                for _ in range(3):
+                    gamma = rng.uniform(-3, 3, n).tolist()
+                    x = rng.standard_normal(2 * n) * 1.2
+                    got = _run_gauss_newton(numeric._gauss_newton, x, gamma, lam)
+                    ref = _run_gauss_newton(_halving_gauss_newton, x, gamma, lam)
+                    assert got == ref, (n, lam)
+                    outcomes.add(got[0] is None)
+        assert outcomes == {True, False}  # both converged and failed attempts
+
+    def test_equal_residual_is_not_accepted(self):
+        # a zero step leaves the residual as it is at every step length
+        gamma, lam = [1.0, -2.0, 1.5], 1.0 + 0.0j
+        x = np.array([0.3, -1.1, 0.8, 0.5, 0.2, -0.7])
+        norm = np.abs(numeric._real_system(x, gamma, lam)).max()
+        assert numeric._line_search(x, np.zeros_like(x), norm, gamma, lam) is None
+
+    def test_colliding_ladder_row_is_skipped(self):
+        # vertices 1, 2 mirror each other across the real axis and share a
+        # strength, so every step keeps them mirrored; bisect the start's
+        # height until the full step lands them on the axis together
+        gamma, lam = [1.0, 1.0, -2.5], 1.0 + 0.0j
+
+        def start(t):
+            z = np.array([0.4 + 1j * t, 0.4 - 1j * t, -0.9])
+            x = np.concatenate([z.real, z.imag])
+            F = numeric._real_system(x, gamma, lam)
+            step, *_ = np.linalg.lstsq(numeric._jacobian(x, gamma, lam), -F, rcond=None)
+            return x, step
+
+        def gap(t):
+            x, step = start(t)
+            return (x + step)[3] - (x + step)[4]  # Im z_1 - Im z_2 after a full step
+
+        lo, hi = 0.45, 0.55
+        assert gap(lo) > 0 > gap(hi)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        x, step = start(lo)
+        with pytest.raises(CollisionError, match="vertices 1,2"):
+            numeric._real_system(x + step, gamma, lam)
+        rows = x + numeric.STEP_LADDER[:, None] * step
+        F = numeric._real_system(rows, gamma, lam)
+        assert np.isnan(F[0, :-1]).all()
+        for row, got in zip(rows[1:], F[1:]):
+            assert got.tobytes() == numeric._real_system(row, gamma, lam).tobytes()
+        got = _run_gauss_newton(numeric._gauss_newton, x, gamma, lam)
+        assert got == _run_gauss_newton(_halving_gauss_newton, x, gamma, lam)
+        assert len(got[1]) >= 2  # the attempt went on past the collided step
 
 
 def _central_jacobian(x, gamma, lam, h=1e-7):
@@ -388,6 +527,28 @@ class TestDifferenceKernel:
             for got, ref in ((c.Z_matrix(), _loop_inverse_differences(w)), (c.W_matrix(), _loop_inverse_differences(z))):
                 assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
             assert residual(c) == pytest.approx(_loop_residual(c), rel=1e-15)
+
+    def test_stacked_rows_match_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for n in range(2, 9):
+            Z = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+            gamma = rng.uniform(-3, 3, n).tolist()
+            V = velocities(Z, gamma)
+            for z, v in zip(Z, V):
+                assert v.tobytes() == velocities(z, gamma).tobytes()
+
+    def test_stacked_collision_flags_only_its_row(self):
+        rng = np.random.default_rng(4)
+        U = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        U[2, 3] = U[2, 1] + 1e-14
+        D = numeric._differences(U)
+        assert np.isnan(D[2]).all()
+        for i in (0, 1, 3):
+            assert D[i].tobytes() == numeric._differences(U[i]).tobytes()
+        with pytest.raises(CollisionError, match="vertices 2,4"):
+            numeric._differences(U[2])
+        V = velocities(U, [1.0] * 5)
+        assert np.isnan(V[2]).all() and not np.isnan(np.delete(V, 2, axis=0)).any()
 
     def test_collisions_raise(self):
         z = [0.0, 1.0, 1.0 + 1e-14, 2j]
