@@ -1,7 +1,8 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Sparse dict-of-terms polynomials with Buchberger-style Groebner bases,
-multivariate division (normal forms) and ideal membership.  Sized for the
+multivariate division (normal forms) and ideal membership, decided by a
+zero-test against a basis or proved by cofactors (`lift`).  Sized for the
 small ring this project needs (the ten variables of `DEFAULT_VARS`,
 low degree); coefficients are always exact `Fraction`s so that identities
 proved here are proofs, not float coincidences.
@@ -17,7 +18,7 @@ divisibility is one subtraction and mask (layout below, limit
 `MAX_DEGREE`).  `groebner_basis` returns a `Basis`, which converts its
 generators to packed divisors once; every `reduces_to_zero` against it
 reuses them.  `normal_form` divides with `Fraction`s over exponent tuples
-and is the reference the kernel is tested against.
+and is the reference the kernel is tested against.  `lift` uses neither.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import neg
 import json
@@ -60,10 +62,6 @@ def _mono_divides(m1: tuple, m2: tuple) -> bool:
 
 def _mono_div(m1: tuple, m2: tuple) -> tuple:
     return tuple(a - b for a, b in zip(m1, m2))
-
-
-def _mono_lcm(m1: tuple, m2: tuple) -> tuple:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
 
 
 class Polynomial:
@@ -662,14 +660,128 @@ def reduces_to_zero(p: Polynomial, basis) -> bool:
     return not _int_reduce(_int_terms(p, packing), basis._divisors, packing.guards, full=False)
 
 
-def ideal_member(p: Polynomial, gens) -> bool:
-    """True iff `p` lies in the ideal generated by `gens`."""
-    return reduces_to_zero(p, groebner_basis(gens))
+# -- cofactor lift -----------------------------------------------------------
+#
+# A membership claim p in <g_1, ..., g_k> is proved by cofactors h_i with
+# sum h_i * g_i == p, the "lift" of Cox, Little and O'Shea (*Ideals,
+# Varieties, and Algorithms*, ch. 2).  `lift` finds them by linear algebra
+# modulo a prime plus rational reconstruction (von zur Gathen & Gerhard,
+# *Modern Computer Algebra*, section 5.10), and `is_cofactor_identity`
+# checks them with `Polynomial` `*`, `+` and `==` alone: no division and no
+# Groebner basis, so the check is independent of the kernel above.
+
+LIFT_PRIME = 2**61 - 1
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm_fg = _mono_lcm(lmf, lmg)
-    tf = Polynomial({_mono_div(lcm_fg, lmf): 1 / f.leading_coefficient()}, f.ring, _clean=False)
-    tg = Polynomial({_mono_div(lcm_fg, lmg): 1 / g.leading_coefficient()}, g.ring, _clean=False)
-    return tf * f - tg * g
+def _monomials(degree: int, positions: tuple, nvars: int) -> list:
+    """Every exponent tuple of the given total degree in the variables at
+    `positions` of an `nvars`-variable ring, in a fixed order."""
+    out = []
+    for combo in combinations_with_replacement(positions, degree):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def _rational(x: int, p: int = LIFT_PRIME) -> Fraction:
+    """The fraction n/d with |n|, d below sqrt(p/2) that is x mod p."""
+    bound = int((p // 2) ** 0.5)
+    r0, r1, t0, t1 = p, x % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        raise ArithmeticError(f"no rational reconstruction of {x} mod {p}")
+    return Fraction(r1, t1)
+
+
+def _solve_mod(rows: list, ncols: int, p: int = LIFT_PRIME) -> list:
+    """One solution mod p of the sparse system, free unknowns at 0.
+
+    Each row is a dict column -> coefficient, with the right-hand side at
+    column `ncols`.  Rows are reduced one by one against the pivots found
+    so far; a reduced row's smallest column becomes its pivot.
+    """
+    pivots: dict = {}  # column -> row normalized to 1 there
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            if c == ncols:
+                raise ArithmeticError("inconsistent system: the target is not a member")
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                nv = (row.get(k, 0) - f * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    x = [0] * ncols
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        x[c] = (row.get(ncols, 0) - sum(v * x[k] for k, v in row.items() if c < k < ncols)) % p
+    return x
+
+
+def is_cofactor_identity(p: Polynomial, gens, cofactors) -> bool:
+    """True iff sum(h_i * g_i) == p, by `Polynomial` `*`, `+` and `==` alone."""
+    total = Polynomial.zero(p.ring)
+    for h, g in zip(cofactors, gens, strict=True):
+        total = total + h * g
+    return total == p
+
+
+def lift(p: Polynomial, gens) -> tuple[Polynomial, ...] | None:
+    """Cofactors h_i with sum h_i * gens[i] == p, or None.
+
+    Each h_i is sought homogeneous of degree deg p - deg gens[i] in the
+    variables that `p` and `gens` use.  Their coefficients are the unknowns
+    of one sparse linear system, one equation per monomial, solved modulo
+    `LIFT_PRIME` in a fixed order with every free unknown at 0; each
+    coefficient is then lifted back to a rational by rational
+    reconstruction.  The cofactors are returned only once
+    `is_cofactor_identity` confirms them exactly, so a returned tuple proves
+    membership however it was found.  None means none were found: `p` is
+    not a member, or it is one whose cofactors need a higher degree (only
+    possible for inhomogeneous input) or coefficients beyond the
+    reconstruction bound.
+    """
+    gens = tuple(gens)
+    ring = p.ring
+    used = p.variables().union(*(g.variables() for g in gens))
+    positions = tuple(i for i, name in enumerate(ring) if name in used)
+    degree = p.total_degree()
+    columns = [
+        (i, m)
+        for i, g in enumerate(gens)
+        if g and g.total_degree() <= degree
+        for m in _monomials(degree - g.total_degree(), positions, len(ring))
+    ]
+    equations: dict = {}  # monomial -> {column: coefficient}
+    for col, (i, m) in enumerate(columns):
+        for mg, c in gens[i].terms.items():
+            equations.setdefault(_mono_mul(m, mg), {})[col] = c
+    for mono, c in p.terms.items():
+        equations.setdefault(mono, {})[len(columns)] = c
+    try:
+        rows = [
+            {col: c.numerator * pow(c.denominator, -1, LIFT_PRIME) for col, c in eq.items()}
+            for _, eq in sorted(equations.items())
+        ]
+        x = _solve_mod(rows, len(columns))
+        terms: list = [{} for _ in gens]
+        for (i, m), value in zip(columns, x):
+            if value:
+                terms[i][m] = _rational(value)
+    except (ArithmeticError, ValueError):  # inconsistent, unreconstructible, or prime | denominator
+        return None
+    cofactors = tuple(Polynomial(t, ring) for t in terms)
+    return cofactors if is_cofactor_identity(p, gens, cofactors) else None

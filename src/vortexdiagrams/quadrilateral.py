@@ -10,19 +10,27 @@ is the contradiction the exclusion rests on.
 This module builds that system over the five variables it uses and
 certifies the membership in two ways.  The first is a cofactor identity:
 `COFACTORS` holds polynomials h1..h4 with h1*p1 + h2*p2 + h3*p3 + h4*p4
-equal to the target, and `check_cofactor_identity` confirms that by
-`Polynomial` multiplication and addition alone, so the proof does not rest
-on the Groebner kernel (the "lift" of Cox, Little and O'Shea, *Ideals,
-Varieties, and Algorithms*, ch. 2).  The second is a reduction of the
-target to zero against the reduced Groebner basis, by the packed kernel
-and again by the `Fraction` normal form.
+equal to the target, as `exactpoly.lift` derives them, and
+`check_cofactor_identity` confirms that by `Polynomial` multiplication and
+addition alone, so the proof does not rest on the Groebner kernel (the
+"lift" of Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 2).  The second is a reduction of the target to zero against the
+reduced Groebner basis, by the packed kernel and again by the `Fraction`
+normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactpoly import Polynomial, groebner_basis, normal_form, parse_polynomial, reduces_to_zero
+from .exactpoly import (
+    Polynomial,
+    groebner_basis,
+    is_cofactor_identity,
+    normal_form,
+    parse_polynomial,
+    reduces_to_zero,
+)
 
 
 # The five variables the system uses, most significant first.
@@ -87,7 +95,8 @@ def quadrilateral_system() -> tuple:
 
 
 # h1..h4 with sum h_i * p_i == target.  Each nonzero h_i is homogeneous of
-# degree 8 - deg p_i; h2 is 0.  Derived by `scripts/quad_cofactors.py`.
+# degree 8 - deg p_i; h2 is 0.  `exactpoly.lift(target, gens)` derives them
+# (checked by the tests); the run-time check is the identity alone.
 COFACTORS = (
     "-2*a^3*b + 5*a^2*b^2 - 4*a*b^3 + b^4 + 3*a^3*G1 - 5*a^2*b*G1 + a*b^2*G1"
     " + 2*b^3*G1 - 3*a^2*b*G3 + 5*a*b^2*G3 - 2*b^3*G3 + 5*a^2*G1*G3 - 9*a*b*G1*G3"
@@ -110,10 +119,7 @@ def check_cofactor_identity(gens, target, cofactors) -> bool:
     no Groebner basis, so the identity proves membership in the ideal of
     `gens` independently of that kernel.
     """
-    total = Polynomial.zero(RING)
-    for text, g in zip(cofactors, gens, strict=True):
-        total = total + parse_polynomial(text, RING) * g
-    return total == target
+    return is_cofactor_identity(target, gens, [parse_polynomial(text, RING) for text in cofactors])
 
 
 @dataclass(frozen=True)

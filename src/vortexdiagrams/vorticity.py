@@ -21,6 +21,7 @@ from .exactpoly import (
     ONE,
     Polynomial,
     groebner_basis,
+    lift,
     parse_polynomial,
     reduces_to_zero,
 )
@@ -113,8 +114,9 @@ class ConstraintLedger:
 class Certificate:
     """Re-checkable witness of infeasibility.
 
-    `polynomial` lies in the equality ideal (normal form 0 against its
-    Groebner basis); `kind` names the real-arithmetic argument that makes
+    `polynomial` lies in the equality ideal: `decide` finds it by a normal
+    form 0 against the Groebner basis, `verify_certificate` re-proves it
+    by cofactors.  `kind` names the real-arithmetic argument that makes
     its vanishing contradict the nonzero constraints.
     """
 
@@ -401,14 +403,13 @@ def decide(ledger: ConstraintLedger, seed: int = 0) -> Verdict:
 
 
 def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bool:
-    """Re-check an infeasibility certificate.
+    """Re-check an infeasibility certificate without the Groebner kernel.
 
     Checks that the certificate's shape carries the claimed real-arithmetic
-    contradiction, then recomputes a Groebner basis from the reversed
-    generator list and re-reduces the exhibited polynomial.  Reduced bases
-    are unique, so that run computes the same basis with the same code: it
-    catches a certificate that does not match its ledger, not a fault in
-    the kernel.  Checks by code other than the kernel are ROADMAP item 2.
+    contradiction, then proves the polynomial a member of the equality
+    ideal by `exactpoly.lift`: cofactors h_i with sum h_i * e_i equal to
+    it, confirmed by multiplication alone.  Every equality the lemmas emit
+    is homogeneous, where the lift's degree bound is exact.
     """
     allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
     if certificate.kind == "direct-disequality":
@@ -420,16 +421,17 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
         if not certificate.polynomial.variables() <= allowed:
             return False
     elif certificate.kind == "sum-of-squares":
+        # Only a nonzero monomial multiplier and a nonempty subset make
+        # every square vanish and force some vorticity to zero.
         mult = certificate.multiplier if certificate.multiplier is not None else Polynomial.constant(1)
+        if len(mult.terms) != 1 or not mult.variables() <= allowed:
+            return False
+        if not certificate.subset or not set(certificate.subset) <= set(range(1, ledger.n + 1)):
+            return False
         if _sum_of_squares(certificate.subset, mult) != certificate.polynomial:
-            return False
-        if not mult.variables() <= allowed:
-            return False
-        if not set(certificate.subset) <= set(range(1, ledger.n + 1)):
             return False
     else:
         return False
     if not ledger.equalities:
         return False
-    basis = groebner_basis(tuple(reversed(ledger.equalities)))
-    return reduces_to_zero(certificate.polynomial, basis)
+    return lift(certificate.polynomial, ledger.equalities) is not None

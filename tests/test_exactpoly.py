@@ -14,11 +14,11 @@ from vortexdiagrams.exactpoly import (
     ResourceLimitError,
     _grevlex_key,
     groebner_basis,
-    ideal_member,
+    is_cofactor_identity,
+    lift,
     normal_form,
     parse_polynomial,
     reduces_to_zero,
-    s_polynomial,
 )
 
 G = [Polynomial.variable(f"G{i}") for i in range(1, 6)]
@@ -36,6 +36,17 @@ def random_poly(rng, max_terms=4, max_deg=2, max_coeff=5):
         m = tuple(exps)
         terms[m] = terms.get(m, Fraction(0)) + c
     return Polynomial(terms)
+
+
+def s_polynomial(f, g):
+    """The S-polynomial of f and g, whose reduction Buchberger's criterion tests."""
+    lcm_fg = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+
+    def scaled_shift(p):
+        exps = tuple(a - b for a, b in zip(lcm_fg, p.leading_monomial()))
+        return Polynomial({exps: 1 / p.leading_coefficient()}, p.ring)
+
+    return scaled_shift(f) * f - scaled_shift(g) * g
 
 
 def random_point(rng):
@@ -206,7 +217,7 @@ class TestGroebner:
 
 class TestMembership:
     def test_disjoint_variables(self):
-        assert not ideal_member(G1, [G2])
+        assert not reduces_to_zero(G1, groebner_basis([G2]))
 
     def test_member_and_evaluation_oracle_agree(self):
         rng = random.Random(5)
@@ -218,7 +229,8 @@ class TestMembership:
             candidate = gens[0] * random_poly(rng) + gens[1] * random_poly(rng)
             if rng.random() < 0.5:
                 candidate = candidate + G5 + 1  # very unlikely to stay inside
-            verdict = ideal_member(candidate, gens)
+            basis = groebner_basis(gens)
+            verdict = reduces_to_zero(candidate, basis)
             # a member must vanish on every common zero we can sample
             if verdict:
                 for _ in range(10):
@@ -228,9 +240,57 @@ class TestMembership:
             else:
                 # exhibit at least one point separating candidate from the ideal
                 # via the normal form being nonzero
-                basis = groebner_basis(gens)
                 assert normal_form(candidate, basis)
             checked += 1
+
+
+def random_form(rng, degree):
+    """A nonzero homogeneous polynomial of `degree` in G1..G5."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * len(DEFAULT_VARS)
+        for _ in range(degree):
+            exps[rng.randrange(G1_AT, G1_AT + 5)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return Polynomial(terms)
+
+
+def random_combination(rng, gens, degree):
+    """sum h_i * gens[i] with random homogeneous h_i, homogeneous of `degree`."""
+    return sum((random_form(rng, degree - g.total_degree()) * g for g in gens), Polynomial.zero())
+
+
+class TestLift:
+    def test_agrees_with_the_kernel_on_homogeneous_ideals(self):
+        rng = random.Random(13)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            gens = [random_form(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                candidate = random_combination(rng, gens, 3)
+            else:
+                candidate = random_form(rng, 3)
+            member = reduces_to_zero(candidate, groebner_basis(gens))
+            cofactors = lift(candidate, gens)
+            assert (cofactors is not None) == member, (candidate, gens)
+            if member:
+                assert is_cofactor_identity(candidate, gens, cofactors)
+                for h, g in zip(cofactors, gens, strict=True):
+                    assert {sum(m) for m in h.terms} <= {3 - g.total_degree()}
+            outcomes[member] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_rejects_disjoint_variables(self):
+        assert lift(G1, [G2]) is None
+
+    def test_rejects_a_non_member_of_the_right_degree(self):
+        # G1*G2 has the degree of both generators but is not in <G1^2, G2^2>.
+        assert lift(G1 * G2, [G1**2, G2**2]) is None
+        one = Polynomial.constant(1)
+        assert lift(G1**2 - G2**2, [G1**2, G2**2]) == (one, -one)
+
+    def test_zero_has_the_trivial_cofactors(self):
+        assert lift(Polynomial.zero(), [G1, G2]) == (Polynomial.zero(), Polynomial.zero())
 
 
 class TestSerialization:

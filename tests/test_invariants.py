@@ -2,8 +2,9 @@
 
 The paper gives no reference beyond n=5, so n=6 is checked by invariants:
 the orbits of the classes partition the valid labeled diagrams, every class
-is its own canonical form, worker counts agree, and the report is pinned by
-a recorded hash.
+is its own canonical form, every infeasibility certificate re-checks
+without the Groebner kernel, worker counts agree, and the report is pinned
+by a recorded hash.
 """
 
 import functools
@@ -12,8 +13,11 @@ import json
 
 import pytest
 
+from vortexdiagrams import exactpoly, vorticity
 from vortexdiagrams.atlas import enumerate_diagrams
 from vortexdiagrams.diagram import canonical_masks, orbit_masks
+from vortexdiagrams.exactpoly import parse_polynomial
+from vortexdiagrams.vorticity import Certificate, ConstraintLedger, verify_certificate
 
 VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 
@@ -44,6 +48,51 @@ def test_orbits_partition_the_valid_labeled_diagrams(n):
 def test_every_class_is_its_own_canonical_form(n):
     for masks in class_masks(report(n)):
         assert canonical_masks(n, *masks) == masks
+
+
+def certified_ledgers(rep) -> list:
+    """(ledger, certificate) of every Infeasible verdict in the report: survivor
+    base and branch ledgers, and ledger-stage rejections rebuilt from JSON."""
+    out = []
+    for s in rep.survivors:
+        for ledger, verdict in [(s.ledger, s.verdict), *s.branches.values()]:
+            if verdict.infeasible:
+                out.append((ledger, verdict.certificate))
+    for r in rep.rejected:
+        if "certificate" in r:
+            cert = r["certificate"]
+            mult = cert.get("multiplier")
+            certificate = Certificate(
+                cert["kind"],
+                parse_polynomial(cert["polynomial"]),
+                subset=tuple(cert.get("subset", ())),
+                multiplier=parse_polynomial(mult) if mult is not None else None,
+            )
+            out.append((ConstraintLedger.from_json(r["ledger"], rep.n), certificate))
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_certificates_re_check_without_the_groebner_kernel(n, monkeypatch):
+    certified = certified_ledgers(report(n))
+    assert certified
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_certificate must not run the Groebner kernel")
+
+    for module, name in [
+        (exactpoly, "groebner_basis"),
+        (exactpoly, "_int_reduce"),
+        (exactpoly, "reduces_to_zero"),
+        (vorticity, "groebner_basis"),
+        (vorticity, "reduces_to_zero"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for ledger, certificate in certified:
+        assert verify_certificate(ledger, certificate), (ledger.to_json(), certificate.to_json())
+        # the lift's degree bound is exact for homogeneous equalities
+        for e in ledger.equalities:
+            assert len({sum(m) for m in e.terms}) == 1, e
 
 
 def test_n6_counts_and_histogram():

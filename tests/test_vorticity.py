@@ -277,15 +277,33 @@ class TestWitnessSearch:
 
 class TestVerifyCertificate:
     def test_rejects_wrong_shape(self):
+        Certificate = vorticity.Certificate
         led = ConstraintLedger((gamma_sum([2, 3]), angular_momentum([1, 2, 3])))
-        verdict = decide(led)
         forged = [
-            verdict.certificate.__class__("vanishing-monomial", G[1] + G[2]),
+            Certificate("vanishing-monomial", G[1] + G[2]),
             # no longer a certificate kind, even for a ledger this infeasible
-            verdict.certificate.__class__("saturation-unit", Polynomial.constant(1)),
+            Certificate("saturation-unit", Polynomial.constant(1)),
         ]
         for cert in forged:
-            assert not verify_certificate(led, cert)
+            assert not verify_certificate(led, cert), cert
+        # G1 = G2 is feasible, yet each polynomial below lies in its ideal: a
+        # sum of squares contradicts it only with a nonzero monomial multiplier
+        # and a nonempty subset.
+        led = ConstraintLedger((G[1] - G[2],))
+        assert decide(led).feasible
+        zero = Polynomial.zero()
+        forged = [
+            Certificate(
+                "sum-of-squares",
+                vorticity._sum_of_squares((1,), G[1] - G[2]),
+                subset=(1,),
+                multiplier=G[1] - G[2],
+            ),
+            Certificate("sum-of-squares", zero, subset=(1,), multiplier=zero),
+            Certificate("sum-of-squares", zero, subset=(), multiplier=Polynomial.constant(1)),
+        ]
+        for cert in forged:
+            assert not verify_certificate(led, cert), cert
 
     def test_rejects_non_member(self):
         led = ConstraintLedger((gamma_sum([2, 3]),))
