@@ -1,11 +1,12 @@
 """Exhaustive diagram enumeration, the curated catalog, and rendering.
 
-The enumeration walks every pair of set partitions of the vertices (clique
-components per color, honoring the triangle-closure rule by construction)
-crossed with every circle subset per color, validates the structural
-rules, deduplicates up to relabeling and color swap, then pushes each
-distinct class through the lemma matchers and the constraint decision
-procedure.  Survivors are compared against the curated catalog.
+The enumeration walks pairs of set partitions of the vertices (clique
+components per color, honoring the triangle-closure rule by construction),
+one z-partition per block-size type against every w-partition, crossed
+with every circle subset per color; it validates the structural rules,
+deduplicates up to relabeling and color swap, then pushes each distinct
+class through the lemma matchers and the constraint decision procedure.
+Survivors are compared against the curated catalog.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -129,36 +129,51 @@ def _valid_circle_masks(self_data, other_parts, n: int) -> list:
     return out
 
 
-def _scan_chunk(args):
-    """Enumerate one slice of partition pairs; return canonical classes.
+def _type_representatives(partitions) -> list:
+    """Index of the first partition of each block-size type, in order.
 
-    Every valid labeled diagram counts in `valid`, but only one not yet met
-    in an earlier orbit has its orbit computed: the orbit joins `seen` and
-    its minimum, the canonical masks, joins the classes.  Circle masks are
-    cached: those of (i, j)'s z side are (j, i)'s w side.
+    A relabeling maps any partition onto any other of the same block
+    sizes, so every diagram class has a member whose z-partition is one
+    of these.
+    """
+    first: dict = {}
+    for i, parts in enumerate(partitions):
+        first.setdefault(tuple(sorted(map(_popcount, parts))), i)
+    return sorted(first.values())
+
+
+def _scan_chunk(args):
+    """Scan one slice of partition pairs; map canonical masks to orbit sizes.
+
+    The slice is a range of the pairs (i, j) of z- and w-partition indices
+    in row-major order, of which only those whose z-partition i is a type
+    representative are visited (the orderly scan of Read and McKay): every
+    class still has a member there.  A valid labeled diagram not yet met
+    in an earlier orbit has its orbit computed: the orbit joins `seen`,
+    and its minimum, the canonical masks, maps to its size.  Circle masks
+    are cached: those of (i, j)'s z side are (j, i)'s w side.
     """
     n, lo, hi = args
     data = _partition_data(n)
     circle_masks = functools.cache(lambda own, other: _valid_circle_masks(data[own], data[other][1], n))
-    classes = set()
+    reps = set(_type_representatives(d[1] for d in data))
+    classes: dict = {}
     seen = set()
-    valid = 0
     pairs = [(i, j) for i in range(len(data)) for j in range(len(data))]
     for i, j in pairs[lo:hi]:
         zd, wd = data[i], data[j]
-        if not zd[0] or not wd[0]:
+        if i not in reps or not zd[0] or not wd[0]:
             continue
         zmasks = circle_masks(i, j)
         wmasks = circle_masks(j, i)
         for zc in zmasks:
             for wc in wmasks:
-                valid += 1
                 masks = (zd[0], wd[0], zc, wc)
                 if masks not in seen:
                     orbit = orbit_masks(n, *masks)
                     seen |= orbit
-                    classes.add(min(orbit))
-    return classes, valid
+                    classes[min(orbit)] = len(orbit)
+    return classes
 
 
 def branches_to_json(branches: dict) -> dict:
@@ -325,13 +340,18 @@ def enumerate_diagrams(
 ) -> EnumerationReport:
     """Exhaustively enumerate valid diagram classes for n vertices.
 
+    The scan visits one z-partition per block-size type (a representative)
+    crossed with every w-partition, and keeps each class's canonical masks
+    with its orbit size; `candidates_valid`, the number of valid labeled
+    diagrams, is the sum of the orbit sizes (orbit-stabilizer).
     Deterministic: the survivor set, histogram and rejection list do not
     depend on the worker count.  The scan is split into `workers` chunks,
     run by at most as many processes as there are chunks and CPUs
-    available to this process.  When a budget is given and the raw
-    candidate space exceeds it, the run refuses up front rather than
-    truncating silently.  At n=5 the report carries its diff against the
-    curated catalog, which covers n=5 only.
+    available to this process; one worker runs it in this process and
+    loads no process pool.  When a budget is given and the raw candidate
+    space exceeds it, the run refuses up front rather than truncating
+    silently.  At n=5 the report carries its diff against the curated
+    catalog, which covers n=5 only.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
@@ -345,16 +365,17 @@ def enumerate_diagrams(
         )
     data_len = bell**2
     if workers == 1:
-        classes, valid = _scan_chunk((n, 0, data_len))
+        classes = _scan_chunk((n, 0, data_len))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = math.ceil(data_len / workers)
         chunks = [(n, lo, min(lo + step, data_len)) for lo in range(0, data_len, step)]
         processes = min(workers, len(chunks), _available_cpus())
-        classes, valid = set(), 0
+        classes = {}
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for got, v in pool.map(_scan_chunk, chunks):
-                classes |= got
-                valid += v
+            for got in pool.map(_scan_chunk, chunks):
+                classes.update(got)
     survivors = []
     rejected = []
     memo: dict = {}
@@ -375,7 +396,7 @@ def enumerate_diagrams(
         rejected,
         histogram,
         candidates_raw=space,
-        candidates_valid=valid,
+        candidates_valid=sum(classes.values()),
         unique_classes=len(classes),
     )
     if n == 5:

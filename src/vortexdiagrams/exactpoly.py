@@ -3,9 +3,9 @@
 Sparse dict-of-terms polynomials with Buchberger-style Groebner bases,
 multivariate division (normal forms) and ideal membership, decided by a
 zero-test against a basis or proved by cofactors (`lift`).  Sized for the
-small ring this project needs (the ten variables of `DEFAULT_VARS`,
-low degree); coefficients are always exact `Fraction`s so that identities
-proved here are proofs, not float coincidences.
+small rings this project needs (the eight strengths G1..G8 of
+`DEFAULT_VARS`, low degree); coefficients are always exact `Fraction`s so
+that identities proved here are proofs, not float coincidences.
 
 There is one monomial order, grevlex by ring position: a ring tuple lists
 its variables from most to least significant.
@@ -32,7 +32,7 @@ from operator import neg
 import json
 import re
 
-DEFAULT_VARS = ("a", "b", "G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
+DEFAULT_VARS = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,9 +65,13 @@ def _mono_div(m1: tuple, m2: tuple) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: map exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: map exponent tuple -> nonzero Fraction.
 
-    __slots__ = ("ring", "terms", "_hash")
+    `_hash` and `_packed` (the integer kernel's terms, see `_int_terms`)
+    are computed on first use and kept.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_packed")
 
     def __init__(self, terms=None, ring: tuple[str, ...] = DEFAULT_VARS, _clean=True):
         self.ring = ring
@@ -83,6 +87,7 @@ class Polynomial:
         else:
             self.terms = terms
         self._hash = None
+        self._packed = None
 
     # -- constructors ---------------------------------------------------
 
@@ -424,9 +429,19 @@ class _Packing:
 
 
 def _int_terms(p: Polynomial, packing: _Packing) -> dict:
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    pack = packing.pack
-    return _int_strip({pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+    """`p`'s content-stripped integer terms by packed key.
+
+    Packed once per polynomial and kept in its `_packed` slot (the layout
+    depends only on the ring), so callers must not mutate the result:
+    `_divisor` only reads it and `_int_reduce` copies it.
+    """
+    terms = p._packed
+    if terms is None:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        pack = packing.pack
+        terms = _int_strip({pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+        p._packed = terms
+    return terms
 
 
 def _int_strip(terms: dict) -> dict:
@@ -534,6 +549,8 @@ class Basis(Sequence):
     def __init__(self, polys, ring: tuple[str, ...] = DEFAULT_VARS):
         self.polys = tuple(polys)
         self.ring = ring
+        if any(g.ring != ring for g in self.polys):
+            raise ValueError("polynomials over different rings")
         self._packing = packing = _Packing(len(ring))
         self._divisors = tuple(
             _divisor(_int_terms(g, packing), packing.guards) for g in self.polys if g
@@ -575,6 +592,8 @@ def groebner_basis(
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise ValueError("polynomials over different rings")
     packing = _Packing(len(ring))
     guards = packing.guards
     counter = {"reductions": 0, "max_reductions": max_pair_reductions}

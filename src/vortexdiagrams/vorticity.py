@@ -406,19 +406,27 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
     """Re-check an infeasibility certificate without the Groebner kernel.
 
     Checks that the certificate's shape carries the claimed real-arithmetic
-    contradiction, then proves the polynomial a member of the equality
-    ideal by `exactpoly.lift`: cofactors h_i with sum h_i * e_i equal to
-    it, confirmed by multiplication alone.  Every equality the lemmas emit
-    is homogeneous, where the lift's degree bound is exact.
+    contradiction, and that the subset and multiplier it prints are the
+    ones its kind uses (none where it uses none), then proves the
+    polynomial a member of the equality ideal by `exactpoly.lift`:
+    cofactors h_i with sum h_i * e_i equal to it, confirmed by
+    multiplication alone.  Every equality the lemmas emit is homogeneous,
+    where the lift's degree bound is exact.
     """
     allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
     if certificate.kind == "direct-disequality":
         if certificate.polynomial not in ledger.nonzeros:
             return False
-    elif certificate.kind == "vanishing-monomial":
-        if len(certificate.polynomial.terms) != 1:
+        if certificate.subset or certificate.multiplier is not None:
             return False
-        if not certificate.polynomial.variables() <= allowed:
+    elif certificate.kind == "vanishing-monomial":
+        # The subset printed with it names the strengths that would vanish.
+        if len(certificate.polynomial.terms) != 1 or certificate.multiplier is not None:
+            return False
+        names = certificate.polynomial.variables()
+        if not names <= allowed:
+            return False
+        if certificate.subset != tuple(sorted(int(v[1:]) for v in names)):
             return False
     elif certificate.kind == "sum-of-squares":
         # Only a nonzero monomial multiplier and a nonempty subset make

@@ -1,3 +1,7 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ from vortexdiagrams.atlas import (
     render,
     set_partitions,
 )
-from vortexdiagrams.diagram import Diagram, canonical_key, validate
+from vortexdiagrams.diagram import Diagram, canonical_key, orbit_masks, validate
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.vorticity import decide
 
@@ -56,7 +60,7 @@ class FakePool:
 class TestWorkers:
     @pytest.fixture
     def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(atlas, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         FakePool.sizes, FakePool.chunks = [], []
         return FakePool
 
@@ -80,9 +84,65 @@ class TestWorkers:
 
     def test_work_is_split_into_worker_count_chunks(self, fake_pool, monkeypatch):
         monkeypatch.setattr(atlas, "_available_cpus", lambda: 2)
-        enumerate_diagrams(5, workers=8)
+        report = enumerate_diagrams(5, workers=8)
         assert fake_pool.sizes == [2]
         assert fake_pool.chunks == [8]
+        assert report.to_json() == enumerate_diagrams(5).to_json()
+
+    def test_one_worker_loads_no_process_pool(self):
+        code = (
+            "import sys; from vortexdiagrams.atlas import enumerate_diagrams; "
+            "enumerate_diagrams(3); print('concurrent.futures.process' in sys.modules)"
+        )
+        src = str(Path(atlas.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
+
+def exhaustive_scan(n: int) -> tuple:
+    """The scan over every partition pair, kept as the reference for the
+    orderly one: canonical masks -> orbit size, and the valid labeled count."""
+    data = atlas._partition_data(n)
+    classes, seen, valid = {}, set(), 0
+    for zd in data:
+        for wd in data:
+            if not zd[0] or not wd[0]:
+                continue
+            for zc in atlas._valid_circle_masks(zd, wd[1], n):
+                for wc in atlas._valid_circle_masks(wd, zd[1], n):
+                    valid += 1
+                    masks = (zd[0], wd[0], zc, wc)
+                    if masks not in seen:
+                        orbit = orbit_masks(n, *masks)
+                        seen |= orbit
+                        classes[min(orbit)] = len(orbit)
+    return classes, valid
+
+
+class TestOrderlyScan:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_the_exhaustive_scan(self, n):
+        classes, valid = exhaustive_scan(n)
+        assert atlas._scan_chunk((n, 0, len(set_partitions(n)) ** 2)) == classes
+        assert sum(classes.values()) == valid
+
+    @pytest.mark.parametrize("n, types", [(3, 3), (4, 5), (5, 7), (6, 11)])
+    def test_one_representative_per_integer_partition(self, n, types):
+        partitions = set_partitions(n)
+        reps = atlas._type_representatives(partitions)
+        shapes = [tuple(sorted(bin(p).count("1") for p in partitions[i])) for i in reps]
+        assert len(shapes) == len(set(shapes)) == types
+        assert all(sum(shape) == n for shape in shapes)
+        for i, parts in enumerate(partitions):
+            shape = tuple(sorted(bin(p).count("1") for p in parts))
+            assert i >= reps[shapes.index(shape)]
 
 
 class TestPartitions:

@@ -107,12 +107,12 @@ class TestArithmetic:
 
 class TestOrders:
     def test_grevlex_ties_break_on_last_variable(self):
-        a, b = Polynomial.variable("a"), Polynomial.variable("b")
+        G6, G7 = Polynomial.variable("G6"), Polynomial.variable("G7")
         cases = [
             # equal degree: G1*G2 beats G1*G3 because G3 (lower priority) appears
             (G1 * G2 + G1 * G3, G1 * G2),
-            # higher degree beats a higher power of the first variable
-            (a**2 + a * b**2, a * b**2),
+            # higher degree beats a higher power of a more significant variable
+            (G6**2 + G6 * G7**2, G6 * G7**2),
         ]
         for p, lead in cases:
             assert p.leading_monomial() == lead.leading_monomial()
@@ -338,10 +338,10 @@ class TestPackedKernel:
             groebner_basis([G1**MAX_DEGREE - G3, G1 * G2])
 
     def test_zero_test_matches_fraction_reference(self):
-        # Random ideals in G1..G5; candidates may carry a, b and G8, which no
-        # generator contains, up to exponents at the packed limit.
+        # Random ideals in G1..G5; candidates may carry G6, G7 and G8, which
+        # no generator contains, up to exponents at the packed limit.
         rng = random.Random(6)
-        absent = [Polynomial.variable(v) for v in ("a", "b", "G8")]
+        absent = [Polynomial.variable(v) for v in ("G6", "G7", "G8")]
         outcomes = {True: 0, False: 0}
         for _ in range(40):
             gens = [g for g in (random_poly(rng, 3) for _ in range(rng.randint(1, 3))) if g]
@@ -372,6 +372,12 @@ class TestPackedKernel:
         small = ("G1", "G2")
         with pytest.raises(ValueError):
             reduces_to_zero(Polynomial.variable("G1", small), groebner_basis([G1]))
+        # a divisor of another ring would be packed in the wrong layout
+        other = Polynomial.variable("G1", ("G2", "G1"))
+        with pytest.raises(ValueError):
+            reduces_to_zero(G2, [other])
+        with pytest.raises(ValueError):
+            groebner_basis([G2, other])
 
 
 class TestSympyOracle:

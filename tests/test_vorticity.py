@@ -278,11 +278,23 @@ class TestWitnessSearch:
 class TestVerifyCertificate:
     def test_rejects_wrong_shape(self):
         Certificate = vorticity.Certificate
-        led = ConstraintLedger((gamma_sum([2, 3]), angular_momentum([1, 2, 3])))
+        pair = gamma_sum([2, 3])
+        led = ConstraintLedger((pair, angular_momentum([1, 2, 3])), (pair,))
+        # G2*G3 = e2(1,2,3) - G1*(G2 + G3) lies in the ideal, so the forgeries
+        # on it below are wrong only in the subset or multiplier reports print.
+        monomial = G[2] * G[3]
+        assert verify_certificate(led, Certificate("vanishing-monomial", monomial, subset=(2, 3)))
+        assert verify_certificate(led, Certificate("direct-disequality", pair))
         forged = [
             Certificate("vanishing-monomial", G[1] + G[2]),
             # no longer a certificate kind, even for a ledger this infeasible
             Certificate("saturation-unit", Polynomial.constant(1)),
+            Certificate("vanishing-monomial", monomial, subset=(1,)),
+            Certificate("vanishing-monomial", monomial, subset=(1,), multiplier=G[1] + G[4]),
+            Certificate("vanishing-monomial", monomial, subset=(2, 3), multiplier=G[1] + G[4]),
+            Certificate("vanishing-monomial", monomial),
+            Certificate("direct-disequality", pair, subset=(2, 3)),
+            Certificate("direct-disequality", pair, multiplier=Polynomial.constant(1)),
         ]
         for cert in forged:
             assert not verify_certificate(led, cert), cert
