@@ -6,22 +6,34 @@ constraint reasoning (`vorticity`), the diagram model and rules
 and rendering (`atlas`), the quadrilateral ideal certificate
 (`quadrilateral`), numerics for the balance system (`numeric`), and the
 command line (`cli`).
+
+The names below load their module on first use (PEP 562), so importing
+one submodule, such as `cli`, does not load the others.
 """
 
-from .diagram import Diagram, canonical_key, closeness, stroke_count_C, validate
-from .vorticity import ConstraintLedger, Verdict, angular_momentum, decide, gamma_sum
+import importlib
 
-__all__ = [
-    "Diagram",
-    "ConstraintLedger",
-    "Verdict",
-    "angular_momentum",
-    "canonical_key",
-    "closeness",
-    "decide",
-    "gamma_sum",
-    "stroke_count_C",
-    "validate",
-]
+_EXPORTS = {
+    "Diagram": "diagram",
+    "ConstraintLedger": "vorticity",
+    "Verdict": "vorticity",
+    "angular_momentum": "vorticity",
+    "canonical_key": "diagram",
+    "closeness": "diagram",
+    "decide": "vorticity",
+    "gamma_sum": "vorticity",
+    "stroke_count_C": "diagram",
+    "validate": "diagram",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __version__ = "0.1.0"

@@ -149,14 +149,16 @@ def _scan_chunk(args):
     in row-major order, of which only those whose z-partition i is a type
     representative are visited (the orderly scan of Read and McKay): every
     class still has a member there.  A valid labeled diagram not yet met
-    in an earlier orbit has its orbit computed: the orbit joins `seen`,
-    and its minimum, the canonical masks, maps to its size.  Circle masks
-    are cached: those of (i, j)'s z side are (j, i)'s w side.
+    in an earlier orbit has its orbit computed: its minimum, the canonical
+    masks, maps to its size, and its members whose z strokes are those of
+    a representative, the only ones the scan can meet again, join `seen`.
+    Circle masks are cached: those of (i, j)'s z side are (j, i)'s w side.
     """
     n, lo, hi = args
     data = _partition_data(n)
     circle_masks = functools.cache(lambda own, other: _valid_circle_masks(data[own], data[other][1], n))
     reps = set(_type_representatives(d[1] for d in data))
+    rep_strokes = {data[i][0] for i in reps}
     classes: dict = {}
     seen = set()
     pairs = [(i, j) for i in range(len(data)) for j in range(len(data))]
@@ -171,7 +173,7 @@ def _scan_chunk(args):
                 masks = (zd[0], wd[0], zc, wc)
                 if masks not in seen:
                     orbit = orbit_masks(n, *masks)
-                    seen |= orbit
+                    seen.update(m for m in orbit if m[0] in rep_strokes)
                     classes[min(orbit)] = len(orbit)
     return classes
 

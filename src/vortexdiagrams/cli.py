@@ -9,7 +9,8 @@ no convergence), 2 usage or internal error.
 Each handler imports the module behind its subcommand, so a cold process
 pays only for what it runs: `solve` and `probe` load `numeric` and with
 it numpy, which the exact-algebra commands never call; `verify-groebner`
-loads `quadrilateral` without `atlas`, `lemmas` or the process pool.
+loads `quadrilateral` and `exactpoly` only, without `diagram`,
+`vorticity`, `atlas`, `lemmas` or the process pool.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import sys
 
-from .diagram import Diagram, canonical_key, stroke_count_C
 from .exactpoly import ResourceLimitError
 
 
@@ -33,6 +33,8 @@ def _dump(data, out=None) -> None:
 
 
 def _load_diagram(path: str) -> Diagram:
+    from .diagram import Diagram
+
     with open(path) as fh:
         return Diagram.from_json(json.load(fh))
 
@@ -72,6 +74,7 @@ def _infeasibility_reason(analysis, verdict) -> str:
 
 def _cmd_check(args) -> int:
     from . import atlas
+    from .diagram import canonical_key, stroke_count_C
 
     d = _load_diagram(args.diagram)
     j = atlas.judge(d)
@@ -180,6 +183,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_probe(args) -> int:
     from . import numeric
+    from .diagram import canonical_key
 
     with open(args.samples) as fh:
         sample = numeric.SingularSequenceSample.from_jsonl(fh.read())

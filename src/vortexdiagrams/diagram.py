@@ -5,6 +5,12 @@ vertices, 1-based to mirror the usual figures.  This module derives edge
 kinds, the closeness relation, connected components, the C-number
 (maximal stroke count at a bicolored vertex), validates the structural
 rules, and canonicalizes up to vertex relabeling and the z/w color swap.
+
+Canonicalization packs a diagram into four bitmasks and takes the least
+image in its orbit.  `orbit_masks` reaches all n! relabelings by adjacent
+vertex swaps in Steinhaus-Johnson-Trotter order (Johnson, Math. Comp. 17,
+1963; Trotter, CACM 5, 1962), so each step applies one of n-1 small
+tables to the previous image; it serves every n <= 8.
 """
 
 from __future__ import annotations
@@ -276,22 +282,6 @@ def _pair_index(n: int) -> dict:
     return {p: i for i, p in enumerate(pairs)}
 
 
-@lru_cache(maxsize=8)
-def _perm_actions(n: int):
-    """For each permutation: pair-index map and vertex map (1-based)."""
-    index = _pair_index(n)
-    pairs = sorted(index, key=index.get)
-    actions = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapping = {i + 1: perm[i] for i in range(n)}
-        pair_map = tuple(
-            index[(min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))] for a, b in pairs
-        )
-        vert_map = tuple(mapping[v] - 1 for v in range(1, n + 1))
-        actions.append((pair_map, vert_map))
-    return tuple(actions)
-
-
 def _masks(d: Diagram):
     index = _pair_index(d.n)
     zm = sum(1 << index[p] for p in d.z_strokes)
@@ -301,24 +291,73 @@ def _masks(d: Diagram):
     return zm, wm, zc, wc
 
 
-def _permuted(mask: int, targets) -> int:
-    """`mask` with bit i moved to bit targets[i]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << targets[low.bit_length() - 1]
-        mask ^= low
-    return out
+@lru_cache(maxsize=None)
+def _sjt_swaps(n: int) -> tuple:
+    """Positions j of the adjacent swaps (j, j+1) that walk all n! orders.
+
+    Steinhaus-Johnson-Trotter: the largest element sweeps across each order
+    of the others, alternating direction, and the others take one step of
+    their own walk between sweeps; n! - 1 steps in all.
+    """
+    if n < 2:
+        return ()
+    sub = _sjt_swaps(n - 1)
+    out = []
+    for k in range(len(sub) + 1):
+        leftward = k % 2 == 0
+        out.extend(range(n - 2, -1, -1) if leftward else range(n - 1))
+        if k < len(sub):
+            out.append(sub[k] + leftward)  # the largest now sits left of the others
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _walk(n: int) -> tuple:
+    """Per step of `_sjt_swaps(n)`: the action of swapping vertices j+1, j+2.
+
+    A step is (kept pair bits, moved pair bits, dict from each subset of the
+    moved bits to its image, tuple from each circle mask to its image).
+    Only the 2(n-2) pairs with exactly one end in {j+1, j+2} move.
+    """
+    index = _pair_index(n)
+    full = (1 << len(index)) - 1
+    actions = []
+    for j in range(n - 1):
+        a, b = j + 1, j + 2
+        swap = {a: b, b: a}
+        image = {}
+        for (u, v), i in index.items():
+            if (u in swap) != (v in swap):
+                u2, v2 = swap.get(u, u), swap.get(v, v)
+                image[1 << i] = 1 << index[(min(u2, v2), max(u2, v2))]
+        moved = sum(image)
+        pairs = {0: 0}
+        sub = moved & -moved
+        while sub:  # the subsets of `moved`, in increasing order
+            low = sub & -sub
+            pairs[sub] = pairs[sub ^ low] | image[low]
+            sub = (sub - moved) & moved
+        verts = tuple(c ^ ((c >> j ^ c >> (j + 1)) & 1) * (3 << j) for c in range(1 << n))
+        actions.append((full ^ moved, moved, pairs, verts))
+    return tuple(actions[j] for j in _sjt_swaps(n))
 
 
 def orbit_masks(n: int, zm: int, wm: int, zc: int, wc: int) -> set:
-    """Every (z, w, zc, wc) image of the masks under relabeling and swap."""
-    out = set()
-    for pair_map, vert_map in _perm_actions(n):
-        z2, w2 = _permuted(zm, pair_map), _permuted(wm, pair_map)
-        zc2, wc2 = _permuted(zc, vert_map), _permuted(wc, vert_map)
-        out.add((z2, w2, zc2, wc2))
-        out.add((w2, z2, wc2, zc2))
+    """Every (z, w, zc, wc) image of the masks under relabeling and swap.
+
+    Walks all n! relabelings by adjacent vertex swaps, each a few table
+    lookups on the previous image.
+    """
+    if n > 8:
+        raise ValueError("canonicalization supported for n <= 8")
+    out = {(zm, wm, zc, wc), (wm, zm, wc, zc)}
+    for keep, moved, pairs, verts in _walk(n):
+        zm = zm & keep | pairs[zm & moved]
+        wm = wm & keep | pairs[wm & moved]
+        zc = verts[zc]
+        wc = verts[wc]
+        out.add((zm, wm, zc, wc))
+        out.add((wm, zm, wc, zc))
     return out
 
 
@@ -336,8 +375,6 @@ def masks_key(n: int, masks) -> str:
 def canonical_key(d: Diagram) -> bytes:
     """Byte key equal for two diagrams iff they agree up to relabeling
     and the z/w swap."""
-    if d.n > 8:
-        raise ValueError("canonicalization supported for n <= 8")
     return masks_key(d.n, canonical_masks(d.n, *_masks(d))).encode()
 
 

@@ -268,6 +268,10 @@ def _fresh_run(argv):
     return result["code"], set(result["modules"])
 
 
+# the diagram model and constraint logic, which verify-groebner never runs
+DIAGRAM_CODE = {"vortexdiagrams.diagram", "vortexdiagrams.vorticity"}
+
+
 class TestImportFootprint:
     """A cold command loads only the modules it runs; the pytest process
     has imported everything already, so each check runs in a subprocess."""
@@ -275,11 +279,17 @@ class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (None, {"numpy", "multiprocessing", "vortexdiagrams.atlas"}),
+            (None, {"numpy", "multiprocessing", "vortexdiagrams.atlas", *DIAGRAM_CODE}),
             (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric"}),
             (
                 ["verify-groebner"],
-                {"numpy", "multiprocessing", "vortexdiagrams.atlas", "vortexdiagrams.lemmas"},
+                {
+                    "numpy",
+                    "multiprocessing",
+                    "vortexdiagrams.atlas",
+                    "vortexdiagrams.lemmas",
+                    *DIAGRAM_CODE,
+                },
             ),
         ],
         ids=["import", "enumerate", "verify-groebner"],

@@ -1,14 +1,17 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
+from vortexdiagrams import diagram
 from vortexdiagrams.diagram import (
     Diagram,
     EdgeKind,
     canonical_form,
     canonical_key,
+    canonical_masks,
     classify_edges,
     closeness,
     components,
@@ -16,6 +19,7 @@ from vortexdiagrams.diagram import (
     stroke_count_C,
     validate,
     _masks,
+    _sjt_swaps,
 )
 
 
@@ -168,13 +172,25 @@ class TestCanonical:
 
     def test_orbit_masks_match_relabeled_diagrams(self):
         rng = random.Random(5)
-        for _ in range(20):
-            d = random_diagram(rng, 4)
-            expected = set()
-            for perm in itertools.permutations(range(1, 5)):
-                r = d.relabeled({i + 1: perm[i] for i in range(4)})
-                expected |= {_masks(r), _masks(r.color_swapped())}
-            assert orbit_masks(4, *_masks(d)) == expected
+        for n, count in {3: 50, 4: 50, 5: 50, 6: 50, 7: 2, 8: 2}.items():
+            for _ in range(count):
+                d = random_diagram(rng, n)
+                expected = set()
+                for perm in itertools.permutations(range(1, n + 1)):
+                    r = d.relabeled({i + 1: perm[i] for i in range(n)})
+                    expected |= {_masks(r), _masks(r.color_swapped())}
+                assert orbit_masks(n, *_masks(d)) == expected, d
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_adjacent_swaps_visit_every_order_once(self, n):
+        swaps = _sjt_swaps(n)
+        assert len(swaps) == math.factorial(n) - 1
+        order = list(range(n))
+        visited = {tuple(order)}
+        for j in swaps:
+            order[j], order[j + 1] = order[j + 1], order[j]
+            visited.add(tuple(order))
+        assert len(visited) == math.factorial(n)
 
     def test_canonical_form_is_in_orbit_and_fixed(self):
         rng = random.Random(3)
@@ -204,10 +220,20 @@ class TestComponents:
         assert len(comps) == 4
 
 
-def test_canonicalization_bounded_to_eight_vertices():
+def test_canonicalization_bounded_to_eight_vertices(monkeypatch):
     big = Diagram(9, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
     with pytest.raises(ValueError):
         canonical_key(big)
+
+    def unreachable(n):
+        raise AssertionError(f"a table was built for n={n}")
+
+    # the orbit itself refuses, before building any table
+    monkeypatch.setattr(diagram, "_walk", unreachable)
+    monkeypatch.setattr(diagram, "_pair_index", unreachable)
+    for fn in (orbit_masks, canonical_masks):
+        with pytest.raises(ValueError, match="n <= 8"):
+            fn(9, 1, 2, 3, 3)
 
 
 def test_canonical_key_at_seven_and_eight_vertices():

@@ -2,7 +2,8 @@
 
 The paper gives no reference beyond n=5, so n=6 is checked by invariants:
 the orbits of the classes partition the valid labeled diagrams, every class
-is its own canonical form, every infeasibility certificate re-checks
+is its own canonical form, `judge` reaches the class's outcome on sampled
+relabelings and color swaps, every infeasibility certificate re-checks
 without the Groebner kernel, worker counts agree, and the report is pinned
 by a recorded hash.
 """
@@ -10,12 +11,13 @@ by a recorded hash.
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
 from vortexdiagrams import exactpoly, vorticity
-from vortexdiagrams.atlas import enumerate_diagrams
-from vortexdiagrams.diagram import canonical_masks, orbit_masks
+from vortexdiagrams.atlas import enumerate_diagrams, judge
+from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks
 from vortexdiagrams.exactpoly import parse_polynomial
 from vortexdiagrams.vorticity import Certificate, ConstraintLedger, verify_certificate
 
@@ -93,6 +95,37 @@ def test_certificates_re_check_without_the_groebner_kernel(n, monkeypatch):
         # the lift's degree bound is exact for homogeneous equalities
         for e in ledger.equalities:
             assert len({sum(m) for m in e.terms}) == 1, e
+
+
+# orbit members judged per class: all of them at n=3 and n=4
+JUDGED_PER_CLASS = {3: None, 4: None, 5: 3, 6: 2}
+
+
+def class_outcomes(rep) -> dict:
+    """Canonical masks of each class -> (outcome, excluded_by) as the report has it."""
+    out = {}
+    for s in rep.survivors:
+        out[s.key] = ("retained", None)
+    for r in rep.rejected:
+        out[r["key"]] = ("invalid", None) if r["stage"] == "validate" else ("excluded", r["reason"])
+    return {tuple(int(x, 16) for x in key.split(":")[1:]): v for key, v in out.items()}
+
+
+@pytest.mark.parametrize("n", sorted(JUDGED_PER_CLASS))
+def test_judge_outcome_is_the_same_on_every_orbit_member(n):
+    """Relabeling or swapping colors never changes what `judge` concludes."""
+    rng = random.Random(n)
+    k = JUDGED_PER_CLASS[n]
+    classes = class_outcomes(report(n))
+    assert len(classes) == report(n).unique_classes
+    mismatches = []
+    for masks, expected in sorted(classes.items()):
+        orbit = sorted(orbit_masks(n, *masks))
+        for member in orbit if k is None else rng.sample(orbit, min(k, len(orbit))):
+            j = judge(from_canonical_masks(n, member))  # a fresh memo each time
+            if (j.outcome, j.excluded_by) != expected:
+                mismatches.append((masks, member, j.outcome, j.excluded_by, expected))
+    assert not mismatches, mismatches[:5]
 
 
 def test_n6_counts_and_histogram():
