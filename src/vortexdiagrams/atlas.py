@@ -3,10 +3,11 @@
 The enumeration walks pairs of set partitions of the vertices (clique
 components per color, honoring the triangle-closure rule by construction),
 one z-partition per block-size type against every w-partition, crossed
-with every circle subset per color; it validates the structural rules,
-deduplicates up to relabeling and color swap, then pushes each distinct
-class through the lemma matchers and the constraint decision procedure.
-Survivors are compared against the curated catalog.
+with every circle subset per color, in one loop in the calling process;
+it validates the structural rules, deduplicates up to relabeling and
+color swap, then pushes each distinct class through the lemma matchers
+and the constraint decision procedure.  Survivors are compared against
+the curated catalog.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -142,11 +142,10 @@ def _type_representatives(partitions) -> list:
     return sorted(first.values())
 
 
-def _scan_chunk(args):
-    """Scan one slice of partition pairs; map canonical masks to orbit sizes.
+def _scan(n: int) -> dict:
+    """Map the canonical masks of every diagram class to its orbit size.
 
-    The slice is a range of the pairs (i, j) of z- and w-partition indices
-    in row-major order, of which only those whose z-partition i is a type
+    Only the partition pairs (i, j) whose z-partition i is a type
     representative are visited (the orderly scan of Read and McKay): every
     class still has a member there.  A valid labeled diagram not yet met
     in an earlier orbit has its orbit computed: its minimum, the canonical
@@ -154,27 +153,27 @@ def _scan_chunk(args):
     a representative, the only ones the scan can meet again, join `seen`.
     Circle masks are cached: those of (i, j)'s z side are (j, i)'s w side.
     """
-    n, lo, hi = args
     data = _partition_data(n)
     circle_masks = functools.cache(lambda own, other: _valid_circle_masks(data[own], data[other][1], n))
-    reps = set(_type_representatives(d[1] for d in data))
+    reps = _type_representatives(d[1] for d in data)
     rep_strokes = {data[i][0] for i in reps}
     classes: dict = {}
     seen = set()
-    pairs = [(i, j) for i in range(len(data)) for j in range(len(data))]
-    for i, j in pairs[lo:hi]:
-        zd, wd = data[i], data[j]
-        if i not in reps or not zd[0] or not wd[0]:
+    for i in reps:
+        zd = data[i]
+        if not zd[0]:
             continue
-        zmasks = circle_masks(i, j)
-        wmasks = circle_masks(j, i)
-        for zc in zmasks:
-            for wc in wmasks:
-                masks = (zd[0], wd[0], zc, wc)
-                if masks not in seen:
-                    orbit = orbit_masks(n, *masks)
-                    seen.update(m for m in orbit if m[0] in rep_strokes)
-                    classes[min(orbit)] = len(orbit)
+        for j, wd in enumerate(data):
+            if not wd[0]:
+                continue
+            wmasks = circle_masks(j, i)
+            for zc in circle_masks(i, j):
+                for wc in wmasks:
+                    masks = (zd[0], wd[0], zc, wc)
+                    if masks not in seen:
+                        orbit = orbit_masks(n, *masks)
+                        seen.update(m for m in orbit if m[0] in rep_strokes)
+                        classes[min(orbit)] = len(orbit)
     return classes
 
 
@@ -272,8 +271,11 @@ def judge(d: Diagram, memo: dict | None = None) -> Judgment:
 
     The one decision path behind both `enumerate` and `check`.  `memo`
     maps ledgers to verdicts already decided in this run; without one,
-    every ledger is decided afresh.
+    every ledger is decided afresh.  The ledgers have strengths G1..G8,
+    so a diagram on more than 8 vertices is refused with `ValueError`.
     """
+    if d.n > 8:
+        raise ValueError(f"judging supported for n <= 8 (strengths G1..G8), got n={d.n}")
     memo = {} if memo is None else memo
     rules = validate(d)
     if not rules.valid:
@@ -329,12 +331,6 @@ def _judge_class(n: int, masks, memo: dict) -> tuple:
     return ("rejected", payload)
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def enumerate_diagrams(
     n: int = 5,
     workers: int = 1,
@@ -346,38 +342,26 @@ def enumerate_diagrams(
     crossed with every w-partition, and keeps each class's canonical masks
     with its orbit size; `candidates_valid`, the number of valid labeled
     diagrams, is the sum of the orbit sizes (orbit-stabilizer).
-    Deterministic: the survivor set, histogram and rejection list do not
-    depend on the worker count.  The scan is split into `workers` chunks,
-    run by at most as many processes as there are chunks and CPUs
-    available to this process; one worker runs it in this process and
-    loads no process pool.  When a budget is given and the raw candidate
-    space exceeds it, the run refuses up front rather than truncating
-    silently.  At n=5 the report carries its diff against the curated
-    catalog, which covers n=5 only.
+    The scan runs in the calling process.  `workers` selects nothing: it
+    is kept so that existing callers keep working, and any value of at
+    least 1 gives the same report.  When a budget is given and the raw
+    candidate space exceeds it, the run refuses up front rather than
+    truncating silently.  At n=5 the report carries its diff against the
+    curated catalog, which covers n=5 only.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if max_raw_candidates is not None and max_raw_candidates < 0:
+        raise ValueError(f"the raw candidate budget must not be negative, got {max_raw_candidates}")
     bell = len(set_partitions(n))
     space = bell * bell * (1 << (2 * n))
     if max_raw_candidates is not None and space > max_raw_candidates:
         raise EnumerationBudgetError(
             f"{space} raw candidates exceed the budget of {max_raw_candidates}"
         )
-    data_len = bell**2
-    if workers == 1:
-        classes = _scan_chunk((n, 0, data_len))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = math.ceil(data_len / workers)
-        chunks = [(n, lo, min(lo + step, data_len)) for lo in range(0, data_len, step)]
-        processes = min(workers, len(chunks), _available_cpus())
-        classes = {}
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for got in pool.map(_scan_chunk, chunks):
-                classes.update(got)
+    classes = _scan(n)
     survivors = []
     rejected = []
     memo: dict = {}

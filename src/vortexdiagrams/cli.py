@@ -10,7 +10,7 @@ Each handler imports the module behind its subcommand, so a cold process
 pays only for what it runs: `solve` and `probe` load `numeric` and with
 it numpy, which the exact-algebra commands never call; `verify-groebner`
 loads `quadrilateral` and `exactpoly` only, without `diagram`,
-`vorticity`, `atlas`, `lemmas` or the process pool.
+`vorticity`, `atlas` or `lemmas`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,10 @@ def _load_survivor_keys(path: str) -> list:
         isinstance(s, dict) and isinstance(s.get("key"), str) for s in survivors
     ):
         raise ValueError(f"{path}: not an enumeration report with keyed survivors")
-    return [s["key"] for s in survivors]
+    keys = [s["key"] for s in survivors]
+    if report.get("n", 5) != 5 or not all(k.startswith("5:") for k in keys):
+        raise ValueError(f"{path}: the curated catalog covers n=5 only, and this report is not for n=5")
+    return keys
 
 
 def _cmd_catalog(args) -> int:
@@ -213,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate valid diagram classes")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored (the scan runs in this process); must be at least 1")
     p.add_argument("--max-raw-candidates", type=int, default=None,
                    help="refuse (rather than truncate) beyond this raw candidate count")
     p.add_argument("--out")

@@ -61,6 +61,12 @@ class TestCheck:
         assert main(["check", str(path), "--out", str(out)]) == 1
         assert json.loads(out.read_text())["excluded_by"] == "Dumbbell"
 
+    def test_more_than_eight_vertices_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(Diagram(9, [(1, 2)], [(3, 4)], [1, 2], [3, 4]).to_json()))
+        assert main(["check", str(path)]) == 2
+        assert "n <= 8 (strengths G1..G8)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.figure_ref)
     def test_catalog_entry_outcome(self, entry, tmp_path):
         path = tmp_path / "entry.json"
@@ -84,6 +90,7 @@ class TestMalformedInput:
             (["check"], {"n": 5, "z_strokes": [[1, "2"]]}),
             (["check"], {"n": -2}),
             (["catalog", "--diff"], [1]),
+            (["catalog", "--diff"], {"survivors": [{"key": "6:16ef:16ef:0:1f"}]}),
         ],
     )
     def test_is_usage_error(self, command, data, tmp_path):
@@ -117,6 +124,10 @@ class TestEnumerate:
     def test_budget_refusal_is_domain_negative(self):
         assert main(["enumerate", "--n", "5", "--max-raw-candidates", "1000"]) == 1
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        assert main(["enumerate", "--n", "3", "--max-raw-candidates", "-1"]) == 2
+        assert "must not be negative" in capsys.readouterr().err
+
 
 class TestCatalog:
     def test_dump(self, tmp_path):
@@ -135,6 +146,14 @@ class TestCatalog:
         assert main(["catalog", "--diff", str(rp), "--out", str(out)]) == 1
         diff = json.loads(out.read_text())
         assert len(diff["missing"]) == 31
+
+    def test_diff_refuses_an_n6_report(self, tmp_path, capsys):
+        from test_invariants import report  # cached, so n=6 is enumerated once per session
+
+        rp = tmp_path / "report.json"
+        rp.write_text(json.dumps(report(6).to_json()))
+        assert main(["catalog", "--diff", str(rp)]) == 2
+        assert "n=5 only" in capsys.readouterr().err
 
 
 class TestRender:

@@ -2,10 +2,10 @@
 
 The paper gives no reference beyond n=5, so n=6 is checked by invariants:
 the orbits of the classes partition the valid labeled diagrams, every class
-is its own canonical form, `judge` reaches the class's outcome on sampled
-relabelings and color swaps, every infeasibility certificate re-checks
-without the Groebner kernel, worker counts agree, and the report is pinned
-by a recorded hash.
+is its own canonical form, `judge` reaches the class's outcome and the
+lemma findings carry over on sampled relabelings and color swaps, every
+infeasibility certificate re-checks without the Groebner kernel, and the
+report is pinned by a recorded hash.
 """
 
 import functools
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from vortexdiagrams import exactpoly, vorticity
+from vortexdiagrams import exactpoly, lemmas, vorticity
 from vortexdiagrams.atlas import enumerate_diagrams, judge
 from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks
 from vortexdiagrams.exactpoly import parse_polynomial
@@ -28,8 +28,8 @@ REPORT_N6_SHA256 = "506a9558111931725b98b0b130191fd07a5ab65f0bc06ed4a000cea6ba03
 
 
 @functools.lru_cache(maxsize=None)
-def report(n: int, workers: int = 1):
-    return enumerate_diagrams(n, workers=workers)
+def report(n: int):
+    return enumerate_diagrams(n)
 
 
 def class_masks(rep) -> list:
@@ -128,15 +128,36 @@ def test_judge_outcome_is_the_same_on_every_orbit_member(n):
     assert not mismatches, mismatches[:5]
 
 
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_lemma_findings_map_onto_the_representatives(n):
+    """Each class representative's findings, relabeled (and color-swapped on
+    about half the draws), are the findings on its image: acceptance 5 at
+    every n, on every class instead of random n=5 diagrams."""
+    from test_lemmas import finding_signature
+
+    rng = random.Random(100 + n)
+    mismatches = []
+    for masks in class_masks(report(n)):
+        d = from_canonical_masks(n, masks)
+        findings = lemmas.apply_all(d)
+        for _ in range(2):
+            mapping = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            swap = rng.random() < 0.5
+            image = d.relabeled(mapping)
+            if swap:
+                image = image.color_swapped()
+            expect = sorted(finding_signature(f, mapping, swap) for f in findings)
+            got = sorted(finding_signature(f) for f in lemmas.apply_all(image))
+            if expect != got:
+                mismatches.append((masks, mapping, swap))
+    assert not mismatches, mismatches[:5]
+
+
 def test_n6_counts_and_histogram():
     rep = report(6)
     assert rep.unique_classes == 268
     assert len(rep.survivors) == 146
     assert rep.histogram == {0: 15, 2: 7, 3: 9, 4: 32, 5: 27, 6: 29, 7: 15, 8: 9, 9: 1, 10: 2}
-
-
-def test_n6_worker_counts_agree():
-    assert report(6, workers=2).to_json() == report(6).to_json()
 
 
 def test_n6_report_is_byte_identical_to_the_record():
