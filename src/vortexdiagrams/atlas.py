@@ -32,9 +32,7 @@ from .diagram import (
     validate,
     _pair_index,
 )
-from .vorticity import ConstraintLedger, Verdict, decide
-
-LEDGER_SEED = 11
+from .vorticity import LEDGER_SEED, ConstraintLedger, Verdict, decide
 
 
 class EnumerationBudgetError(RuntimeError):

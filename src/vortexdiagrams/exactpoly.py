@@ -29,7 +29,6 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import neg
-import json
 import re
 
 DEFAULT_VARS = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
@@ -247,13 +246,6 @@ class Polynomial:
         text = " ".join(chunks)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-    def to_json_terms(self) -> list[dict]:
-        out = []
-        for m, c in self.sorted_terms():
-            exps = {self.ring[i]: e for i, e in enumerate(m) if e}
-            out.append({"coeff": str(c), "exps": exps})
-        return out
-
     def __repr__(self):
         return f"Polynomial({self.to_text()})"
 
@@ -265,23 +257,11 @@ _TERM_RE = re.compile(
 
 
 def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
-    """Parse the text form ``3/2*G1^2*G2 - G3 + 1`` or a JSON term list.
+    """Parse the text form ``3/2*G1^2*G2 - G3 + 1``.
 
     Greek gamma aliases (``Γ1``) are accepted for the ``G`` variables.
     """
-    if isinstance(text, list):
-        terms: dict = {}
-        for item in text:
-            c = Fraction(item["coeff"])
-            exps = [0] * len(ring)
-            for name, e in item["exps"].items():
-                exps[ring.index(_normalize_var(name))] += int(e)
-            m = tuple(exps)
-            terms[m] = terms.get(m, ZERO) + c
-        return Polynomial(terms, ring)
     text = text.strip()
-    if text.startswith("["):
-        return parse_polynomial(json.loads(text), ring)
     if text in ("0", ""):
         return Polynomial.zero(ring)
     terms = {}

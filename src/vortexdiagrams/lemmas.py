@@ -6,6 +6,13 @@ branch on the rotation multiplier class (unit real vs unit imaginary).
 Matchers fire only on derivable facts: when a semantic precondition such
 as "no other vertex is close" is merely unknown, they stay silent, so
 every finding is sound.  All matchers run in both color orientations.
+
+The lemmas bind sub-diagrams isolated in one color, that is, components
+of that color's strokes, so the matchers loop over components.  Closeness
+is a component fact too: in one color, two vertices are close when one
+component of the other color's strokes holds both and they share this
+color's circle status, and far when their circle status differs and no
+such component holds both (the Rule II contrapositive).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import Diagram, ClosenessRelation, closeness, components
+from .diagram import Diagram, components
 from .exactpoly import Polynomial
 from .vorticity import ConstraintLedger, angular_momentum, gamma_sum, gamma_var
 
@@ -64,32 +71,41 @@ class LemmaFinding:
 
 
 class _View:
-    """Per-color derived facts shared by the matchers."""
+    """Per-color facts shared by the matchers, read off stroke components.
 
-    def __init__(self, d: Diagram, rel: ClosenessRelation, color: str):
-        self.d = d
-        self.color = color
+    `comps` are this color's stroke components; `class_of` maps each vertex
+    to its component of the other color's strokes.  A pair that shares
+    such a component but not its circle status (an R2 violation) is
+    neither close nor far.
+    """
+
+    def __init__(self, d: Diagram, color: str, comps: list, classes: list):
+        self.n = d.n
         self.strokes = d.strokes(color)
         self.circles = d.circles(color)
-        self.rel = rel
-        self.comps = components(self.strokes, d.n)
+        self.comps = comps
+        self.class_of = {v: c for c in classes for v in c}
 
     def close(self, j: int, k: int) -> bool:
-        return self.rel.status(self.color, j, k) == "Close"
+        return k in self.class_of[j] and (j in self.circles) == (k in self.circles)
 
     def far(self, j: int, k: int) -> bool:
-        return self.rel.status(self.color, j, k) == "Far"
+        return (j in self.circles) != (k in self.circles) and k not in self.class_of[j]
 
     def all_close(self, vertices) -> bool:
         return all(self.close(j, k) for j, k in itertools.combinations(sorted(vertices), 2))
 
-    def far_from_all(self, v: int, vertices) -> bool:
-        return all(self.far(v, t) for t in vertices)
+    def outside_far(self, vertices) -> bool:
+        """Every vertex outside `vertices` is far from each of them."""
+        return all(
+            self.far(m, t) for m in range(1, self.n + 1) if m not in vertices for t in vertices
+        )
 
 
 def _views(d: Diagram):
-    rel = closeness(d)
-    return {c: _View(d, rel, c) for c in COLORS}
+    z = components(d.z_strokes, d.n)
+    w = components(d.w_strokes, d.n)
+    return {"z": _View(d, "z", z, w), "w": _View(d, "w", w, z)}
 
 
 def _others(d: Diagram, used) -> list:
@@ -125,13 +141,8 @@ def apply_sum_t12(d: Diagram, views=None) -> list:
     findings = []
     for color in COLORS:
         view = views[color]
-        for k, l in itertools.combinations(range(1, d.n + 1), 2):
-            if k not in view.circles or l not in view.circles:
-                continue
-            if not view.close(k, l):
-                continue
-            rest = _others(d, (k, l))
-            if not all(view.far_from_all(m, (k, l)) for m in rest):
+        for k, l in itertools.combinations(sorted(view.circles), 2):
+            if not view.close(k, l) or not view.outside_far((k, l)):
                 continue
             # A stroke between such a pair is impossible; the matched pair
             # is then also the component's whole circled set, so the
@@ -162,10 +173,7 @@ def apply_cor_sum_t12(d: Diagram, views=None) -> list:
     for color in COLORS:
         view = views[color]
         for k, l in sorted(view.strokes):
-            if k not in view.circles or l not in view.circles:
-                continue
-            rest = _others(d, (k, l))
-            if not all(view.far_from_all(m, (k, l)) for m in rest):
+            if k not in view.circles or l not in view.circles or not view.outside_far((k, l)):
                 continue
             findings.append(
                 LemmaFinding(
@@ -281,8 +289,9 @@ def _fully_bicircled(d: Diagram, vertices) -> bool:
     return all(v in d.z_circles and v in d.w_circles for v in vertices)
 
 
-def _isolated_in(view: _View, vertices: set) -> bool:
-    return frozenset(vertices) in view.comps
+def _sized(comps, size: int) -> list:
+    """The components of `size` vertices as sorted tuples, in order."""
+    return [tuple(sorted(c)) for c in comps if len(c) == size]
 
 
 def apply_structural_exclusions(d: Diagram, views=None) -> list:
@@ -291,20 +300,16 @@ def apply_structural_exclusions(d: Diagram, views=None) -> list:
     isolated in one color, and twin circled mutual-stroke pairs."""
     views = views or _views(d)
     findings = []
-    vertices = range(1, d.n + 1)
-
     for color in COLORS:
         view = views[color]
-        for tri in itertools.combinations(vertices, 3):
+        for tri in _sized(view.comps, 3):
             pairs = list(itertools.combinations(tri, 2))
-            outside = _others(d, tri)
             # Fully mutual-stroked, fully circled in both colors, isolated
             # in this color, with all outside vertices provably far.
             if (
                 all(_is_zw_pair(d, p) for p in pairs)
                 and _fully_bicircled(d, tri)
-                and _isolated_in(view, set(tri))
-                and all(view.far_from_all(m, tri) for m in outside)
+                and view.outside_far(tri)
             ):
                 findings.append(
                     LemmaFinding(
@@ -320,9 +325,8 @@ def apply_structural_exclusions(d: Diagram, views=None) -> list:
             if (
                 all(p in view.strokes for p in pairs)
                 and set(tri) <= view.circles
-                and _isolated_in(view, set(tri))
                 and view.all_close(tri)
-                and all(view.far_from_all(m, tri) for m in outside)
+                and view.outside_far(tri)
             ):
                 findings.append(
                     LemmaFinding(
@@ -333,14 +337,11 @@ def apply_structural_exclusions(d: Diagram, views=None) -> list:
                         reason=f"isolated circled close {color}-stroke triangle {tri} with all outside vertices {color}-far",
                     )
                 )
-        for quad in itertools.combinations(vertices, 4):
-            pairs = list(itertools.combinations(quad, 2))
-            outside = _others(d, quad)
+        for quad in _sized(view.comps, 4):
             if (
-                all(_is_zw_pair(d, p) for p in pairs)
+                all(_is_zw_pair(d, p) for p in itertools.combinations(quad, 2))
                 and set(quad) <= view.circles
-                and _isolated_in(view, set(quad))
-                and all(view.far_from_all(m, quad) for m in outside)
+                and view.outside_far(quad)
             ):
                 findings.append(
                     LemmaFinding(
@@ -351,27 +352,20 @@ def apply_structural_exclusions(d: Diagram, views=None) -> list:
                         reason=f"isolated fully {color}-circled mutual-stroke quadrilateral {quad} with all outside vertices {color}-far",
                     )
                 )
-        for p1, p2 in itertools.combinations(itertools.combinations(vertices, 2), 2):
-            if set(p1) & set(p2):
-                continue
-            used = set(p1) | set(p2)
-            outside = _others(d, used)
+        for p1, p2 in itertools.combinations(_sized(view.comps, 2), 2):
+            used = p1 + p2
             if (
                 _is_zw_pair(d, p1)
                 and _is_zw_pair(d, p2)
                 and _fully_bicircled(d, used)
-                and _isolated_in(view, set(p1))
-                and _isolated_in(view, set(p2))
-                and all(
-                    views["z"].far_from_all(m, used) and views["w"].far_from_all(m, used)
-                    for m in outside
-                )
+                and views["z"].outside_far(used)
+                and views["w"].outside_far(used)
             ):
                 findings.append(
                     LemmaFinding(
                         "Dumbbell",
                         color,
-                        p1 + p2,
+                        used,
                         "exclude",
                         reason=f"twin isolated bicircled mutual-stroke pairs {p1},{p2} with all outside vertices far in both colors",
                     )

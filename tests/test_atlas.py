@@ -215,6 +215,17 @@ class TestDiff:
         assert diff == {"missing": [], "extra": []}
 
 
+class TestDecideDefault:
+    def test_default_seed_gives_the_reported_verdicts(self, report5):
+        """`decide(ledger)` with no seed reproduces every survivor's base
+        and branch verdict as the report prints it."""
+        decided = [(s.ledger, s.verdict) for s in report5.survivors]
+        decided += [pair for s in report5.survivors for pair in s.branches.values()]
+        assert len(decided) == 45
+        mismatches = [led.to_json() for led, ver in decided if decide(led).to_json() != ver.to_json()]
+        assert not mismatches, mismatches[:3]
+
+
 class TestRender:
     @pytest.mark.parametrize("fmt", ["dot", "svg", "tikz"])
     def test_golden_alternating_cycle(self, fmt):

@@ -298,10 +298,6 @@ class TestSerialization:
         p = Fraction(3, 2) * G1**2 * G2 - G3 + 5
         assert parse_polynomial(p.to_text()) == p
 
-    def test_json_terms_round_trip(self):
-        p = G1 * G4 - Fraction(1, 3) * G5**2
-        assert parse_polynomial(p.to_json_terms()) == p
-
     def test_greek_alias(self):
         assert parse_polynomial("Γ1 + Γ2") == G1 + G2
 

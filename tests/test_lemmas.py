@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 import random
 
-from vortexdiagrams.diagram import Diagram
+from vortexdiagrams.atlas import _scan
+from vortexdiagrams.diagram import Diagram, from_canonical_masks
 from vortexdiagrams.exactpoly import Polynomial
 from vortexdiagrams.lemmas import (
     LAMBDA_IMAGINARY,
@@ -314,3 +317,47 @@ class TestEquivariance:
             expect_sw = sorted(finding_signature(f, swap=True) for f in apply_all(d))
             got_sw = sorted(finding_signature(f) for f in apply_all(d.color_swapped()))
             assert expect_sw == got_sw
+
+
+# sha256 of the sorted-key JSON of `apply_all`'s findings over `pin_diagrams()`,
+# recorded when the matchers still looped over vertex subsets.
+LEMMA_FINDINGS_SHA256 = "383d7218bbeb81efa72dbdf10944749599f806c410e82b8b36a3c3ed4d238633"
+
+
+def random_strokes(rng, n):
+    """Cliques on a random partition half the time, else random pairs
+    (mostly not cliques, so mostly invalid diagrams)."""
+    if rng.random() < 0.5:
+        blocks = {}
+        for v in range(1, n + 1):
+            blocks.setdefault(rng.randrange(n), []).append(v)
+        return [p for b in blocks.values() for p in itertools.combinations(b, 2)]
+    density = rng.choice((0.2, 0.4))
+    return [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+
+
+def pin_diagrams():
+    """Every class representative at n=3..6, then 500 seeded random
+    diagrams, valid and invalid, at each of n=4..7."""
+    for n in range(3, 7):
+        for masks in sorted(_scan(n)):
+            yield from_canonical_masks(n, masks)
+    for n in range(4, 8):
+        rng = random.Random(n)
+        for _ in range(500):
+            yield Diagram(
+                n,
+                random_strokes(rng, n),
+                random_strokes(rng, n),
+                [v for v in range(1, n + 1) if rng.random() < 0.5],
+                [v for v in range(1, n + 1) if rng.random() < 0.5],
+            )
+
+
+def test_findings_match_the_recorded_hash():
+    """Pins every finding, in order, where the report pins cannot reach:
+    invalid diagrams, n=7 and labelings other than the canonical one."""
+    h = hashlib.sha256()
+    for d in pin_diagrams():
+        h.update(json.dumps([f.to_json() for f in apply_all(d)], sort_keys=True).encode())
+    assert h.hexdigest() == LEMMA_FINDINGS_SHA256

@@ -326,7 +326,7 @@ class TestVerifyCertificate:
 
 
 class TestCertificateCandidates:
-    @pytest.mark.parametrize("n, count", [(3, 92), (4, 273), (5, 741), (6, 1916)])
+    @pytest.mark.parametrize("n, count", [(3, 66), (4, 213), (5, 626), (6, 1720)])
     def test_sums_of_squares_match_the_product_reference(self, n, count):
         candidates = vorticity._certificate_candidates(n)
         assert len(candidates) == count
@@ -337,3 +337,18 @@ class TestCertificateCandidates:
             # The ledger's only equality is the candidate itself, so the
             # membership step holds and a rejection could only be the shape.
             assert verify_certificate(ConstraintLedger((cert.polynomial,), n=n), cert)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_candidates_are_distinct_and_cover_the_monomials_with_a_square(self, n):
+        polys = [c.polynomial for c in vorticity._certificate_candidates(n)]
+        candidates = set(polys)
+        assert len(candidates) == len(polys)
+        # A monomial of degree 2..4 with a square in it divides M^2, M the
+        # product of its variables, so M^2 in the ideal follows from it.
+        for exps in itertools.product(range(3), repeat=n):
+            if 2 <= sum(exps) <= 4 and max(exps) == 2:
+                M = Polynomial.constant(1)
+                for i, e in enumerate(exps, start=1):
+                    if e:
+                        M = M * gamma_var(i)
+                assert M * M in candidates, exps
