@@ -19,16 +19,24 @@ divisibility is one subtraction and mask (layout below, limit
 generators to packed divisors once; every `reduces_to_zero` against it
 reuses them.  `normal_form` divides with `Fraction`s over exponent tuples
 and is the reference the kernel is tested against.  `lift` uses neither.
+
+A many-candidate membership search screens each candidate first by
+`Basis.residue`, one scalar: its normal form evaluated at a fixed
+pseudo-random point modulo `LIFT_PRIME`.  A nonzero residue proves the
+candidate is not a member; only a zero residue is confirmed by the exact
+`reduces_to_zero`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import neg
+import random
 import re
 
 DEFAULT_VARS = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8")
@@ -413,7 +421,8 @@ def _int_terms(p: Polynomial, packing: _Packing) -> dict:
 
     Packed once per polynomial and kept in its `_packed` slot (the layout
     depends only on the ring), so callers must not mutate the result:
-    `_divisor` only reads it and `_int_reduce` copies it.
+    `_divisor` only reads it and `_int_reduce` copies it.  Its keys come in
+    the order of ``p.terms``, which `Basis.residue` relies on.
     """
     terms = p._packed
     if terms is None:
@@ -515,16 +524,28 @@ def _int_spoly(f: tuple, g: tuple, lcm_fg: int, packing: _Packing) -> dict:
     return res
 
 
+# Seed of the point at which `Basis.residue` evaluates normal forms.
+_RESIDUE_SEED = 2024
+
+
+@lru_cache(maxsize=None)
+def _residue_point(nvars: int) -> tuple:
+    """`nvars` distinct pseudo-random residues mod `LIFT_PRIME`, all drawn
+    from one generator (reseeding per coordinate would make them equal)."""
+    return tuple(random.Random(_RESIDUE_SEED).sample(range(2, LIFT_PRIME), nvars))
+
+
 class Basis(Sequence):
     """Polynomials together with their packed integer divisors.
 
     The divisors are built once, when the basis is made, so that every
-    `reduces_to_zero` against it reuses them.  A basis reads as the
+    `reduces_to_zero` against it reuses them.  `residue` keeps a memo of
+    monomial values, built on its first call.  A basis reads as the
     sequence of its polynomials and compares equal to a list (or basis) of
     the same polynomials in the same order.
     """
 
-    __slots__ = ("polys", "ring", "_packing", "_divisors")
+    __slots__ = ("polys", "ring", "_packing", "_divisors", "_residues")
 
     def __init__(self, polys, ring: tuple[str, ...] = DEFAULT_VARS):
         self.polys = tuple(polys)
@@ -535,6 +556,79 @@ class Basis(Sequence):
         self._divisors = tuple(
             _divisor(_int_terms(g, packing), packing.guards) for g in self.polys if g
         )
+        self._residues = None
+
+    def residue(self, p: Polynomial) -> int:
+        """(NF(p) mod P)(t), P = `LIFT_PRIME`, t the fixed `_residue_point`.
+
+        NF is the normal form of `normal_form` against this basis.  It is
+        linear, so the value is the sum of p's coefficients times the
+        values of its monomials, which a memo keyed by packed monomial
+        keeps: a standard monomial m is worth m(t); a reducible one is worth
+        -lc^-1 times the sum of c * value over its first divisor's tail
+        terms, shifted onto it.  A nonzero residue proves NF(p) != 0.  Zero
+        means NF(p) = 0, or a coincidence of probability at most
+        deg / P (Schwartz-Zippel), or that P divides a leading coefficient
+        or a denominator, where the value is undefined; only the exact
+        `reduces_to_zero` settles a zero.
+        """
+        if p.ring != self.ring:
+            raise ValueError("polynomials over different rings")
+        if self._residues is None:
+            reducers = tuple(
+                (top, lm, pow(lc, -1, LIFT_PRIME) if lc % LIFT_PRIME else None, tail)
+                for top, lm, lc, tail in self._divisors
+            )
+            self._residues = ({}, reducers, _residue_point(len(self.ring)))
+        values = self._residues[0]
+        terms = _int_terms(p, self._packing)
+        total = 0
+        try:
+            for key, c in terms.items():
+                value = values.get(key)
+                if value is None:
+                    value = self._residue_walk(key)
+                total += c * value
+            if total:
+                # `terms` is p times t0 / c0, read off the first term of each
+                c0, t0 = next(iter(p.terms.values())), next(iter(terms.values()))
+                if c0 != t0:
+                    total *= c0.numerator * pow(c0.denominator * t0, -1, LIFT_PRIME)
+        except ValueError:  # P divides a leading coefficient or a denominator
+            return 0
+        return total % LIFT_PRIME
+
+    def _residue_walk(self, key: int) -> int:
+        """Fill the memo down from `key` with an explicit stack, so a chain
+        of reductions thousands of steps deep needs no recursion; return
+        the value of `key`."""
+        values, reducers, point = self._residues
+        guards = self._packing.guards
+        unpack = self._packing.unpack
+        todo = [(key, None)]
+        while todo:
+            m, rule = todo.pop()
+            if rule is not None:  # every shifted tail term has its value now
+                shift, inv, tail = rule
+                values[m] = -inv * sum(c * values[k + shift] for k, c in tail) % LIFT_PRIME
+                continue
+            if m in values:
+                continue
+            for top, lm, inv, tail in reducers:
+                if (top - m) & guards == guards:
+                    if inv is None:
+                        raise ValueError("leading coefficient divisible by the prime")
+                    shift = m - lm
+                    todo.append((m, (shift, inv, tail)))
+                    todo.extend((k + shift, None) for k, _ in tail if k + shift not in values)
+                    break
+            else:
+                value = 1
+                for t, e in zip(point, unpack(m)):
+                    if e:
+                        value = value * pow(t, e, LIFT_PRIME) % LIFT_PRIME
+                values[m] = value
+        return values[key]
 
     def __getitem__(self, index):
         return self.polys[index]

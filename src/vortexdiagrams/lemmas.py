@@ -408,7 +408,20 @@ class DiagramAnalysis:
     exclusion: LemmaFinding | None
     base_ledger: ConstraintLedger
     branch_ledgers: dict  # lambda class -> ConstraintLedger (branch constraints only)
-    provenance: dict  # polynomial text -> list of "lemma(color)" sources
+
+    @property
+    def provenance(self) -> dict:
+        """Emitted constraint text (``p = 0`` or ``p != 0``) -> its
+        "lemma(color)" sources, rendered when read (only `cli check` does)."""
+        out: dict = {}
+        for f in self.findings:
+            if f.effect == "emit":
+                source = f"{f.lemma}({f.color})"
+                for p in f.equalities:
+                    out.setdefault(p.to_text() + " = 0", []).append(source)
+                for p in f.nonzeros:
+                    out.setdefault(p.to_text() + " != 0", []).append(source)
+        return out
 
 
 def analyze(d: Diagram) -> DiagramAnalysis:
@@ -425,19 +438,10 @@ def analyze(d: Diagram) -> DiagramAnalysis:
         exclusion = min(
             excludes, key=lambda f: (EXCLUDE_PRIORITY.get(f.lemma, 9), f.color, f.binding)
         )
-    equalities = []
-    nonzeros = []
-    provenance: dict = {}
-    for f in findings:
-        if f.effect != "emit":
-            continue
-        for p in f.equalities:
-            equalities.append(p)
-            provenance.setdefault(p.to_text() + " = 0", []).append(f"{f.lemma}({f.color})")
-        for p in f.nonzeros:
-            nonzeros.append(p)
-            provenance.setdefault(p.to_text() + " != 0", []).append(f"{f.lemma}({f.color})")
-    base = ConstraintLedger(tuple(equalities), tuple(nonzeros), d.n)
+    emitted = [f for f in findings if f.effect == "emit"]
+    equalities = tuple(p for f in emitted for p in f.equalities)
+    nonzeros = tuple(p for f in emitted for p in f.nonzeros)
+    base = ConstraintLedger(equalities, nonzeros, d.n)
     branch_ledgers: dict = {}
     branch_findings = [f for f in findings if f.effect == "branch"]
     if branch_findings:
@@ -448,4 +452,4 @@ def analyze(d: Diagram) -> DiagramAnalysis:
                     if alt.lambda_class == cls:
                         eqs.extend(alt.equalities)
             branch_ledgers[cls] = ConstraintLedger(tuple(eqs), (), d.n)
-    return DiagramAnalysis(findings, exclusion, base, branch_ledgers, provenance)
+    return DiagramAnalysis(findings, exclusion, base, branch_ledgers)

@@ -40,6 +40,12 @@ def gamma_var(i: int) -> Polynomial:
     return Polynomial.variable(f"G{i}")
 
 
+@lru_cache(maxsize=None)
+def _gamma_vars(n: int) -> tuple:
+    """G1..Gn, built once per n: every ledger requires them nonzero."""
+    return tuple(gamma_var(i) for i in range(1, n + 1))
+
+
 def gamma_sum(J) -> Polynomial:
     """Total vorticity of the subset J: sum of G_j over J."""
     J = sorted(set(J))
@@ -89,7 +95,7 @@ class ConstraintLedger:
 
     def __post_init__(self):
         eqs = tuple(dict.fromkeys(p for p in self.equalities if p))
-        base = tuple(gamma_var(i) for i in range(1, self.n + 1))
+        base = _gamma_vars(self.n)
         extra = tuple(dict.fromkeys(p for p in self.nonzeros if p and p not in base))
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "nonzeros", base + extra)
@@ -117,8 +123,9 @@ class Certificate:
     """Re-checkable witness of infeasibility.
 
     `polynomial` lies in the equality ideal: `decide` finds it by a normal
-    form 0 against the Groebner basis, `verify_certificate` re-proves it
-    by cofactors.  `kind` names the real-arithmetic argument that makes
+    form 0 against the Groebner basis (screened by `Basis.residue`, then
+    confirmed by `reduces_to_zero`), `verify_certificate` re-proves it by
+    cofactors.  `kind` names the real-arithmetic argument that makes
     its vanishing contradict the nonzero constraints.
     """
 
@@ -265,6 +272,14 @@ def _solve_slot(splits, point: list, den: int):
     return root
 
 
+@lru_cache(maxsize=64)
+def _witness_points(seed: int, attempts: int, n: int) -> tuple:
+    """The `attempts` pool points of `_search_witness`, as numerators, drawn
+    once from ``random.Random(seed)``: every ledger of a run replays them."""
+    rng = random.Random(seed)
+    return tuple(tuple(rng.choice(_POOL_NUMERATORS) for _ in range(n)) for _ in range(attempts))
+
+
 def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
     """Random pool points, each also completed by solving the equalities
     for one variable when they are linear in it, last variable first.
@@ -274,7 +289,6 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
     A point that passes the integer check is returned only after
     `satisfies` confirms it exactly.
     """
-    rng = random.Random(seed)
     gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
     slots = {g: i for i, g in enumerate(gammas)}
     eqs = [_integer_form(p, slots) for p in ledger.equalities]
@@ -286,8 +300,7 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
             if None not in splits:
                 solvable.append((slot, splits))
     den = _POOL_DENOMINATOR
-    for _ in range(attempts):
-        point = [rng.choice(_POOL_NUMERATORS) for _ in gammas]
+    for point in _witness_points(seed, attempts, ledger.n):
         if _int_holds(eqs, nzs, point, den):
             witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
             if satisfies(ledger, witness):
@@ -370,12 +383,18 @@ def _certificate_candidates(n: int) -> tuple:
 
 
 def _certificate_search(ledger: ConstraintLedger, basis):
+    """The first member of the equality ideal among the candidates.
+
+    A candidate whose residue is nonzero is no member; only a zero residue
+    is confirmed by the exact zero-test.
+    """
+    residue = basis.residue
     # (a) a polynomial required nonzero lies in the equality ideal.
     for q in ledger.nonzeros:
-        if reduces_to_zero(q, basis):
+        if not residue(q) and reduces_to_zero(q, basis):
             return Certificate("direct-disequality", q)
     for cert in _certificate_candidates(ledger.n):
-        if reduces_to_zero(cert.polynomial, basis):
+        if not residue(cert.polynomial) and reduces_to_zero(cert.polynomial, basis):
             return cert
     return None
 
@@ -387,10 +406,15 @@ def decide(ledger: ConstraintLedger, seed: int = LEDGER_SEED) -> Verdict:
     vanishing contradicts the nonzero constraints over the reals; Feasible
     verdicts carry an exact rational witness.  Unknown is an honest third
     outcome, never silently coerced.
+
+    The quick 40-point witness search is skipped when a polynomial required
+    nonzero is also an equality: no witness exists, and the certificate
+    search finds a direct disequality.
     """
-    quick = _search_witness(ledger, 40, seed)
-    if quick is not None:
-        return Verdict("Feasible", witness=quick)
+    if set(ledger.nonzeros).isdisjoint(ledger.equalities):
+        quick = _search_witness(ledger, 40, seed)
+        if quick is not None:
+            return Verdict("Feasible", witness=quick)
     if ledger.equalities:
         basis = groebner_basis(ledger.equalities)
         cert = _certificate_search(ledger, basis)

@@ -44,9 +44,9 @@ class TestCheck:
         result = json.loads(out.read_text())
         assert result["outcome"] == "excluded"
         assert result["excluded_by"] == "constraint-infeasibility"
-        assert "RuleIV" in result["reason"]
-        assert "CorSumT12" in result["reason"]
-        assert "nonzero" in result["reason"]
+        assert result["reason"] == (
+            "RuleIV-vorticity(z), RuleIV-vorticity(w) G2 + G3=0 vs SumT12(z), CorSumT12(z) nonzero"
+        )
 
     def test_invalid_diagram_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"

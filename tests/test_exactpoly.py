@@ -6,13 +6,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from vortexdiagrams.atlas import load_catalog
+from vortexdiagrams import quadrilateral
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
+    LIFT_PRIME,
     MAX_DEGREE,
     Basis,
     Polynomial,
     ResourceLimitError,
     _grevlex_key,
+    _residue_point,
     groebner_basis,
     is_cofactor_identity,
     lift,
@@ -374,6 +377,85 @@ class TestPackedKernel:
             reduces_to_zero(G2, [other])
         with pytest.raises(ValueError):
             groebner_basis([G2, other])
+
+
+def value_mod_prime(p, point):
+    """p evaluated at `point` (one residue per ring variable) mod LIFT_PRIME."""
+    total = 0
+    for m, c in p.terms.items():
+        term = c.numerator * pow(c.denominator, -1, LIFT_PRIME)
+        for t, e in zip(point, m):
+            term = term * pow(t, e, LIFT_PRIME) % LIFT_PRIME
+        total += term
+    return total % LIFT_PRIME
+
+
+def random_ring_poly(rng, ring, max_terms=4, max_deg=3):
+    """A random polynomial over any ring, with fractional coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * len(ring)
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(len(ring))] += 1
+        terms[tuple(exps)] = Fraction(rng.choice([-4, -3, -1, 1, 2, 5]), rng.randint(1, 4))
+    return Polynomial(terms, ring)
+
+
+class TestResidue:
+    """`Basis.residue` against the `Fraction` normal form evaluated mod the prime."""
+
+    @staticmethod
+    def check(basis, rng, count, max_deg=3):
+        point = _residue_point(len(basis.ring))
+        assert len(set(point)) == len(point)
+        zeros = 0
+        for _ in range(count):
+            p = random_ring_poly(rng, basis.ring, max_deg=max_deg)
+            if rng.random() < 0.3:  # an ideal member plus, sometimes, a remainder
+                p = rng.choice(basis) * random_ring_poly(rng, basis.ring, 2, 1)
+                if rng.random() < 0.5:
+                    p = p + random_ring_poly(rng, basis.ring, 1, max_deg)
+            expected = value_mod_prime(normal_form(p, basis), point)
+            assert basis.residue(p) == expected, p
+            zeros += not expected
+        return zeros
+
+    def test_quadrilateral_basis(self):
+        basis = groebner_basis(quadrilateral.quadrilateral_system()[0])
+        zeros = self.check(basis, random.Random(16), 40, max_deg=7)
+        assert 1 <= zeros < 40
+        gens, target = quadrilateral.quadrilateral_system()
+        assert basis.residue(target) == 0
+
+    def test_catalog_ledger_bases(self):
+        rng = random.Random(61)
+        zeros = bases = 0
+        for entry in load_catalog():
+            if entry.ledger.equalities:
+                zeros += self.check(groebner_basis(entry.ledger.equalities), rng, 12)
+                bases += 1
+        assert bases == 33 and zeros >= 20, zeros
+
+    def test_a_deep_reduction_chain_needs_no_recursion(self):
+        # G1^k -> G1^(k-1)*G2 -> ... -> G2^k: one memo entry per step.
+        basis = Basis([G1 - G2])
+        k = 5000
+        point = _residue_point(len(DEFAULT_VARS))
+        t2 = point[DEFAULT_VARS.index("G2")]
+        assert basis.residue(G1**k) == pow(t2, k, LIFT_PRIME)
+        assert basis.residue(G1**k - G2**k) == 0
+
+    def test_undefined_mod_the_prime_reads_zero(self):
+        # normal_form(G1, [P*G1 + G2]) = -G2/P has no value mod P; a zero
+        # residue sends the candidate to the exact test.
+        basis = Basis([LIFT_PRIME * G1 + G2])
+        assert basis.residue(G1) == 0 and not reduces_to_zero(G1, basis)
+        assert basis.residue(G2) != 0
+        assert Basis([G1]).residue(G2 * Fraction(1, LIFT_PRIME)) == 0
+
+    def test_rejects_another_ring(self):
+        with pytest.raises(ValueError):
+            groebner_basis([G1]).residue(Polynomial.variable("G1", ("G1", "G2")))
 
 
 class TestSympyOracle:

@@ -1,12 +1,15 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from vortexdiagrams import vorticity
+from vortexdiagrams import atlas, vorticity
 from vortexdiagrams.exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
 from vortexdiagrams.vorticity import (
+    LEDGER_SEED,
     WITNESS_POOL,
     ConstraintLedger,
     angular_momentum,
@@ -352,3 +355,80 @@ class TestCertificateCandidates:
                     if e:
                         M = M * gamma_var(i)
                 assert M * M in candidates, exps
+
+
+@functools.lru_cache(maxsize=None)
+def decided(n):
+    """Every (ledger, verdict) that one `enumerate_diagrams(n)` decides, and
+    the number of exact zero-tests the decisions made."""
+    calls = []
+    zero_tests = 0
+
+    def counted(p, basis):
+        nonlocal zero_tests
+        zero_tests += 1
+        return reduces_to_zero(p, basis)
+
+    def recorded(ledger, seed=LEDGER_SEED):
+        verdict = decide(ledger, seed)
+        calls.append((ledger, verdict))
+        return verdict
+
+    with mock.patch.object(vorticity, "reduces_to_zero", counted), mock.patch.object(
+        atlas, "decide", recorded
+    ):
+        atlas.enumerate_diagrams(n)
+    return tuple(calls), zero_tests
+
+
+class TestResidueScreen:
+    @pytest.mark.parametrize("n, infeasible", [(3, 1), (4, 7), (5, 21), (6, 57)])
+    def test_one_exact_zero_test_per_infeasible_verdict(self, n, infeasible):
+        calls, zero_tests = decided(n)
+        assert sum(verdict.infeasible for _, verdict in calls) == infeasible
+        assert zero_tests == infeasible
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_member_has_residue_zero(self, n):
+        # The exact zero-test is the oracle for every candidate and required
+        # nonzero polynomial against every basis the enumeration builds.
+        candidates = [c.polynomial for c in vorticity._certificate_candidates(n)]
+        bases: dict = {}  # equality set -> (basis, polynomials checked)
+        members = false_zeros = 0
+        for ledger, _ in decided(n)[0]:
+            if not ledger.equalities:
+                continue
+            key = frozenset(ledger.equalities)
+            if key not in bases:
+                bases[key] = (groebner_basis(ledger.equalities), set())
+            basis, checked = bases[key]
+            for p in (*ledger.nonzeros, *candidates):
+                if p in checked:
+                    continue
+                checked.add(p)
+                member = reduces_to_zero(p, basis)
+                residue = basis.residue(p)
+                assert residue == 0 or not member, (ledger.to_json(), p)
+                members += member
+                false_zeros += residue == 0 and not member
+        assert members > 0
+        assert false_zeros == 0
+
+    @pytest.mark.parametrize("n, direct", [(5, 9), (6, 24)])
+    def test_contradictory_ledgers_skip_the_witness_search(self, n, direct):
+        certified = [
+            (ledger, verdict.certificate)
+            for ledger, verdict in decided(n)[0]
+            if verdict.infeasible and verdict.certificate.kind == "direct-disequality"
+        ]
+        assert len(certified) == direct
+        with mock.patch.object(vorticity, "_search_witness", side_effect=AssertionError):
+            for ledger, certificate in certified:
+                # every direct disequality here is also one of the equalities
+                assert not set(ledger.nonzeros).isdisjoint(ledger.equalities)
+                assert decide(ledger).certificate == certificate
+            pair = gamma_sum([2, 3])
+            led = ConstraintLedger((pair, angular_momentum([1, 2, 3])), (pair,))
+            verdict = decide(led)
+        assert verdict.certificate == vorticity.Certificate("direct-disequality", pair)
+        assert verify_certificate(led, verdict.certificate)
