@@ -19,7 +19,6 @@ _EXPORTS = {
     "Verdict": "vorticity",
     "angular_momentum": "vorticity",
     "canonical_key": "diagram",
-    "closeness": "diagram",
     "decide": "vorticity",
     "gamma_sum": "vorticity",
     "stroke_count_C": "diagram",

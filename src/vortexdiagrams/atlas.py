@@ -100,8 +100,8 @@ def _valid_circle_masks(self_data, other_parts, n: int) -> list:
     """Circle masks consistent with the structural rules for one color.
 
     Rules enforced: circles only on stroked vertices, both ends of a lone
-    stroke circled, circle status constant on each closeness class, and no
-    component with exactly one circle.
+    stroke circled, circle status constant on each component of the other
+    color's strokes (R2), and no component with exactly one circle.
     """
     _, _, support, forced, r4_parts = self_data
     classes = [p for p in other_parts if _popcount(p) >= 2]

@@ -1,10 +1,10 @@
 """Two-colored diagrams on labeled vertices and their combinatorial rules.
 
 A diagram is two stroke graphs (z and w) plus two circle sets on n labeled
-vertices, 1-based to mirror the usual figures.  This module derives edge
-kinds, the closeness relation, connected components, the C-number
-(maximal stroke count at a bicolored vertex), validates the structural
-rules, and canonicalizes up to vertex relabeling and the z/w color swap.
+vertices, 1-based to mirror the usual figures.  This module derives
+connected components and the C-number (maximal stroke count at a
+bicolored vertex), validates the structural rules, and canonicalizes up
+to vertex relabeling and the z/w color swap.
 
 Canonicalization packs a diagram into four bitmasks and takes the least
 image in its orbit.  `orbit_masks` reaches all n! relabelings by adjacent
@@ -17,14 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-
-
-class EdgeKind(Enum):
-    Z = "z"
-    W = "w"
-    ZW = "zw"
 
 
 def _normalize_pairs(pairs, n: int) -> frozenset:
@@ -118,19 +111,6 @@ class Diagram:
         )
 
 
-def classify_edges(d: Diagram) -> dict:
-    """Map each stroked pair to its edge kind (z only, w only, or both)."""
-    out = {}
-    for p in d.z_strokes | d.w_strokes:
-        if p in d.z_strokes and p in d.w_strokes:
-            out[p] = EdgeKind.ZW
-        elif p in d.z_strokes:
-            out[p] = EdgeKind.Z
-        else:
-            out[p] = EdgeKind.W
-    return out
-
-
 def components(pairs, n: int) -> list[frozenset]:
     """Connected components of a stroke graph, singletons included."""
     parent = list(range(n + 1))
@@ -162,110 +142,49 @@ def stroke_count_C(d: Diagram) -> int:
 
 
 @dataclass(frozen=True)
-class ClosenessRelation:
-    """Positive (Close) and negative (Far) facts per color.
-
-    Close facts are the transitive closure of opposite-color strokes;
-    Far facts come from mixed circle status in the color (the Rule II
-    contrapositive).  Everything else is Unknown.
-    """
-
-    n: int
-    close: dict  # color -> frozenset of pairs
-    far: dict  # color -> frozenset of pairs
-
-    def status(self, color: str, j: int, k: int) -> str:
-        p = (min(j, k), max(j, k))
-        is_close = p in self.close[color]
-        is_far = p in self.far[color]
-        if is_close and is_far:
-            return "Inconsistent"
-        if is_close:
-            return "Close"
-        if is_far:
-            return "Far"
-        return "Unknown"
-
-    def inconsistent_pairs(self) -> list:
-        out = []
-        for color in ("z", "w"):
-            for p in sorted(self.close[color] & self.far[color]):
-                out.append((color, p))
-        return out
-
-    @property
-    def consistent(self) -> bool:
-        return all(not (self.close[c] & self.far[c]) for c in ("z", "w"))
-
-
-def closeness(d: Diagram) -> ClosenessRelation:
-    close = {}
-    far = {}
-    for color, other in (("z", "w"), ("w", "z")):
-        pairs = set()
-        for comp in components(d.strokes(other), d.n):
-            if len(comp) >= 2:
-                pairs.update(itertools.combinations(sorted(comp), 2))
-        close[color] = frozenset(pairs)
-        circ = d.circles(color)
-        far[color] = frozenset(
-            (j, k)
-            for j, k in itertools.combinations(range(1, d.n + 1), 2)
-            if (j in circ) != (k in circ)
-        )
-    return ClosenessRelation(d.n, close, far)
-
-
-@dataclass(frozen=True)
 class RuleReport:
-    r1a: bool  # every stroke end has another same-color stroke or a circle
-    r1b: bool  # every circle has a same-color stroke
-    r1c: bool  # at least one stroke of each color
-    r2: bool  # closeness facts consistent
-    r4: bool  # no isolated component with exactly one circled vertex
-    r6: bool  # stroke components are cliques
+    """The rule failures, each text tagged with its rule (R1a, R1b, R1c,
+    R4, R6, R2); the diagram is valid when there are none."""
+
     failures: tuple = ()
 
     @property
     def valid(self) -> bool:
-        return self.r1a and self.r1b and self.r1c and self.r2 and self.r4 and self.r6
+        return not self.failures
 
 
 def validate(d: Diagram) -> RuleReport:
     failures = []
-    r1a = r1b = r1c = r4 = r6 = True
+    comps = {color: components(d.strokes(color), d.n) for color in ("z", "w")}
     for color in ("z", "w"):
         strokes = d.strokes(color)
         circ = d.circles(color)
         if not strokes:
-            r1c = False
             failures.append(f"R1c: no {color}-stroke")
         for a, b in sorted(strokes):
             for v in (a, b):
                 if d.degree(color, v) < 2 and v not in circ:
-                    r1a = False
                     failures.append(f"R1a: bare end {v} of {color}-stroke {a}{b}")
         for v in sorted(circ):
             if d.degree(color, v) == 0:
-                r1b = False
                 failures.append(f"R1b: isolated {color}-circle at {v}")
-        for comp in components(strokes, d.n):
-            if len(comp) >= 2:
-                missing = [
-                    p for p in itertools.combinations(sorted(comp), 2) if p not in strokes
-                ]
-                if missing:
-                    r6 = False
-                    failures.append(f"R6: {color}-component {sorted(comp)} is not a clique")
-            count = len(comp & circ)
-            if count == 1:
-                r4 = False
+        for comp in comps[color]:
+            if any(p not in strokes for p in itertools.combinations(sorted(comp), 2)):
+                failures.append(f"R6: {color}-component {sorted(comp)} is not a clique")
+            if len(comp & circ) == 1:
                 failures.append(f"R4: lone {color}-circle in component {sorted(comp)}")
-    rel = closeness(d)
-    r2 = rel.consistent
-    for color, pair in rel.inconsistent_pairs():
-        failures.append(f"R2: pair {pair} both {color}-close and {color}-far")
-    return RuleReport(r1a, r1b, r1c, r2, r4, r6, tuple(failures))
+    # R2: one component of the other color's strokes holds close vertices,
+    # so they share their circle status in this color.
+    for color, other in (("z", "w"), ("w", "z")):
+        circ = d.circles(color)
+        for pair in sorted(
+            (j, k)
+            for comp in comps[other]
+            for j, k in itertools.combinations(sorted(comp), 2)
+            if (j in circ) != (k in circ)
+        ):
+            failures.append(f"R2: pair {pair} both {color}-close and {color}-far")
+    return RuleReport(tuple(failures))
 
 
 # -- canonicalization ---------------------------------------------------

@@ -494,8 +494,9 @@ def probe(sample: SingularSequenceSample, tol: float = 0.15) -> Diagram:
 def synthetic_sequence(d: Diagram, eps_list=None, gamma=None) -> SingularSequenceSample:
     """An order-faithful sequence realizing the stroke/circle pattern of `d`.
 
-    Vertices in one closeness class share a center and differ by order
-    eps^2; circled classes sit at order eps^-2, others at order one.  The
+    Vertices in one component of the other color's strokes share a center
+    and differ by order eps^2; circled components sit at order eps^-2,
+    others at order one.  The
     construction is deterministic and keeps both max norms at exactly
     eps^-2.
     """

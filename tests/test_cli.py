@@ -53,6 +53,17 @@ class TestCheck:
         path.write_text(json.dumps(Diagram(5, [(1, 2)], [], [], []).to_json()))
         assert main(["check", str(path)]) == 1
 
+    def test_invalid_diagram_lists_its_rule_failures(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(Diagram(5, [(1, 2)], [(1, 2)], [1], [1, 2]).to_json()))
+        out = tmp_path / "res.json"
+        assert main(["check", str(path), "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["rule_failures"] == [
+            "R1a: bare end 2 of z-stroke 12",
+            "R4: lone z-circle in component [1, 2]",
+            "R2: pair (1, 2) both z-close and z-far",
+        ]
+
     def test_structural_exclusion_reported(self, tmp_path):
         d = Diagram(5, [(1, 2), (3, 4)], [(1, 2), (3, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
         path = tmp_path / "twin.json"

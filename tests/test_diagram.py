@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -8,12 +9,9 @@ import pytest
 from vortexdiagrams import diagram
 from vortexdiagrams.diagram import (
     Diagram,
-    EdgeKind,
     canonical_form,
     canonical_key,
     canonical_masks,
-    classify_edges,
-    closeness,
     components,
     orbit_masks,
     stroke_count_C,
@@ -21,6 +19,7 @@ from vortexdiagrams.diagram import (
     _masks,
     _sjt_swaps,
 )
+from vortexdiagrams.lemmas import _views
 
 
 def K(*vs):
@@ -54,22 +53,6 @@ class TestShape:
         assert Diagram.from_json(data) == ROBERTS
 
 
-class TestEdges:
-    def test_mutual_pair(self):
-        d = Diagram(5, [(1, 2)], [(1, 2)], [1, 2], [1, 2])
-        assert classify_edges(d) == {(1, 2): EdgeKind.ZW}
-
-    def test_single_color(self):
-        d = Diagram(5, [(1, 2)], [], [1, 2], [])
-        assert classify_edges(d)[(1, 2)] == EdgeKind.Z
-
-    def test_edge_count_is_union(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            d = random_diagram(rng)
-            assert len(classify_edges(d)) == len(d.z_strokes | d.w_strokes)
-
-
 class TestCNumber:
     def test_full_mutual_clique(self):
         d = Diagram(5, K(1, 2, 3, 4, 5), K(1, 2, 3, 4, 5), [], [])
@@ -84,24 +67,26 @@ class TestCNumber:
 
 
 class TestCloseness:
+    """Closeness of pairs, as the lemma views read it off stroke components."""
+
     def test_transitive_closure(self):
         d = Diagram(5, [], [(1, 2), (2, 3)], [], [])
-        rel = closeness(d)
-        assert rel.status("z", 1, 3) == "Close"
+        assert _views(d)["z"].close(1, 3)
 
     def test_far_from_mixed_circles(self):
         d = Diagram(5, [(2, 3)], [(1, 4)], [2, 3], [1, 4])
-        rel = closeness(d)
-        assert rel.status("z", 1, 2) == "Far"
-        assert rel.status("z", 2, 3) == "Unknown"
+        z = _views(d)["z"]
+        assert z.far(1, 2)
+        assert not z.close(2, 3) and not z.far(2, 3)
 
     def test_inconsistent_pair_detected(self):
         # mutual stroke {1,2}, 1 z-circled, 2 not: close by stroke, far by status
         d = Diagram(5, [(1, 2)], [(1, 2)], [1], [1, 2])
-        rel = closeness(d)
-        assert rel.status("z", 1, 2) == "Inconsistent"
-        assert not rel.consistent
-        assert not validate(d).r2
+        z = _views(d)["z"]
+        assert not z.close(1, 2) and not z.far(1, 2)
+        assert [f for f in validate(d).failures if f.startswith("R2")] == [
+            "R2: pair (1, 2) both z-close and z-far"
+        ]
 
     def test_monotone_in_strokes(self):
         rng = random.Random(1)
@@ -111,7 +96,9 @@ class TestCloseness:
             bigger = Diagram(
                 d.n, d.z_strokes, list(d.w_strokes) + [extra], d.z_circles, d.w_circles
             )
-            assert closeness(d).close["z"] <= closeness(bigger).close["z"]
+            small, big = _views(d)["z"], _views(bigger)["z"]
+            for j, k in itertools.combinations(range(1, d.n + 1), 2):
+                assert big.close(j, k) or not small.close(j, k)
 
 
 class TestValidate:
@@ -120,26 +107,70 @@ class TestValidate:
 
     def test_bare_single_stroke(self):
         report = validate(Diagram(5, [(1, 2)], [], [], []))
-        assert not report.r1a
-        assert not report.r1c
+        assert "R1a: bare end 1 of z-stroke 12" in report.failures
+        assert "R1c: no w-stroke" in report.failures
         assert not report.valid
 
     def test_lone_circle_in_component(self):
         d = Diagram(5, K(1, 2, 3), K(1, 2, 3), [1], [])
-        report = validate(d)
-        assert not report.r4
+        assert "R4: lone z-circle in component [1, 2, 3]" in validate(d).failures
 
     def test_non_clique_component(self):
         d = Diagram(5, [(1, 2), (2, 3)], [(1, 2)], [1, 2, 3], [1, 2])
-        assert not validate(d).r6
+        assert "R6: z-component [1, 2, 3] is not a clique" in validate(d).failures
 
     def test_isolated_circle(self):
         d = Diagram(5, [(1, 2)], [(1, 2)], [1, 2, 5], [1, 2])
-        assert not validate(d).r1b
+        assert "R1b: isolated z-circle at 5" in validate(d).failures
 
     def test_catalog_diagram_valid(self):
         d = Diagram(5, K(1, 2, 3) + [(4, 5)], K(1, 2, 3), [4, 5], [])
         assert validate(d).valid
+
+
+# sha256 of the JSON of `validate(d).failures`, one array per diagram, over
+# `rule_pin_diagrams()`; recorded while R2 still came from close and far pair sets.
+RULE_FAILURES_SHA256 = "d82b6185bafe2277d6eec7fcde7d91365ca13d060cdc89cf1d056cc6ae818ad1"
+
+
+def rule_pin_diagrams():
+    """500 seeded random diagrams at each of n=2..8; all are invalid, and
+    every rule fails somewhere among them."""
+    for n in range(2, 9):
+        rng = random.Random(n)
+        for _ in range(500):
+            yield random_diagram(rng, n)
+
+
+def test_rule_failures_match_the_recorded_hash():
+    """Pins every failure message and its order."""
+    h = hashlib.sha256()
+    for d in rule_pin_diagrams():
+        h.update(json.dumps(validate(d).failures).encode())
+    assert h.hexdigest() == RULE_FAILURES_SHA256
+
+
+def r2_reference(d):
+    """R2 messages from pair sets: close pairs share a component of the
+    other color's strokes, far pairs differ in this color's circle status."""
+    out = []
+    for color, other in (("z", "w"), ("w", "z")):
+        close = set()
+        for comp in components(d.strokes(other), d.n):
+            close.update(itertools.combinations(sorted(comp), 2))
+        circ = d.circles(color)
+        far = {
+            (j, k)
+            for j, k in itertools.combinations(range(1, d.n + 1), 2)
+            if (j in circ) != (k in circ)
+        }
+        out += [f"R2: pair {p} both {color}-close and {color}-far" for p in sorted(close & far)]
+    return out
+
+
+def test_r2_matches_the_close_and_far_reference():
+    for d in rule_pin_diagrams():
+        assert [f for f in validate(d).failures if f.startswith("R2")] == r2_reference(d), d
 
 
 class TestCanonical:
@@ -173,13 +204,26 @@ class TestCanonical:
     def test_orbit_masks_match_relabeled_diagrams(self):
         rng = random.Random(5)
         for n, count in {3: 50, 4: 50, 5: 50, 6: 50, 7: 2, 8: 2}.items():
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            index = {p: i for i, p in enumerate(pairs)}
+            # per relabeling v -> perm[v-1]: the image bit of each pair and vertex
+            maps = [
+                (
+                    [1 << index[tuple(sorted((perm[a - 1], perm[b - 1])))] for a, b in pairs],
+                    [1 << (v - 1) for v in perm],
+                )
+                for perm in itertools.permutations(range(1, n + 1))
+            ]
             for _ in range(count):
                 d = random_diagram(rng, n)
+                masks = _masks(d)
+                bits = [[i for i in range(len(pairs)) if m >> i & 1] for m in masks]
                 expected = set()
-                for perm in itertools.permutations(range(1, n + 1)):
-                    r = d.relabeled({i + 1: perm[i] for i in range(n)})
-                    expected |= {_masks(r), _masks(r.color_swapped())}
-                assert orbit_masks(n, *_masks(d)) == expected, d
+                for pair_bit, vert_bit in maps:
+                    zm, wm = (sum(pair_bit[i] for i in b) for b in bits[:2])
+                    zc, wc = (sum(vert_bit[i] for i in b) for b in bits[2:])
+                    expected |= {(zm, wm, zc, wc), (wm, zm, wc, zc)}
+                assert orbit_masks(n, *masks) == expected, d
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_adjacent_swaps_visit_every_order_once(self, n):
