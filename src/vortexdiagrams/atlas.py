@@ -16,8 +16,9 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import lemmas
 from .diagram import (
@@ -183,8 +184,7 @@ def branches_to_json(branches: dict) -> dict:
     }
 
 
-@dataclass
-class SurvivorEntry:
+class SurvivorEntry(NamedTuple):
     key: str
     diagram: Diagram
     c_class: int
@@ -206,8 +206,7 @@ class SurvivorEntry:
         return out
 
 
-@dataclass
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     n: int
     survivors: list  # SurvivorEntry, sorted by key
     rejected: list  # dicts {key, stage, reason}
@@ -245,8 +244,7 @@ def _decide_memo(ledger: ConstraintLedger, memo: dict) -> Verdict:
     return verdict
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     """The verdict on one diagram and everything that led to it.
 
     `outcome` is "invalid", "excluded" or "retained".  An excluded diagram
@@ -261,7 +259,9 @@ class Judgment:
     excluded_by: str | None = None
     analysis: lemmas.DiagramAnalysis | None = None
     verdict: Verdict | None = None  # of the base ledger
-    branches: dict = field(default_factory=dict)  # lambda class -> (ConstraintLedger, Verdict)
+    # lambda class -> (ConstraintLedger, Verdict); the default is read-only
+    # so that no two judgments share one mutable dict
+    branches: dict = MappingProxyType({})
 
 
 def judge(d: Diagram, memo: dict | None = None) -> Judgment:
@@ -374,7 +374,7 @@ def enumerate_diagrams(
     histogram = {c: 0 for c in [0] + list(range(2, 2 * n - 1))}
     for s in survivors:
         histogram[s.c_class] = histogram.get(s.c_class, 0) + 1
-    report = EnumerationReport(
+    return EnumerationReport(
         n,
         survivors,
         rejected,
@@ -382,17 +382,14 @@ def enumerate_diagrams(
         candidates_raw=space,
         candidates_valid=sum(classes.values()),
         unique_classes=len(classes),
+        diff_vs_catalog=diff_report([s.key for s in survivors], load_catalog()) if n == 5 else None,
     )
-    if n == 5:
-        report.diff_vs_catalog = diff_report(report.survivor_keys(), load_catalog())
-    return report
 
 
 # -- curated catalog ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     diagram: Diagram
     c_class: int
     status: str  # "possible" | "excluded"

@@ -16,8 +16,8 @@ tables to the previous image; it serves every n <= 8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def _normalize_pairs(pairs, n: int) -> frozenset:
@@ -37,13 +37,19 @@ def _is_ints(values) -> bool:
     return isinstance(values, list) and all(type(v) is int for v in values)
 
 
-@dataclass(frozen=True)
+# The package's records are `NamedTuple`s, or small `__slots__` classes
+# where the constructor normalizes its input, not dataclasses: importing
+# `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and each
+# decorated class generates and compiles its methods at import.  That was
+# about 20 ms of a cold `enumerate --n 5` (Python 3.11, 2-core host, no
+# bytecode cache), which no output needs.
+
+
 class Diagram:
-    n: int
-    z_strokes: frozenset
-    w_strokes: frozenset
-    z_circles: frozenset
-    w_circles: frozenset
+    """Stroke pairs and circled vertices of both colors on vertices 1..n;
+    immutable, and compared and hashed by its five fields."""
+
+    __slots__ = ("n", "z_strokes", "w_strokes", "z_circles", "w_circles")
 
     def __init__(self, n, z_strokes=(), w_strokes=(), z_circles=(), w_circles=()):
         object.__setattr__(self, "n", n)
@@ -54,6 +60,23 @@ class Diagram:
                 raise ValueError(f"circled vertex {v} outside 1..{n}")
         object.__setattr__(self, "z_circles", frozenset(z_circles))
         object.__setattr__(self, "w_circles", frozenset(w_circles))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.n, self.z_strokes, self.w_strokes, self.z_circles, self.w_circles)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- per-color access ------------------------------------------------
 
@@ -141,8 +164,7 @@ def stroke_count_C(d: Diagram) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(NamedTuple):
     """The rule failures, each text tagged with its rule (R1a, R1b, R1c,
     R4, R6, R2); the diagram is valid when there are none."""
 

@@ -24,7 +24,9 @@ A many-candidate membership search screens each candidate first by
 `Basis.residue`, one scalar: its normal form evaluated at a fixed
 pseudo-random point modulo `LIFT_PRIME`.  A nonzero residue proves the
 candidate is not a member; only a zero residue is confirmed by the exact
-`reduces_to_zero`.
+`reduces_to_zero`.  `Basis.packed_residue` is the same screen over terms
+already keyed by `packed_key`, so a search can hold its candidates in
+that form and build a `Polynomial` only for the few that pass.
 """
 
 from __future__ import annotations
@@ -406,6 +408,12 @@ class _Packing:
         return key | (degree << self.degree_shift)
 
 
+def packed_key(exps: tuple) -> int:
+    """The packed key of the monomial with exponent tuple `exps`, as the
+    kernel keys it in a ring of ``len(exps)`` variables."""
+    return _Packing(len(exps)).pack(exps)
+
+
 # -- integer kernel ----------------------------------------------------------
 #
 # Buchberger and the zero-test run on content-stripped integer polynomials
@@ -574,6 +582,25 @@ class Basis(Sequence):
         """
         if p.ring != self.ring:
             raise ValueError("polynomials over different rings")
+        terms = _int_terms(p, self._packing)
+        total = self.packed_residue(terms)
+        if total:
+            # `terms` is p times t0 / c0, read off the first term of each
+            c0, t0 = next(iter(p.terms.values())), next(iter(terms.values()))
+            if c0 != t0:
+                try:
+                    scale = c0.numerator * pow(c0.denominator * t0, -1, LIFT_PRIME)
+                except ValueError:  # P divides a denominator
+                    return 0
+                total = total * scale % LIFT_PRIME
+        return total
+
+    def packed_residue(self, terms: dict) -> int:
+        """The residue of integer terms keyed by packed monomials of this
+        basis's ring (`packed_key`), as `residue` reads a polynomial.
+
+        0 where P divides a leading coefficient, as there.
+        """
         if self._residues is None:
             reducers = tuple(
                 (top, lm, pow(lc, -1, LIFT_PRIME) if lc % LIFT_PRIME else None, tail)
@@ -581,7 +608,6 @@ class Basis(Sequence):
             )
             self._residues = ({}, reducers, _residue_point(len(self.ring)))
         values = self._residues[0]
-        terms = _int_terms(p, self._packing)
         total = 0
         try:
             for key, c in terms.items():
@@ -589,12 +615,7 @@ class Basis(Sequence):
                 if value is None:
                     value = self._residue_walk(key)
                 total += c * value
-            if total:
-                # `terms` is p times t0 / c0, read off the first term of each
-                c0, t0 = next(iter(p.terms.values())), next(iter(terms.values()))
-                if c0 != t0:
-                    total *= c0.numerator * pow(c0.denominator * t0, -1, LIFT_PRIME)
-        except ValueError:  # P divides a leading coefficient or a denominator
+        except ValueError:  # P divides a leading coefficient
             return 0
         return total % LIFT_PRIME
 

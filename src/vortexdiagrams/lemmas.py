@@ -18,7 +18,7 @@ such component holds both (the Rule II contrapositive).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, components
 from .exactpoly import Polynomial
@@ -30,8 +30,7 @@ LAMBDA_REAL = "+-1"
 LAMBDA_IMAGINARY = "+-i"
 
 
-@dataclass(frozen=True)
-class BranchAlternative:
+class BranchAlternative(NamedTuple):
     lambda_class: str
     equalities: tuple
 
@@ -42,8 +41,7 @@ class BranchAlternative:
         }
 
 
-@dataclass(frozen=True)
-class LemmaFinding:
+class LemmaFinding(NamedTuple):
     lemma: str
     color: str
     binding: tuple
@@ -400,8 +398,7 @@ EXCLUDE_PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramAnalysis:
+class DiagramAnalysis(NamedTuple):
     """Aggregated lemma output for one diagram."""
 
     findings: tuple

@@ -15,7 +15,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def _off_diagonal_quotient(num, D) -> np.ndarray:
     return np.divide(num, D, out=np.zeros_like(D), where=_off_diagonal(D.shape[-1]))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A point of the extended system (not necessarily a solution)."""
 
     gamma: tuple
@@ -216,8 +215,8 @@ def solve(
     success wins, so results are reproducible.  An attempt whose residual
     has not halved over the last STALL_STEPS accepted steps is abandoned.
     Raises ValueError for fewer than two strengths, a strength that is zero
-    or not finite, or a multiplier that is not finite, and
-    NoConvergenceError when the budget is exhausted.  When `trace` is a
+    or not finite, a multiplier that is not finite, or a negative `seed`,
+    and NoConvergenceError when the budget is exhausted.  When `trace` is a
     list it receives the accepted residual norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
@@ -231,6 +230,8 @@ def solve(
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError("the multiplier must be finite")
+    if seed < 0:
+        raise ValueError(f"the seed must not be negative, got {seed}")
     for attempt in range(attempts):
         rng = np.random.default_rng(seed * 1009 + attempt)
         x = rng.standard_normal(2 * n) * 1.2
@@ -343,8 +344,7 @@ def classify(z, gamma, rtol: float = 1e-8) -> str:
     return "collapse"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     moment_z: float
     moment_w: float
     angular: float
@@ -374,26 +374,29 @@ def check_identities(c: Configuration, tol: float = 1e-9) -> IdentityReport:
 # -- singular-sequence probe ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderExponent:
+class OrderExponent(NamedTuple):
     value: float
     confidence: float  # max abs fit residual in log-log coordinates
 
 
-@dataclass(frozen=True)
-class SingularSequenceSample:
-    """Configurations along a decreasing-epsilon sequence."""
-
+class _Sample(NamedTuple):
     points: tuple  # of (epsilon, Configuration)
 
-    def __post_init__(self):
-        eps = [e for e, _ in self.points]
+
+class SingularSequenceSample(_Sample):
+    """Configurations along a decreasing-epsilon sequence."""
+
+    __slots__ = ()
+
+    def __new__(cls, points):
+        eps = [e for e, _ in points]
         if len(eps) < 4:
             raise ValueError("need at least four samples")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon must decrease strictly")
         if eps[0] / eps[-1] < 2:
             raise ValueError("epsilon must decrease by at least a factor of 2 overall")
+        return super().__new__(cls, points)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SingularSequenceSample":

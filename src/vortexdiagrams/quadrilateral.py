@@ -21,7 +21,7 @@ normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactpoly import (
     Polynomial,
@@ -122,8 +122,7 @@ def check_cofactor_identity(gens, target, cofactors) -> bool:
     return is_cofactor_identity(target, gens, [parse_polynomial(text, RING) for text in cofactors])
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     basis_size: int
     cofactor_identity: bool

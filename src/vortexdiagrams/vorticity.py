@@ -5,16 +5,26 @@ emit, and decides whether a ledger of polynomial equalities plus
 disequalities admits real vortex strengths, producing machine-checkable
 certificates for the infeasible direction and exact rational witnesses
 for the feasible one.
+
+`decide` runs on integers until an answer is found.  The witness search
+compiles the ledger once and makes one pass over each equality per
+point, which gives the equality's value and its coefficient in every
+strength that all equalities are linear in, so the point is checked and
+completed from the same numbers.  The certificate candidates are packed
+monomial keys, screened by their residue against the Groebner basis; a
+`Certificate` is built only for a candidate whose residue is zero, and
+kept only once the exact zero-test confirms it.  `satisfies` confirms
+every witness in `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .exactpoly import (
     DEFAULT_VARS,
@@ -22,15 +32,18 @@ from .exactpoly import (
     Polynomial,
     groebner_basis,
     lift,
+    packed_key,
     parse_polynomial,
     reduces_to_zero,
 )
 
 N_VORTICES = 5
 # Random rational points tried by `decide`'s late witness search, after the
-# certificate search has failed; the quick search before it tries 40.  The
-# late search never succeeds at n=5 (2 runs), but at n=6 it runs 19 times
-# and finds 8 witnesses that would otherwise leave their ledgers Unknown.
+# certificate search has failed; the quick search before it tries 40.  In
+# one enumeration the quick search runs 41 times at n=5 and finds 27
+# witnesses, 119 times at n=6 and finds 67.  The late search never
+# succeeds at n=4 or n=5 (1 and 2 runs), but at n=6 it runs 19 times and
+# finds 8 witnesses that would otherwise leave their ledgers Unknown.
 WITNESS_ATTEMPTS = 200
 # The witness search's default seed, the one the recorded reports use.
 LEDGER_SEED = 11
@@ -81,24 +94,45 @@ def total_angular_momentum(n: int = N_VORTICES) -> Polynomial:
     return angular_momentum(range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class ConstraintLedger:
     """Equalities (= 0) and disequalities (!= 0) on the vortex strengths.
 
     Every single vorticity variable is always required nonzero; the
-    constructor inserts them if missing.
+    constructor inserts them if missing.  Immutable, and compared and
+    hashed by its three fields.
     """
 
-    equalities: tuple[Polynomial, ...] = ()
-    nonzeros: tuple[Polynomial, ...] = ()
-    n: int = N_VORTICES
+    __slots__ = ("equalities", "nonzeros", "n")
 
-    def __post_init__(self):
-        eqs = tuple(dict.fromkeys(p for p in self.equalities if p))
-        base = _gamma_vars(self.n)
-        extra = tuple(dict.fromkeys(p for p in self.nonzeros if p and p not in base))
-        object.__setattr__(self, "equalities", eqs)
+    def __init__(self, equalities=(), nonzeros=(), n: int = N_VORTICES):
+        base = _gamma_vars(n)
+        extra = tuple(dict.fromkeys(p for p in nonzeros if p and p not in base))
+        object.__setattr__(self, "equalities", tuple(dict.fromkeys(p for p in equalities if p)))
         object.__setattr__(self, "nonzeros", base + extra)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.equalities, self.nonzeros, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"ConstraintLedger(equalities={self.equalities!r}, "
+            f"nonzeros={self.nonzeros!r}, n={self.n!r})"
+        )
 
     def with_equalities(self, more) -> "ConstraintLedger":
         return ConstraintLedger(self.equalities + tuple(more), self.nonzeros, self.n)
@@ -118,8 +152,7 @@ class ConstraintLedger:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Re-checkable witness of infeasibility.
 
     `polynomial` lies in the equality ideal: `decide` finds it by a normal
@@ -143,8 +176,7 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # Feasible | Infeasible | Unknown
     witness: dict | None = None
     certificate: Certificate | None = None
@@ -226,50 +258,44 @@ def _int_value(form: tuple, point: list, den: int) -> int:
     return total
 
 
-def _int_holds(eqs: list, nzs: list, point: list, den: int) -> bool:
-    """Integer twin of `satisfies` at the point ``point / den``."""
-    return all(not _int_value(f, point, den) for f in eqs) and all(
-        _int_value(f, point, den) for f in nzs
-    )
+def _linear_form(form: tuple, solvable) -> tuple:
+    """`form` compiled for `_linear_pass` at points over `_POOL_DENOMINATOR`.
 
-
-def _linear_split(form: tuple, slot: int):
-    """Forms ``(a, b)`` with form = a * x + b in the variable at `slot`.
-
-    `a` carries one more power of the denominator than its terms' gap, so
-    that at ``point / den`` the root is exactly ``-value(b) / value(a)``.
-    None when `form` has degree above 1 in that variable.
+    Each term becomes ``(coefficient, factors, splits)``: the coefficient
+    times the denominator to the term's gap, and for each factor whose
+    slot is in `solvable`, that slot with the other factors.
     """
-    lin, const = [], []
+    den = _POOL_DENOMINATOR
+    out = []
     for c, gap, factors in form:
-        k = factors.count(slot)
-        if k > 1:
-            return None
-        if k:
-            lin.append((c, gap + 1, tuple(f for f in factors if f != slot)))
-        else:
-            const.append((c, gap, factors))
-    return tuple(lin), tuple(const)
+        splits = tuple(
+            (s, factors[:i] + factors[i + 1:]) for i, s in enumerate(factors) if s in solvable
+        )
+        out.append((c * den**gap, factors, splits))
+    return tuple(out)
 
 
-def _solve_slot(splits, point: list, den: int):
-    """Root ``(num, a)`` solving every split equality for one variable, the
-    others fixed at ``point / den``; None if they disagree or it is 0."""
-    root = None
-    for lin, const in splits:
-        a = _int_value(lin, point, den)
-        b = _int_value(const, point, den)
-        if not a:
-            if b:
-                return None
-            continue
-        if root is None:
-            root = (-b, a)
-        elif root[0] * a != -b * root[1]:
-            return None
-    if root is None or not root[0]:
-        return None
-    return root
+def _linear_pass(form: tuple, point: tuple) -> tuple:
+    """``(value, coefficients)`` of a `_linear_form` at ``point / den``.
+
+    `value` is the `_int_value` of the form there.  The form is linear in
+    each solvable slot s, a * x + b in the strength x at s, and
+    ``coefficients[s]`` times the denominator is a, while b is `value`
+    less ``coefficients[s] * point[s]``.  One pass over the terms gives
+    the value and every coefficient.
+    """
+    value = 0
+    coefficients = [0] * len(point)
+    for c, factors, splits in form:
+        for slot, others in splits:
+            part = c
+            for other in others:
+                part *= point[other]
+            coefficients[slot] += part
+        for slot in factors:
+            c *= point[slot]
+        value += c
+    return value, coefficients
 
 
 @lru_cache(maxsize=64)
@@ -286,46 +312,67 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
 
     The ledger is compiled once into integer form and points are pool
     numerators over `_POOL_DENOMINATOR`, so an attempt makes no `Fraction`.
-    A point that passes the integer check is returned only after
-    `satisfies` confirms it exactly.
+    Each point takes one `_linear_pass` over each equality.  A completion
+    solves every equality by construction, so only its nonzero constraints
+    are checked in integers.  A point that passes the integer check is
+    returned only after `satisfies` confirms it exactly.
     """
     gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
     slots = {g: i for i, g in enumerate(gammas)}
-    eqs = [_integer_form(p, slots) for p in ledger.equalities]
+    forms = [_integer_form(p, slots) for p in ledger.equalities]
     nzs = [_integer_form(q, slots) for q in ledger.nonzeros]
-    solvable = []
-    if eqs:
-        for slot in reversed(range(len(gammas))):
-            splits = [_linear_split(f, slot) for f in eqs]
-            if None not in splits:
-                solvable.append((slot, splits))
+    # the slots every equality is linear in, last first
+    solvable = [
+        slot
+        for slot in reversed(range(len(gammas)))
+        if forms and all(factors.count(slot) < 2 for f in forms for _, _, factors in f)
+    ]
+    eqs = [_linear_form(f, solvable) for f in forms]
     den = _POOL_DENOMINATOR
     for point in _witness_points(seed, attempts, ledger.n):
-        if _int_holds(eqs, nzs, point, den):
+        passes = [_linear_pass(f, point) for f in eqs]
+        if not any(value for value, _ in passes) and all(_int_value(f, point, den) for f in nzs):
             witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
             if satisfies(ledger, witness):
                 return witness
-        for slot, splits in solvable:
-            root = _solve_slot(splits, point, den)
-            if root is None:
-                continue
-            num, a = root
-            full = [t * a for t in point]
-            full[slot] = num * den
-            if not _int_holds(eqs, nzs, full, den * a):
-                continue
-            witness = {g: Fraction(t, den) for g, t in zip(gammas, point) if slots[g] != slot}
-            witness[gammas[slot]] = Fraction(num, a)
-            if satisfies(ledger, witness):
-                return witness
+        for slot in solvable:
+            # The root num / a of every equality a * x + b, x the strength
+            # at `slot`; no root when two disagree or one has a = 0, b != 0.
+            root = None
+            for value, coefficients in passes:
+                a = coefficients[slot] * den
+                b = value - coefficients[slot] * point[slot]
+                if not a:
+                    if b:
+                        break
+                    continue
+                if root is None:
+                    root = (-b, a)
+                elif root[0] * a != -b * root[1]:
+                    break
+            else:
+                if root is None or not root[0]:
+                    continue
+                num, a = root
+                full = [t * a for t in point]
+                full[slot] = num * den
+                if not all(_int_value(f, full, den * a) for f in nzs):
+                    continue
+                witness = {g: Fraction(t, den) for g, t in zip(gammas, point) if slots[g] != slot}
+                witness[gammas[slot]] = Fraction(num, a)
+                if satisfies(ledger, witness):
+                    return witness
     return None
 
 
-def _monomial(exps: dict) -> Polynomial:
-    e = [0] * len(DEFAULT_VARS)
-    for name, p in exps.items():
-        e[DEFAULT_VARS.index(name)] = p
-    return Polynomial({tuple(e): Fraction(1)}, DEFAULT_VARS, _clean=False)
+def _squarefree(subset) -> tuple:
+    """Exponent tuple of the product of G_i over i in `subset`."""
+    return tuple(int(j in subset) for j in range(1, len(DEFAULT_VARS) + 1))
+
+
+def _square(i: int, mult: tuple) -> tuple:
+    """Exponent tuple of (G_i * m)^2, m the monomial with exponents `mult`."""
+    return tuple(2 * (e + (j == i)) for j, e in enumerate(mult, start=1))
 
 
 def _sum_of_squares(subset, mult: Polynomial) -> Polynomial:
@@ -341,61 +388,73 @@ def _sum_of_squares(subset, mult: Polynomial) -> Polynomial:
 def _certificate_candidates(n: int) -> tuple:
     """Monomial and sum-of-squares certificates, in search order.
 
+    Each candidate is ``(terms, kind, subset, multiplier)``: `terms` maps
+    the packed key of each monomial to its coefficient, always 1, as
+    `Basis.packed_residue` reads them, and `multiplier` is the exponent
+    tuple of a sum of squares' multiplier (None for a monomial).
+    `_candidate_certificate` turns one into its `Certificate`.
+
     Each polynomial appears once, with the first subset and multiplier
     that build it.  The monomials are squarefree: if a monomial of degree
     at most 4 with a square in it lies in the ideal, so does M^2, M the
     product of its (at most three) variables, and M^2 is already here as
     the sum of squares with subset (i,), i the least of them, and the
     product of the others as multiplier.  They depend on n only, so each
-    n builds them once.
+    n builds them once, from exponent arithmetic alone.
     """
-    gammas = [f"G{i}" for i in range(1, n + 1)]
     out = {}
     # (b) a squarefree monomial in the (nonzero) vorticities lies in the
     # ideal: some vorticity would vanish.
     for size in (1, 2, 3):
         for S in itertools.combinations(range(1, n + 1), size):
-            m = _monomial({f"G{i}": 1 for i in S})
-            out[m] = Certificate("vanishing-monomial", m, subset=S)
+            terms = {packed_key(_squarefree(S)): 1}
+            out[frozenset(terms)] = (terms, "vanishing-monomial", S, None)
     # (c) a sum of squares of monomials lies in the ideal: over the reals
-    # each part vanishes, forcing some vorticity to zero.
-    multipliers = [_monomial({})]
-    multipliers += [_monomial({g: 1}) for g in gammas]
-    multipliers += [
-        _monomial({gammas[j]: 1, gammas[k]: 1}) for j in range(n) for k in range(j + 1, n)
-    ]
-    multipliers += [_monomial({g: 2}) for g in gammas]
-    # (G_i * mult)^2 is one monomial, 2(e_i + e_mult), and distinct i give
-    # distinct monomials, so each sum is built term by term with coefficient
-    # 1.  `verify_certificate` re-derives it with `_sum_of_squares`.
+    # each part vanishes, forcing some vorticity to zero.  The multipliers
+    # are 1, G_j, G_j*G_k (j < k) and G_j^2.
+    multipliers = [_squarefree(())] + [_squarefree((i,)) for i in range(1, n + 1)]
+    multipliers += [_squarefree(jk) for jk in itertools.combinations(range(1, n + 1), 2)]
+    multipliers += [_square(i, _squarefree(())) for i in range(1, n + 1)]
+    # (G_i * mult)^2 is one monomial, and distinct i give distinct
+    # monomials, so each sum has coefficient 1 on each of its terms.
+    # `verify_certificate` re-derives it with `_sum_of_squares`.
     for mult in multipliers:
-        (m,) = mult.terms
-        square = {}
-        for i in range(1, n + 1):
-            e = list(m)
-            e[DEFAULT_VARS.index(f"G{i}")] += 1
-            square[i] = tuple(2 * x for x in e)
+        square = {i: packed_key(_square(i, mult)) for i in range(1, n + 1)}
         for size in range(1, n + 1):
             for S in itertools.combinations(range(1, n + 1), size):
-                sos = Polynomial({square[i]: ONE for i in S}, DEFAULT_VARS, _clean=False)
-                out.setdefault(sos, Certificate("sum-of-squares", sos, subset=S, multiplier=mult))
+                terms = {square[i]: 1 for i in S}
+                out.setdefault(frozenset(terms), (terms, "sum-of-squares", S, mult))
     return tuple(out.values())
+
+
+def _candidate_certificate(candidate: tuple) -> Certificate:
+    """The `Certificate` that a packed candidate stands for."""
+    _, kind, subset, mult = candidate
+    if mult is None:
+        monomial = Polynomial({_squarefree(subset): ONE}, DEFAULT_VARS, _clean=False)
+        return Certificate(kind, monomial, subset)
+    poly = Polynomial({_square(i, mult): ONE for i in subset}, DEFAULT_VARS, _clean=False)
+    return Certificate(kind, poly, subset, Polynomial({mult: ONE}, DEFAULT_VARS, _clean=False))
 
 
 def _certificate_search(ledger: ConstraintLedger, basis):
     """The first member of the equality ideal among the candidates.
 
     A candidate whose residue is nonzero is no member; only a zero residue
-    is confirmed by the exact zero-test.
+    is confirmed by the exact zero-test.  A packed candidate becomes a
+    `Certificate` only then.
     """
     residue = basis.residue
     # (a) a polynomial required nonzero lies in the equality ideal.
     for q in ledger.nonzeros:
         if not residue(q) and reduces_to_zero(q, basis):
             return Certificate("direct-disequality", q)
-    for cert in _certificate_candidates(ledger.n):
-        if not residue(cert.polynomial) and reduces_to_zero(cert.polynomial, basis):
-            return cert
+    packed_residue = basis.packed_residue
+    for candidate in _certificate_candidates(ledger.n):
+        if not packed_residue(candidate[0]):
+            cert = _candidate_certificate(candidate)
+            if reduces_to_zero(cert.polynomial, basis):
+                return cert
     return None
 
 

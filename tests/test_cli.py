@@ -300,6 +300,8 @@ def _fresh_run(argv):
 
 # the diagram model and constraint logic, which verify-groebner never runs
 DIAGRAM_CODE = {"vortexdiagrams.diagram", "vortexdiagrams.vorticity"}
+# what `dataclasses` would load; the package's records do without it
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 class TestImportFootprint:
@@ -310,12 +312,13 @@ class TestImportFootprint:
         "argv, absent",
         [
             (None, {"numpy", "multiprocessing", "vortexdiagrams.atlas", *DIAGRAM_CODE}),
-            (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric"}),
+            (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric", *RECORD_MACHINERY}),
             (
                 ["verify-groebner"],
                 {
                     "numpy",
                     "multiprocessing",
+                    *RECORD_MACHINERY,
                     "vortexdiagrams.atlas",
                     "vortexdiagrams.lemmas",
                     *DIAGRAM_CODE,
@@ -350,6 +353,10 @@ class TestUsage:
 
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["solve", "--gamma", "1,1", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: the seed must not be negative, got -1\n"
 
     @pytest.mark.parametrize("lam", ["nan", "nanj", "inf", "-inf", "-nan", "infi", "nan+nani"])
     def test_non_finite_multiplier_is_usage_error(self, lam, capsys):

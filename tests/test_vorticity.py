@@ -6,8 +6,14 @@ from unittest import mock
 
 import pytest
 
-from vortexdiagrams import atlas, vorticity
-from vortexdiagrams.exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
+from vortexdiagrams import atlas, exactpoly, vorticity
+from vortexdiagrams.exactpoly import (
+    DEFAULT_VARS,
+    Polynomial,
+    groebner_basis,
+    parse_polynomial,
+    reduces_to_zero,
+)
 from vortexdiagrams.vorticity import (
     LEDGER_SEED,
     WITNESS_POOL,
@@ -249,6 +255,19 @@ def _fraction_search_witness(ledger, attempts, seed):
 
 
 class TestWitnessSearch:
+    @staticmethod
+    def search(ledger, attempts, seed, monkeypatch):
+        """`_search_witness`, checked against the `Fraction` reference."""
+        confirmed = []
+        monkeypatch.setattr(
+            vorticity, "satisfies", lambda led, w: confirmed.append(w) or satisfies(led, w)
+        )
+        got = vorticity._search_witness(ledger, attempts, seed)
+        assert got == _fraction_search_witness(ledger, attempts, seed), ledger
+        # one exact confirmation per returned witness, none per attempt
+        assert confirmed == ([got] if got is not None else [])
+        return got
+
     def test_matches_fraction_reference(self, monkeypatch):
         rng = random.Random(30)
         pool = [gamma_sum(J) for size in (1, 2, 3) for J in itertools.combinations(range(1, 6), size)]
@@ -259,23 +278,22 @@ class TestWitnessSearch:
             parse_polynomial(t)
             for t in ("1/2*G1*G2 + G3 - 3/4", "G4^2 - 4", "2/3*G5 + 1", "G1*G2*G3 - 6*G4 + 1/3")
         ]
-        confirmed = []
-        monkeypatch.setattr(
-            vorticity, "satisfies", lambda led, w: confirmed.append(w) or satisfies(led, w)
-        )
         found = 0
         for seed in range(120):
             ledger = ConstraintLedger(
                 tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
                 tuple(rng.choice(pool) for _ in range(rng.randint(0, 2))),
             )
-            confirmed.clear()
-            got = vorticity._search_witness(ledger, 40, seed)
-            assert got == _fraction_search_witness(ledger, 40, seed), ledger
-            # one exact confirmation per returned witness, none per attempt
-            assert confirmed == ([got] if got is not None else [])
-            found += got is not None
+            found += self.search(ledger, 40, seed, monkeypatch) is not None
         assert 20 <= found <= 100, found
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_fraction_reference_on_the_decided_ledgers(self, n, monkeypatch):
+        # both searches `decide` runs, on every ledger an enumeration decides
+        ledgers = dict.fromkeys(ledger for ledger, _ in decided(n)[0])
+        for ledger in ledgers:
+            self.search(ledger, 40, LEDGER_SEED, monkeypatch)
+            self.search(ledger, vorticity.WITNESS_ATTEMPTS, LEDGER_SEED + 1, monkeypatch)
 
 
 class TestVerifyCertificate:
@@ -328,10 +346,64 @@ class TestVerifyCertificate:
         assert not verify_certificate(led, forged)
 
 
+def _monomial(exps: dict) -> Polynomial:
+    e = [0] * len(DEFAULT_VARS)
+    for name, p in exps.items():
+        e[DEFAULT_VARS.index(name)] = p
+    return Polynomial({tuple(e): Fraction(1)})
+
+
+@functools.lru_cache(maxsize=None)
+def reference_candidates(n):
+    """The certificate candidates in search order, built as `Polynomial`s:
+    each polynomial once, with the first subset and multiplier that build
+    it."""
+    gammas = [f"G{i}" for i in range(1, n + 1)]
+    out = {}
+    for size in (1, 2, 3):
+        for S in itertools.combinations(range(1, n + 1), size):
+            m = _monomial({f"G{i}": 1 for i in S})
+            out[m] = vorticity.Certificate("vanishing-monomial", m, subset=S)
+    multipliers = [_monomial({})]
+    multipliers += [_monomial({g: 1}) for g in gammas]
+    multipliers += [
+        _monomial({gammas[j]: 1, gammas[k]: 1}) for j in range(n) for k in range(j + 1, n)
+    ]
+    multipliers += [_monomial({g: 2}) for g in gammas]
+    # (G_i * mult)^2 is the monomial 2(e_i + e_mult)
+    for mult in multipliers:
+        (m,) = mult.terms
+        square = {}
+        for i in range(1, n + 1):
+            e = list(m)
+            e[DEFAULT_VARS.index(f"G{i}")] += 1
+            square[i] = tuple(2 * x for x in e)
+        for size in range(1, n + 1):
+            for S in itertools.combinations(range(1, n + 1), size):
+                sos = Polynomial({square[i]: Fraction(1) for i in S})
+                cert = vorticity.Certificate("sum-of-squares", sos, subset=S, multiplier=mult)
+                out.setdefault(sos, cert)
+    return list(out.values())
+
+
+def candidate_certificates(n):
+    return [vorticity._candidate_certificate(c) for c in vorticity._certificate_candidates(n)]
+
+
 class TestCertificateCandidates:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_packed_candidates_match_the_polynomial_reference(self, n):
+        candidates = vorticity._certificate_candidates(n)
+        certificates = candidate_certificates(n)
+        # order, kind, polynomial, subset and multiplier
+        assert certificates == reference_candidates(n)
+        packing = exactpoly._Packing(len(DEFAULT_VARS))
+        for (terms, *_), cert in zip(candidates, certificates):
+            assert terms == exactpoly._int_terms(cert.polynomial, packing)
+
     @pytest.mark.parametrize("n, count", [(3, 66), (4, 213), (5, 626), (6, 1720)])
     def test_sums_of_squares_match_the_product_reference(self, n, count):
-        candidates = vorticity._certificate_candidates(n)
+        candidates = candidate_certificates(n)
         assert len(candidates) == count
         squares = [c for c in candidates if c.kind == "sum-of-squares"]
         assert squares
@@ -343,7 +415,7 @@ class TestCertificateCandidates:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_candidates_are_distinct_and_cover_the_monomials_with_a_square(self, n):
-        polys = [c.polynomial for c in vorticity._certificate_candidates(n)]
+        polys = [c.polynomial for c in candidate_certificates(n)]
         candidates = set(polys)
         assert len(candidates) == len(polys)
         # A monomial of degree 2..4 with a square in it divides M^2, M the
@@ -391,26 +463,31 @@ class TestResidueScreen:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_member_has_residue_zero(self, n):
         # The exact zero-test is the oracle for every candidate and required
-        # nonzero polynomial against every basis the enumeration builds.
-        candidates = [c.polynomial for c in vorticity._certificate_candidates(n)]
-        bases: dict = {}  # equality set -> (basis, polynomials checked)
+        # nonzero polynomial against every basis the enumeration builds; the
+        # packed candidates' residue is their polynomial's.
+        packed = vorticity._certificate_candidates(n)
+        candidates = [c.polynomial for c in candidate_certificates(n)]
+        bases: dict = {}  # equality set -> (basis, residue of each polynomial checked)
         members = false_zeros = 0
         for ledger, _ in decided(n)[0]:
             if not ledger.equalities:
                 continue
             key = frozenset(ledger.equalities)
-            if key not in bases:
-                bases[key] = (groebner_basis(ledger.equalities), set())
+            first = key not in bases
+            if first:
+                bases[key] = (groebner_basis(ledger.equalities), {})
             basis, checked = bases[key]
             for p in (*ledger.nonzeros, *candidates):
                 if p in checked:
                     continue
-                checked.add(p)
                 member = reduces_to_zero(p, basis)
-                residue = basis.residue(p)
+                residue = checked[p] = basis.residue(p)
                 assert residue == 0 or not member, (ledger.to_json(), p)
                 members += member
                 false_zeros += residue == 0 and not member
+            if first:
+                for (terms, *_), p in zip(packed, candidates):
+                    assert basis.packed_residue(terms) == checked[p], (ledger.to_json(), p)
         assert members > 0
         assert false_zeros == 0
 
