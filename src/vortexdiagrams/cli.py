@@ -10,7 +10,9 @@ Each handler imports the module behind its subcommand, so a cold process
 pays only for what it runs: `solve` and `probe` load `numeric` and with
 it numpy, which the exact-algebra commands never call; `verify-groebner`
 loads `quadrilateral` and `exactpoly` only, without `diagram`,
-`vorticity`, `atlas` or `lemmas`.
+`vorticity`, `atlas` or `lemmas`.  `main` does not import `exactpoly`
+either: its `ResourceLimitError` can only have been raised once a
+handler has loaded it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import argparse
 import json
 import math
 import sys
-
-from .exactpoly import ResourceLimitError
 
 
 def _dump(data, out=None) -> None:
@@ -288,7 +288,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ResourceLimitError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        exactpoly = sys.modules.get(f"{__package__}.exactpoly")
+        if exactpoly is None or not isinstance(exc, exactpoly.ResourceLimitError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,10 @@ divisibility is one subtraction and mask (layout below, limit
 `MAX_DEGREE`).  `groebner_basis` returns a `Basis`, which converts its
 generators to packed divisors once; every `reduces_to_zero` against it
 reuses them.  `normal_form` divides with `Fraction`s over exponent tuples
-and is the reference the kernel is tested against.  `lift` uses neither.
+and is the reference the kernel is tested against; it keeps its pending
+terms in a heap in grevlex order, as the kernel does, and takes the same
+division steps a scan for the largest pending term would.  `lift` uses
+neither.
 
 A many-candidate membership search screens each candidate first by
 `Basis.residue`, one scalar: its normal form evaluated at a fixed
@@ -37,7 +40,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg, sub
 import random
 import re
 
@@ -62,7 +65,7 @@ def _grevlex_key(exps: tuple):
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def _mono_divides(m1: tuple, m2: tuple) -> bool:
@@ -70,17 +73,17 @@ def _mono_divides(m1: tuple, m2: tuple) -> bool:
 
 
 def _mono_div(m1: tuple, m2: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 class Polynomial:
     """Immutable sparse polynomial: map exponent tuple -> nonzero Fraction.
 
-    `_hash` and `_packed` (the integer kernel's terms, see `_int_terms`)
-    are computed on first use and kept.
+    `_hash`, `_packed` (the integer kernel's terms, see `_int_terms`) and
+    `_text` (see `to_text`) are computed on first use and kept.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_packed")
+    __slots__ = ("ring", "terms", "_hash", "_packed", "_text")
 
     def __init__(self, terms=None, ring: tuple[str, ...] = DEFAULT_VARS, _clean=True):
         self.ring = ring
@@ -97,6 +100,7 @@ class Polynomial:
             self.terms = terms
         self._hash = None
         self._packed = None
+        self._text = None
 
     # -- constructors ---------------------------------------------------
 
@@ -156,16 +160,17 @@ class Polynomial:
                 return Polynomial.zero(self.ring)
             return Polynomial({m: cc * c for m, cc in self.terms.items()}, self.ring, _clean=False)
         self._check(other)
+        # Integer numerators over each factor's common denominator, so that
+        # only the output terms become Fractions.
+        da, left = _over_common_denominator(self.terms)
+        db, right = _over_common_denominator(other.terms)
         res: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in left:
+            for m2, c2 in right:
                 m = _mono_mul(m1, m2)
-                nc = res.get(m, ZERO) + c1 * c2
-                if nc:
-                    res[m] = nc
-                else:
-                    del res[m]
-        return Polynomial(res, self.ring, _clean=False)
+                res[m] = res.get(m, 0) + c1 * c2
+        den = da * db
+        return Polynomial({m: Fraction(c, den) for m, c in res.items() if c}, self.ring, _clean=False)
 
     __rmul__ = __mul__
 
@@ -235,6 +240,13 @@ class Polynomial:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
+        """The canonical text, terms in decreasing grevlex order; rendered
+        on first use and kept in `_text`."""
+        if self._text is None:
+            self._text = self._render()
+        return self._text
+
+    def _render(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
@@ -264,6 +276,13 @@ _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
     r"(?P<vars>(?:\*?\s*[A-Za-zΓ][A-Za-z0-9]*(?:\^\d+)?\s*)*)"
 )
+
+
+def _over_common_denominator(terms: dict) -> tuple:
+    """(d, [(monomial, c * d)]) with d the lcm of the denominators, so every
+    c * d is an int."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
 
 
 def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
@@ -314,30 +333,45 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     ``p - result`` lies in the ideal generated by `basis` (exact division,
     no scalar slack).  This is the `Fraction` reference for the packed
     integer kernel below.
+
+    Each step takes the largest pending term and divides it by the first
+    basis element whose leading monomial divides it.  The pending terms
+    wait in a min-heap keyed by (-degree, reversed exponents), which is
+    grevlex order with the largest first, so the steps and the remainder
+    are those of a scan for the maximum at every step.  A term cancelled
+    to zero leaves a stale heap entry, skipped when popped.
     """
     divisors = []
     for g in basis:
         if g:
             lm = g.leading_monomial()
-            divisors.append((lm, g.terms[lm], g.terms))
+            tail = [(mg, cg) for mg, cg in g.terms.items() if mg != lm]
+            divisors.append((lm, g.terms[lm], tail))
     work = dict(p.terms)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapify(heap)
     remainder: dict = {}
-    while work:
-        m = max(work, key=_grevlex_key)
-        c = work.pop(m)
-        for lm, lc, gterms in divisors:
+    while heap:
+        m = heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, lc, tail in divisors:
             if _mono_divides(lm, m):
                 q = _mono_div(m, lm)
                 factor = c / lc
-                for mg, cg in gterms.items():
-                    if mg is lm or mg == lm:
-                        continue
+                for mg, cg in tail:
                     mm = _mono_mul(mg, q)
-                    nc = work.get(mm, ZERO) - factor * cg
-                    if nc:
-                        work[mm] = nc
+                    nc = work.get(mm)
+                    if nc is None:
+                        work[mm] = -factor * cg
+                        heappush(heap, (-sum(mm), mm[::-1], mm))
                     else:
-                        work.pop(mm, None)
+                        nc -= factor * cg
+                        if nc:
+                            work[mm] = nc
+                        else:
+                            del work[mm]
                 break
         else:
             remainder[m] = c
@@ -434,9 +468,8 @@ def _int_terms(p: Polynomial, packing: _Packing) -> dict:
     """
     terms = p._packed
     if terms is None:
-        den = lcm(*(c.denominator for c in p.terms.values()))
         pack = packing.pack
-        terms = _int_strip({pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()})
+        terms = _int_strip({pack(m): c for m, c in _over_common_denominator(p.terms)[1]})
         p._packed = terms
     return terms
 
@@ -750,10 +783,14 @@ def groebner_basis(
         reduced.append((max(terms), terms))
     reduced.sort(key=lambda lead_terms: lead_terms[0])
     unpack = packing.unpack
-    polys = [
-        Polynomial({unpack(m): Fraction(c, terms[lead]) for m, c in terms.items()}, ring, _clean=False)
-        for lead, terms in reduced
-    ]
+    polys = []
+    for lead, terms in reduced:
+        lc = terms[lead]
+        g = Polynomial({unpack(m): Fraction(c, lc) for m, c in terms.items()}, ring, _clean=False)
+        # `terms` is content-stripped, so these are the integer terms
+        # `_int_terms` would pack for monic g: `terms`, with a positive lead
+        g._packed = terms if lc > 0 else {m: -c for m, c in terms.items()}
+        polys.append(g)
     return Basis(polys, ring)
 
 

@@ -15,6 +15,7 @@ from vortexdiagrams.atlas import (
     set_partitions,
 )
 from vortexdiagrams.diagram import Diagram, canonical_key, orbit_masks, validate
+from vortexdiagrams.exactpoly import Polynomial
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.vorticity import decide
 
@@ -302,3 +303,16 @@ class TestVerdictMemo:
         atlas.judge(ROBERTS, memo)
         atlas.judge(ROBERTS, memo)
         assert len(decide_calls) == 3 * once
+
+
+class TestPolynomialText:
+    def test_each_polynomial_of_the_n5_report_is_rendered_once(self, monkeypatch):
+        # `to_text` keeps its text; a fresh render must still produce it
+        render = Polynomial._render
+        rendered = []
+        monkeypatch.setattr(Polynomial, "_render", lambda p: rendered.append(p) or render(p))
+        enumerate_diagrams(5).to_json()
+        assert rendered
+        assert len({id(p) for p in rendered}) == len(rendered)
+        for p in rendered:
+            assert p.to_text() == render(p)

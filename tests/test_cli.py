@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -275,6 +276,24 @@ class TestVerifyGroebner:
         assert captured.out == ""
         assert captured.err == "error: pair reduction budget exceeded (5)\n"
 
+    def test_any_other_runtime_error_propagates(self, monkeypatch):
+        def fail():
+            raise RuntimeError("not a budget")
+
+        monkeypatch.setattr(quadrilateral, "verify_membership", fail)
+        with pytest.raises(RuntimeError, match="not a budget"):
+            main(["verify-groebner"])
+
+    def test_stdout_is_pinned(self, capsys):
+        # the whole JSON, flags and cofactors included, not only the basis
+        assert main(["verify-groebner"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GROEBNER_STDOUT_SHA256
+
+
+# sha256 of `verify-groebner`'s stdout
+VERIFY_GROEBNER_STDOUT_SHA256 = "bedce33a7cacfd05a93aa5975ec5d66faa1d6f0105b5e46722ee5635bfd9dd37"
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -311,7 +330,16 @@ class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (None, {"numpy", "multiprocessing", "vortexdiagrams.atlas", *DIAGRAM_CODE}),
+            (
+                None,
+                {
+                    "numpy",
+                    "multiprocessing",
+                    "vortexdiagrams.atlas",
+                    "vortexdiagrams.exactpoly",
+                    *DIAGRAM_CODE,
+                },
+            ),
             (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric", *RECORD_MACHINERY}),
             (
                 ["verify-groebner"],
@@ -336,6 +364,7 @@ class TestImportFootprint:
         code, modules = _fresh_run(["solve", "--gamma", "1,1,1,-2,0.5"])
         assert code == 0
         assert {"numpy", "vortexdiagrams.numeric"} <= modules
+        assert "vortexdiagrams.exactpoly" not in modules
 
 
 class TestUsage:

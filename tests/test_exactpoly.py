@@ -14,7 +14,9 @@ from vortexdiagrams.exactpoly import (
     Basis,
     Polynomial,
     ResourceLimitError,
+    _Packing,
     _grevlex_key,
+    _int_terms,
     _residue_point,
     groebner_basis,
     is_cofactor_identity,
@@ -108,6 +110,62 @@ class TestArithmetic:
         assert Polynomial({(0,) * len(DEFAULT_VARS): 0}).terms == {}
 
 
+def double_loop_product(f, g):
+    """`f * g` term by term in `Fraction`s: the reference for `__mul__`.
+    Returns the product's terms and how many of them cancelled on the way."""
+    res = {}
+    cancelled = 0
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            nc = res.get(m, Fraction(0)) + c1 * c2
+            if nc:
+                res[m] = nc
+            else:
+                del res[m]
+                cancelled += 1
+    return res, cancelled
+
+
+class TestProductReference:
+    """`__mul__` multiplies integer numerators over common denominators;
+    the terms must be those of the `Fraction` double loop."""
+
+    def test_random_products(self):
+        rng = random.Random(19)
+        cancelled = 0
+        for _ in range(300):
+            f = random_poly(rng, max_terms=5, max_deg=3)
+            g = random_poly(rng, max_terms=5, max_deg=3)
+            if rng.random() < 0.3:  # (f + g) * (f - g) cancels the cross terms
+                f, g = f + g, f - g
+            expected, lost = double_loop_product(f, g)
+            cancelled += lost
+            assert (f * g).terms == expected, (f, g)
+        assert cancelled >= 50, cancelled
+
+    def test_other_ring(self):
+        rng = random.Random(20)
+        for _ in range(50):
+            f = random_ring_poly(rng, quadrilateral.RING)
+            g = random_ring_poly(rng, quadrilateral.RING)
+            product = f * g
+            assert product.ring == quadrilateral.RING
+            assert product.terms == double_loop_product(f, g)[0]
+
+    def test_zero_constants_and_scalars(self):
+        f = Fraction(2, 3) * G1**2 - Fraction(5, 4) * G2 + Fraction(1, 6)
+        zero = Polynomial.zero()
+        for a, b in [(zero, f), (f, zero), (zero, zero)]:
+            assert (a * b).terms == {}
+        half = Polynomial.constant(Fraction(-1, 2))
+        for a, b in [(half, f), (f, half), (half, half)]:
+            assert (a * b).terms == double_loop_product(a, b)[0]
+        for scalar in (3, Fraction(-7, 9), 0):
+            expected = double_loop_product(f, Polynomial.constant(scalar))[0]
+            assert (f * scalar).terms == (scalar * f).terms == expected
+
+
 class TestOrders:
     def test_grevlex_ties_break_on_last_variable(self):
         G6, G7 = Polynomial.variable("G6"), Polynomial.variable("G7")
@@ -158,6 +216,109 @@ class TestNormalForm:
         r = normal_form(p, basis)
         point = {"G1": 2, "G2": -2, "G3": 7, "G4": 7, "G5": Fraction(1, 3)}
         assert p.evaluate(point) == r.evaluate(point)
+
+
+def max_scan_normal_form(p, basis):
+    """Division that scans every pending term for the largest at each step:
+    the reference for `normal_form`'s heap.  Returns the remainder's items
+    in order and how many pending terms came back after cancelling to zero
+    (each leaves a stale heap entry)."""
+    divisors = [(g.leading_monomial(), g) for g in basis if g]
+    work = dict(p.terms)
+    cancelled = set()
+    recreated = 0
+    remainder = []
+    while work:
+        m = max(work, key=_grevlex_key)
+        c = work.pop(m)
+        for lm, g in divisors:
+            if all(a <= b for a, b in zip(lm, m)):
+                q = tuple(a - b for a, b in zip(m, lm))
+                factor = c / g.terms[lm]
+                for mg, cg in g.terms.items():
+                    if mg == lm:
+                        continue
+                    mm = tuple(a + b for a, b in zip(mg, q))
+                    recreated += mm in cancelled and mm not in work
+                    nc = work.get(mm, Fraction(0)) - factor * cg
+                    if nc:
+                        work[mm] = nc
+                    else:
+                        del work[mm]
+                        cancelled.add(mm)
+                break
+        else:
+            remainder.append((m, c))
+    return remainder, recreated
+
+
+class TestHeapDivision:
+    """`normal_form` pops pending terms from a heap; its remainder must be
+    the max-scan reference's, item for item and in the same order."""
+
+    @staticmethod
+    def check(p, divisors):
+        expected, recreated = max_scan_normal_form(p, divisors)
+        assert list(normal_form(p, divisors).terms.items()) == expected, (p, divisors)
+        return bool(expected), recreated
+
+    @staticmethod
+    def unit_poly(rng, ring, nvars, max_terms, max_deg):
+        """Coefficients +-1 or +-1/2 in the first `nvars` variables of
+        `ring`, so that terms of a combination cancel often."""
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exps = [0] * len(ring)
+            for _ in range(rng.randint(0, max_deg)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = Fraction(rng.choice([-1, 1]), rng.choice([1, 1, 2]))
+        return Polynomial(terms, ring)
+
+    def test_a_cancelled_term_comes_back(self):
+        # G1*G2 -> G2*G3 cancels -G2*G3; G2^2 -> G2*G3 brings it back
+        p = G1 * G2 - G2 * G3 + G2**2
+        assert self.check(p, [G1 - G3, G2 - G3]) == (True, 1)
+
+    def test_random_divisors(self):
+        # non-homogeneous dividends and non-monic divisors, in any order
+        rng = random.Random(17)
+        nonzero = recreated = 0
+        for _ in range(300):
+            divisors = [random_poly(rng, 3, 2) for _ in range(rng.randint(1, 3))]
+            p = random_poly(rng, max_terms=6, max_deg=4)
+            if rng.random() < 0.3:
+                p = p + divisors[0] * random_poly(rng, 3, 2)
+            nonzero += self.check(p, divisors)[0]
+            divisors = [self.unit_poly(rng, DEFAULT_VARS, 3, 3, 2) for _ in range(rng.randint(1, 3))]
+            p = self.unit_poly(rng, DEFAULT_VARS, 3, 4, 4)
+            for g in divisors:
+                p = p + g * self.unit_poly(rng, DEFAULT_VARS, 3, 3, 2)
+            recreated += self.check(p, divisors)[1] > 0
+        assert 100 <= nonzero < 300 and recreated >= 10, (nonzero, recreated)
+
+    def test_random_divisors_over_the_quadrilateral_ring(self):
+        rng = random.Random(18)
+        ring = quadrilateral.RING
+        gens, _ = quadrilateral.quadrilateral_system()
+        nonzero = 0
+        for _ in range(60):
+            p = random_ring_poly(rng, ring, max_terms=6, max_deg=5)
+            divisors = [random_ring_poly(rng, ring, 3, 2) for _ in range(2)]
+            nonzero += self.check(p, divisors)[0]
+            nonzero += self.check(p, gens)[0]
+            divisors = [self.unit_poly(rng, ring, 3, 3, 2) for _ in range(2)]
+            p = sum((g * self.unit_poly(rng, ring, 3, 3, 2) for g in divisors), p)
+            nonzero += self.check(p, divisors)[0]
+        assert 60 <= nonzero < 180, nonzero
+
+    def test_quadrilateral_target(self):
+        gens, target = quadrilateral.quadrilateral_system()
+        basis = groebner_basis(gens)
+        assert self.check(target, basis)[0] is False
+        # against the generators themselves, which are no Groebner basis,
+        # the remainder depends on every step taken
+        assert self.check(target, gens)[0] is True
+        assert self.check(target, gens[::-1])[0] is True
 
 
 class TestGroebner:
@@ -358,6 +519,27 @@ class TestPackedKernel:
                     assert reduces_to_zero(p, divisors) == expected, (gens, p)
                     outcomes[expected] += 1
         assert min(outcomes.values()) >= 20, outcomes
+
+    @staticmethod
+    def assert_packed_as_int_terms(basis):
+        """Each generator's `_packed`, set by `groebner_basis`, is what
+        `_int_terms` packs for it, keys in the same order."""
+        packing = _Packing(len(basis.ring))
+        for g in basis:
+            packed = g._packed
+            g._packed = None
+            assert list(packed.items()) == list(_int_terms(g, packing).items()), g
+
+    def test_groebner_output_keeps_its_int_terms(self):
+        self.assert_packed_as_int_terms(groebner_basis(quadrilateral.quadrilateral_system()[0]))
+        # an integer lead of -1, negated to make the monic generator's terms
+        self.assert_packed_as_int_terms(groebner_basis([G2 - G1]))
+        self.assert_packed_as_int_terms(groebner_basis([Fraction(-2, 3) * G1 * G2 + 4 * G3, G1 - 6]))
+        rng = random.Random(21)
+        for _ in range(20):
+            gens = [g for g in (random_poly(rng, 3) for _ in range(rng.randint(1, 3))) if g]
+            if gens:
+                self.assert_packed_as_int_terms(groebner_basis(gens))
 
     def test_basis_reads_as_its_polynomials(self):
         basis = groebner_basis([G1 + G2, G1 - G2])

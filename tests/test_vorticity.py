@@ -509,3 +509,18 @@ class TestResidueScreen:
             verdict = decide(led)
         assert verdict.certificate == vorticity.Certificate("direct-disequality", pair)
         assert verify_certificate(led, verdict.certificate)
+
+
+class TestLedgerBases:
+    @pytest.mark.parametrize("n, count", [(3, 2), (4, 12), (5, 43)])
+    def test_groebner_output_keeps_its_int_terms(self, n, count):
+        # the `_packed` terms `groebner_basis` sets are what `_int_terms`
+        # packs for the same generator, keys in the same order
+        packing = exactpoly._Packing(len(DEFAULT_VARS))
+        systems = dict.fromkeys(ledger.equalities for ledger, _ in decided(n)[0] if ledger.equalities)
+        for equalities in systems:
+            for g in groebner_basis(equalities):
+                packed = g._packed
+                g._packed = None
+                assert list(packed.items()) == list(exactpoly._int_terms(g, packing).items()), g
+        assert len(systems) == count
