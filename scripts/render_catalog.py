@@ -8,7 +8,8 @@ import argparse
 import pathlib
 import sys
 
-from vortexdiagrams.atlas import load_catalog, render
+from vortexdiagrams.atlas import load_catalog
+from vortexdiagrams.render import render
 
 
 def main() -> int:

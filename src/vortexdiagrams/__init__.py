@@ -1,11 +1,11 @@
 """Two-colored diagram machinery for planar five-vortex central configurations.
 
-Subpackages cover exact polynomial algebra (`exactpoly`), vorticity
-constraint reasoning (`vorticity`), the diagram model and rules
-(`diagram`), sub-diagram lemma matchers (`lemmas`), enumeration, catalog
-and rendering (`atlas`), the quadrilateral ideal certificate
-(`quadrilateral`), numerics for the balance system (`numeric`), and the
-command line (`cli`).
+Subpackages cover exact polynomial algebra (`exactpoly`) and the checks
+of it that do not use it (`exactcheck`), vorticity constraint reasoning
+(`vorticity`), the diagram model and rules (`diagram`), sub-diagram lemma
+matchers (`lemmas`), enumeration and catalog (`atlas`), rendering
+(`render`), the quadrilateral ideal certificate (`quadrilateral`),
+numerics for the balance system (`numeric`), and the command line (`cli`).
 
 The names below load their module on first use (PEP 562), so importing
 one submodule, such as `cli`, does not load the others.

@@ -8,11 +8,11 @@ no convergence), 2 usage or internal error.
 
 Each handler imports the module behind its subcommand, so a cold process
 pays only for what it runs: `solve` and `probe` load `numeric` and with
-it numpy, which the exact-algebra commands never call; `verify-groebner`
-loads `quadrilateral` and `exactpoly` only, without `diagram`,
-`vorticity`, `atlas` or `lemmas`.  `main` does not import `exactpoly`
-either: its `ResourceLimitError` can only have been raised once a
-handler has loaded it.
+it numpy, which the exact-algebra commands never call; `render` loads
+`render` and `diagram` only; `verify-groebner` loads `quadrilateral`,
+`exactpoly` and `exactcheck` only; `enumerate` loads neither `render` nor
+`exactcheck`.  `main` does not import `exactpoly` either: its
+`ResourceLimitError` can only have been raised once a handler has loaded it.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from . import atlas
+    from .render import render
 
     d = _load_diagram(args.diagram)
-    text = atlas.render(d, args.format)
+    text = render(d, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

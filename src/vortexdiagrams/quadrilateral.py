@@ -10,7 +10,7 @@ is the contradiction the exclusion rests on.
 This module builds that system over the five variables it uses and
 certifies the membership in two ways.  The first is a cofactor identity:
 `COFACTORS` holds polynomials h1..h4 with h1*p1 + h2*p2 + h3*p3 + h4*p4
-equal to the target, as `exactpoly.lift` derives them, and
+equal to the target, as `exactcheck.lift` derives them, and
 `check_cofactor_identity` confirms that by `Polynomial` multiplication and
 addition alone, so the proof does not rest on the Groebner kernel (the
 "lift" of Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -23,14 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactpoly import (
-    Polynomial,
-    groebner_basis,
-    is_cofactor_identity,
-    normal_form,
-    parse_polynomial,
-    reduces_to_zero,
-)
+from .exactcheck import is_cofactor_identity, normal_form
+from .exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
 
 
 # The five variables the system uses, most significant first.
@@ -95,7 +89,7 @@ def quadrilateral_system() -> tuple:
 
 
 # h1..h4 with sum h_i * p_i == target.  Each nonzero h_i is homogeneous of
-# degree 8 - deg p_i; h2 is 0.  `exactpoly.lift(target, gens)` derives them
+# degree 8 - deg p_i; h2 is 0.  `exactcheck.lift(target, gens)` derives them
 # (checked by the tests); the run-time check is the identity alone.
 COFACTORS = (
     "-2*a^3*b + 5*a^2*b^2 - 4*a*b^3 + b^4 + 3*a^3*G1 - 5*a^2*b*G1 + a*b^2*G1"

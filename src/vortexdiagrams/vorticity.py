@@ -31,7 +31,6 @@ from .exactpoly import (
     ONE,
     Polynomial,
     groebner_basis,
-    lift,
     packed_key,
     parse_polynomial,
     reduces_to_zero,
@@ -50,7 +49,8 @@ LEDGER_SEED = 11
 
 
 def gamma_var(i: int) -> Polynomial:
-    return Polynomial.variable(f"G{i}")
+    """The strength G_i: the one-vertex `gamma_sum`, shared with it."""
+    return gamma_sum((i,))
 
 
 @lru_cache(maxsize=None)
@@ -59,31 +59,38 @@ def _gamma_vars(n: int) -> tuple:
     return tuple(gamma_var(i) for i in range(1, n + 1))
 
 
+def _subset(J) -> tuple:
+    """J's distinct labels, sorted, once each is known to be an int in 1..8
+    (not a bool): the cache below would take 2.0 or True for 2 or 1."""
+    J = tuple(J)
+    for j in J:
+        if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= len(DEFAULT_VARS):
+            raise ValueError(f"vertex label {j!r} is not an integer in 1..{len(DEFAULT_VARS)}")
+    return tuple(sorted(set(J)))
+
+
+@lru_cache(maxsize=None)
+def _subset_polynomial(J: tuple, size: int) -> Polynomial:
+    """The sum over the `size`-subsets S of J of the product of G_s over S,
+    built once and shared: polynomials are immutable."""
+    terms = {_squarefree(S): ONE for S in itertools.combinations(J, size)}
+    return Polynomial(terms, DEFAULT_VARS, _clean=False)
+
+
 def gamma_sum(J) -> Polynomial:
     """Total vorticity of the subset J: sum of G_j over J."""
-    J = sorted(set(J))
+    J = _subset(J)
     if not J:
         raise ValueError("empty vertex subset")
-    terms = {}
-    for j in J:
-        exps = [0] * len(DEFAULT_VARS)
-        exps[DEFAULT_VARS.index(f"G{j}")] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(terms, DEFAULT_VARS, _clean=False)
+    return _subset_polynomial(J, 1)
 
 
 def angular_momentum(J) -> Polynomial:
     """Vortex angular momentum of the subset J: sum of G_j*G_k, j < k in J."""
-    J = sorted(set(J))
+    J = _subset(J)
     if len(J) < 2:
         raise ValueError("angular momentum needs at least two vertices")
-    terms = {}
-    for j, k in itertools.combinations(J, 2):
-        exps = [0] * len(DEFAULT_VARS)
-        exps[DEFAULT_VARS.index(f"G{j}")] = 1
-        exps[DEFAULT_VARS.index(f"G{k}")] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return Polynomial(terms, DEFAULT_VARS, _clean=False)
+    return _subset_polynomial(J, 2)
 
 
 def total_vorticity(n: int = N_VORTICES) -> Polynomial:
@@ -491,11 +498,13 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
     Checks that the certificate's shape carries the claimed real-arithmetic
     contradiction, and that the subset and multiplier it prints are the
     ones its kind uses (none where it uses none), then proves the
-    polynomial a member of the equality ideal by `exactpoly.lift`:
+    polynomial a member of the equality ideal by `exactcheck.lift`:
     cofactors h_i with sum h_i * e_i equal to it, confirmed by
     multiplication alone.  Every equality the lemmas emit is homogeneous,
     where the lift's degree bound is exact.
     """
+    from .exactcheck import lift
+
     allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
     if certificate.kind == "direct-disequality":
         if certificate.polynomial not in ledger.nonzeros:

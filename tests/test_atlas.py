@@ -5,18 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from vortexdiagrams import atlas
+from vortexdiagrams import atlas, lemmas
 from vortexdiagrams.atlas import (
     CatalogEntry,
     diff_report,
     enumerate_diagrams,
     load_catalog,
-    render,
     set_partitions,
 )
 from vortexdiagrams.diagram import Diagram, canonical_key, orbit_masks, validate
 from vortexdiagrams.exactpoly import Polynomial
 from vortexdiagrams.lemmas import analyze
+from vortexdiagrams.render import render
 from vortexdiagrams.vorticity import decide
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -316,3 +316,18 @@ class TestPolynomialText:
         assert len({id(p) for p in rendered}) == len(rendered)
         for p in rendered:
             assert p.to_text() == render(p)
+
+    def test_each_subset_polynomial_of_the_n5_report_is_one_object(self, monkeypatch):
+        # the lemmas build every subset sum and momentum through these names
+        built: dict = {}
+        for name in ("gamma_sum", "angular_momentum"):
+
+            def record(J, build=getattr(lemmas, name)):
+                p = build(J)
+                built.setdefault(p.to_text(), {})[id(p)] = p
+                return p
+
+            monkeypatch.setattr(lemmas, name, record)
+        enumerate_diagrams(5).to_json()
+        assert len(built) == 25
+        assert all(len(objects) == 1 for objects in built.values())

@@ -319,6 +319,15 @@ def _fresh_run(argv):
 
 # the diagram model and constraint logic, which verify-groebner never runs
 DIAGRAM_CODE = {"vortexdiagrams.diagram", "vortexdiagrams.vorticity"}
+# the exact algebra and what builds on it, which render never runs
+ALGEBRA_CODE = {
+    "vortexdiagrams.exactpoly",
+    "vortexdiagrams.vorticity",
+    "vortexdiagrams.lemmas",
+    "vortexdiagrams.atlas",
+}
+# code that no enumeration calls: the kernel's checks and the drawings
+OFF_ENUMERATION = {"vortexdiagrams.exactcheck", "vortexdiagrams.render"}
 # what `dataclasses` would load; the package's records do without it
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
@@ -338,9 +347,13 @@ class TestImportFootprint:
                     "vortexdiagrams.atlas",
                     "vortexdiagrams.exactpoly",
                     *DIAGRAM_CODE,
+                    *OFF_ENUMERATION,
                 },
             ),
-            (["enumerate", "--n", "3"], {"numpy", "vortexdiagrams.numeric", *RECORD_MACHINERY}),
+            (
+                ["enumerate", "--n", "3"],
+                {"numpy", "vortexdiagrams.numeric", *RECORD_MACHINERY, *OFF_ENUMERATION},
+            ),
             (
                 ["verify-groebner"],
                 {
@@ -349,6 +362,7 @@ class TestImportFootprint:
                     *RECORD_MACHINERY,
                     "vortexdiagrams.atlas",
                     "vortexdiagrams.lemmas",
+                    "vortexdiagrams.render",
                     *DIAGRAM_CODE,
                 },
             ),
@@ -359,6 +373,26 @@ class TestImportFootprint:
         code, modules = _fresh_run(argv)
         assert code in (None, 0)
         assert not absent & modules
+
+    def test_enumerate_loads_exactly_its_pipeline(self):
+        # a new import that drags more of the package onto the path fails here
+        code, modules = _fresh_run(["enumerate", "--n", "3"])
+        assert code == 0
+        assert {m for m in modules if m.startswith("vortexdiagrams")} == {
+            "vortexdiagrams",
+            "vortexdiagrams.cli",
+            "vortexdiagrams.diagram",
+            "vortexdiagrams.exactpoly",
+            "vortexdiagrams.vorticity",
+            "vortexdiagrams.lemmas",
+            "vortexdiagrams.atlas",
+        }
+
+    def test_render_loads_no_exact_algebra(self, roberts_file, tmp_path):
+        code, modules = _fresh_run(["render", str(roberts_file), "--out", str(tmp_path / "r.svg")])
+        assert code == 0
+        assert {"vortexdiagrams.render", "vortexdiagrams.diagram"} <= modules
+        assert not (ALGEBRA_CODE | {"vortexdiagrams.exactcheck", "numpy"}) & modules
 
     def test_solve_loads_its_solver(self):
         code, modules = _fresh_run(["solve", "--gamma", "1,1,1,-2,0.5"])

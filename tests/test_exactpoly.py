@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams import quadrilateral
+from vortexdiagrams.exactcheck import is_cofactor_identity, lift, normal_form
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
     LIFT_PRIME,
@@ -19,9 +20,7 @@ from vortexdiagrams.exactpoly import (
     _int_terms,
     _residue_point,
     groebner_basis,
-    is_cofactor_identity,
-    lift,
-    normal_form,
+    packed_key,
     parse_polynomial,
     reduces_to_zero,
 )
@@ -496,6 +495,15 @@ class TestPackedKernel:
         assert {p.to_text() for p in basis} == {f"G1^{MAX_DEGREE - 1} - G3", "G1*G2", "G2*G3"}
         with pytest.raises(ResourceLimitError, match=f"S-polynomial degree {MAX_DEGREE + 1}"):
             groebner_basis([G1**MAX_DEGREE - G3, G1 * G2])
+
+    def test_packed_key_matches_a_fresh_packing(self):
+        # `packed_key` keeps one layout per ring size; each key must be the
+        # one a layout made for the call would give
+        rng = random.Random(8)
+        for nvars in (1, 3, 5, 8, 5, 1):
+            for _ in range(40):
+                exps = tuple(rng.randint(0, 6) for _ in range(nvars))
+                assert packed_key(exps) == _Packing(nvars).pack(exps), exps
 
     def test_zero_test_matches_fraction_reference(self):
         # Random ideals in G1..G5; candidates may carry G6, G7 and G8, which

@@ -1,14 +1,8 @@
 import pytest
 
-from vortexdiagrams import exactpoly, quadrilateral
-from vortexdiagrams.exactpoly import (
-    Polynomial,
-    groebner_basis,
-    lift,
-    normal_form,
-    parse_polynomial,
-    reduces_to_zero,
-)
+from vortexdiagrams import exactcheck, exactpoly, quadrilateral
+from vortexdiagrams.exactcheck import lift, normal_form
+from vortexdiagrams.exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
 from vortexdiagrams.quadrilateral import (
     COFACTORS,
     RING,
@@ -84,7 +78,7 @@ class TestCofactors:
         def refuse(*args, **kwargs):
             raise AssertionError("the cofactor identity must not divide")
 
-        for module in (exactpoly, quadrilateral):
+        for module in (exactpoly, exactcheck, quadrilateral):
             for name in ("_int_reduce", "groebner_basis", "normal_form", "reduces_to_zero"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)

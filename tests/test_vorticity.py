@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -64,10 +65,53 @@ class TestBuilders:
             assert gamma_sum(J) ** 2 - squares - 2 * angular_momentum(J) == 0
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty vertex subset"):
             gamma_sum([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two vertices"):
             angular_momentum([3])
+
+    def test_each_subset_is_one_shared_polynomial(self):
+        assert gamma_sum((3, 1, 1)) is gamma_sum([1, 3])
+        assert angular_momentum((3, 1, 1)) is angular_momentum([1, 3])
+        assert gamma_var(2) is gamma_sum([2])
+
+    def test_shared_polynomials_match_their_definition(self):
+        var = {j: Polynomial.variable(f"G{j}") for j in range(1, 9)}
+        for size in range(1, 9):
+            for J in itertools.combinations(range(1, 9), size):
+                assert gamma_sum(J) == sum((var[j] for j in J), Polynomial.zero()), J
+                if size > 1:
+                    pairs = itertools.combinations(J, 2)
+                    expected = sum((var[j] * var[k] for j, k in pairs), Polynomial.zero())
+                    assert angular_momentum(J) == expected, J
+
+    @pytest.fixture
+    def fresh_subset_caches(self, monkeypatch):
+        """An empty cache of subset polynomials, for this test only."""
+        build = vorticity._subset_polynomial.__wrapped__
+        monkeypatch.setattr(vorticity, "_subset_polynomial", functools.lru_cache(maxsize=None)(build))
+
+    @pytest.mark.parametrize("good_first", [False, True], ids=["bad-first", "good-first"])
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            ([1.0, 2.0], "1.0"),
+            ([True, 2], "True"),
+            ([1, 2.0], "2.0"),
+            ([1, 9], "9"),
+            ([0, 2], "0"),
+            (["1", 2], "'1'"),
+            ([1, None], "None"),
+        ],
+    )
+    @pytest.mark.parametrize("build", [gamma_sum, angular_momentum])
+    def test_a_bad_label_is_refused_by_name(self, fresh_subset_caches, build, labels, named, good_first):
+        # a cache keyed by the labels alone would take 2.0 or True for 2 or 1
+        if good_first:
+            build([1, 2])
+        with pytest.raises(ValueError, match=f"vertex label {re.escape(named)} is not"):
+            build(labels)
+        assert build([1, 2]) is build((2, 1))
 
 
 class TestLedger:
