@@ -63,10 +63,6 @@ def set_partitions(n: int) -> list:
     return out
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _pairs_mask(part: int, n: int, index: dict) -> int:
     verts = [v + 1 for v in range(n) if part >> v & 1]
     mask = 0
@@ -84,7 +80,7 @@ def _partition_data(n: int):
         support = forced = 0
         r4_parts = []
         for p in parts:
-            size = _popcount(p)
+            size = p.bit_count()
             if size >= 2:
                 stroke_mask |= _pairs_mask(p, n, index)
                 support |= p
@@ -104,7 +100,7 @@ def _valid_circle_masks(self_data, other_parts, n: int) -> list:
     color's strokes (R2), and no component with exactly one circle.
     """
     _, _, support, forced, r4_parts = self_data
-    classes = [p for p in other_parts if _popcount(p) >= 2]
+    classes = [p for p in other_parts if p.bit_count() >= 2]
     out = []
     for mask in range(1 << n):
         if mask & ~support:
@@ -119,7 +115,7 @@ def _valid_circle_masks(self_data, other_parts, n: int) -> list:
                 break
         if ok:
             for p in r4_parts:
-                if _popcount(mask & p) == 1:
+                if (mask & p).bit_count() == 1:
                     ok = False
                     break
         if ok:
@@ -136,7 +132,7 @@ def _type_representatives(partitions) -> list:
     """
     first: dict = {}
     for i, parts in enumerate(partitions):
-        first.setdefault(tuple(sorted(map(_popcount, parts))), i)
+        first.setdefault(tuple(sorted(map(int.bit_count, parts))), i)
     return sorted(first.values())
 
 
@@ -400,14 +396,6 @@ class CatalogEntry(NamedTuple):
     @property
     def key(self) -> str:
         return canonical_key(self.diagram).decode()
-
-    @property
-    def ledger(self) -> ConstraintLedger:
-        return lemmas.analyze(self.diagram).base_ledger
-
-    @property
-    def branches(self) -> dict:
-        return lemmas.analyze(self.diagram).branch_ledgers
 
     def to_json(self) -> dict:
         out = {

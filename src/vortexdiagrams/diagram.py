@@ -37,46 +37,37 @@ def _is_ints(values) -> bool:
     return isinstance(values, list) and all(type(v) is int for v in values)
 
 
-# The package's records are `NamedTuple`s, or small `__slots__` classes
-# where the constructor normalizes its input, not dataclasses: importing
+# The package's records are `NamedTuple`s, not dataclasses: importing
 # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and each
 # decorated class generates and compiles its methods at import.  That was
 # about 20 ms of a cold `enumerate --n 5` (Python 3.11, 2-core host, no
-# bytecode cache), which no output needs.
+# bytecode cache), which no output needs.  A record whose constructor
+# normalizes its input, such as `Diagram`, subclasses its `NamedTuple` of
+# fields and overrides `__new__`; it is still immutable, and compared and
+# hashed as the tuple of its fields.
 
 
-class Diagram:
-    """Stroke pairs and circled vertices of both colors on vertices 1..n;
-    immutable, and compared and hashed by its five fields."""
+class _DiagramFields(NamedTuple):
+    n: int
+    z_strokes: frozenset
+    w_strokes: frozenset
+    z_circles: frozenset
+    w_circles: frozenset
 
-    __slots__ = ("n", "z_strokes", "w_strokes", "z_circles", "w_circles")
 
-    def __init__(self, n, z_strokes=(), w_strokes=(), z_circles=(), w_circles=()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z_strokes", _normalize_pairs(z_strokes, n))
-        object.__setattr__(self, "w_strokes", _normalize_pairs(w_strokes, n))
+class Diagram(_DiagramFields):
+    """Stroke pairs and circled vertices of both colors on vertices 1..n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, z_strokes=(), w_strokes=(), z_circles=(), w_circles=()):
+        z_strokes, w_strokes = _normalize_pairs(z_strokes, n), _normalize_pairs(w_strokes, n)
         for v in itertools.chain(z_circles, w_circles):
             if not 1 <= v <= n:
                 raise ValueError(f"circled vertex {v} outside 1..{n}")
-        object.__setattr__(self, "z_circles", frozenset(z_circles))
-        object.__setattr__(self, "w_circles", frozenset(w_circles))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.n, self.z_strokes, self.w_strokes, self.z_circles, self.w_circles)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return super().__new__(
+            cls, n, z_strokes, w_strokes, frozenset(z_circles), frozenset(w_circles)
+        )
 
     # -- per-color access ------------------------------------------------
 

@@ -21,12 +21,13 @@ reuses them.  The code that checks this kernel without using it, the
 in `exactcheck`.
 
 A many-candidate membership search screens each candidate first by
-`Basis.residue`, one scalar: its normal form evaluated at a fixed
-pseudo-random point modulo `LIFT_PRIME`.  A nonzero residue proves the
-candidate is not a member; only a zero residue is confirmed by the exact
-`reduces_to_zero`.  `Basis.packed_residue` is the same screen over terms
-already keyed by `packed_key`, so a search can hold its candidates in
-that form and build a `Polynomial` only for the few that pass.
+`Basis.residue`, one scalar: a nonzero multiple of its normal form,
+evaluated at a fixed pseudo-random point modulo `LIFT_PRIME`.  A nonzero
+residue proves the candidate is not a member; only a zero residue is
+confirmed by the exact `reduces_to_zero`.  `Basis.packed_residue` is the
+same screen over terms already keyed by `packed_key`, so a search can
+hold its candidates in that form and build a `Polynomial` only for the
+few that pass.
 """
 
 from __future__ import annotations
@@ -46,8 +47,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The budgets of `groebner_basis`: terms over all basis generators, and
+# reduction steps over all pair and generator reductions.
+MAX_BASIS_TERMS = 50_000
+MAX_PAIR_REDUCTIONS = 200_000
+
+
 class ResourceLimitError(RuntimeError):
-    """Raised when a basis computation exceeds its configured budget."""
+    """Raised when a basis computation exceeds its budget."""
 
 
 def _grevlex_key(exps: tuple):
@@ -137,9 +144,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other, self.ring)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -402,8 +406,7 @@ def _int_terms(p: Polynomial, packing: _Packing) -> dict:
 
     Packed once per polynomial and kept in its `_packed` slot (the layout
     depends only on the ring), so callers must not mutate the result:
-    `_divisor` only reads it and `_int_reduce` copies it.  Its keys come in
-    the order of ``p.terms``, which `Basis.residue` relies on.
+    `_divisor` only reads it and `_int_reduce` copies it.
     """
     terms = p._packed
     if terms is None:
@@ -454,10 +457,8 @@ def _int_reduce(terms: dict, divisors, guards: int, counter=None, full: bool = T
             continue
         if counter is not None:
             counter["reductions"] += 1
-            if counter["reductions"] > counter["max_reductions"]:
-                raise ResourceLimitError(
-                    f"pair reduction budget exceeded ({counter['max_reductions']})"
-                )
+            if counter["reductions"] > MAX_PAIR_REDUCTIONS:
+                raise ResourceLimitError(f"pair reduction budget exceeded ({MAX_PAIR_REDUCTIONS})")
         d = gcd(c, lc)
         scale, factor = lc // d, c // d
         if scale != 1:
@@ -523,8 +524,8 @@ class Basis(Sequence):
     The divisors are built once, when the basis is made, so that every
     `reduces_to_zero` against it reuses them.  `residue` keeps a memo of
     monomial values, built on its first call.  A basis reads as the
-    sequence of its polynomials and compares equal to a list (or basis) of
-    the same polynomials in the same order.
+    sequence of its polynomials and equals a basis of the same polynomials
+    in the same order.
     """
 
     __slots__ = ("polys", "ring", "_packing", "_divisors", "_residues")
@@ -541,40 +542,31 @@ class Basis(Sequence):
         self._residues = None
 
     def residue(self, p: Polynomial) -> int:
-        """(NF(p) mod P)(t), P = `LIFT_PRIME`, t the fixed `_residue_point`.
+        """(NF(q) mod P)(t): q the content-stripped integer multiple of p
+        that the kernel packs, P = `LIFT_PRIME`, t the fixed `_residue_point`.
 
         NF is the normal form of `exactcheck.normal_form` against this
-        basis.  It is linear, so the value is the sum of p's coefficients
-        times the values of its monomials, which a memo keyed by packed
-        monomial keeps: a standard monomial m is worth m(t); a reducible
-        one is worth -lc^-1 times the sum of c * value over its first
-        divisor's tail terms, shifted onto it.  A nonzero residue proves
-        NF(p) != 0.  Zero
-        means NF(p) = 0, or a coincidence of probability at most
-        deg / P (Schwartz-Zippel), or that P divides a leading coefficient
-        or a denominator, where the value is undefined; only the exact
-        `reduces_to_zero` settles a zero.
+        basis, so NF(q) is a nonzero multiple of NF(p) and vanishes at t
+        exactly where NF(p) does.  A nonzero residue proves NF(p) != 0.
+        Zero means NF(p) = 0, or a coincidence of probability at most
+        deg / P (Schwartz-Zippel), or that P divides a leading coefficient,
+        where the value is undefined; only the exact `reduces_to_zero`
+        settles a zero.
         """
         if p.ring != self.ring:
             raise ValueError("polynomials over different rings")
-        terms = _int_terms(p, self._packing)
-        total = self.packed_residue(terms)
-        if total:
-            # `terms` is p times t0 / c0, read off the first term of each
-            c0, t0 = next(iter(p.terms.values())), next(iter(terms.values()))
-            if c0 != t0:
-                try:
-                    scale = c0.numerator * pow(c0.denominator * t0, -1, LIFT_PRIME)
-                except ValueError:  # P divides a denominator
-                    return 0
-                total = total * scale % LIFT_PRIME
-        return total
+        return self.packed_residue(_int_terms(p, self._packing))
 
     def packed_residue(self, terms: dict) -> int:
         """The residue of integer terms keyed by packed monomials of this
-        basis's ring (`packed_key`), as `residue` reads a polynomial.
+        basis's ring (`packed_key`).
 
-        0 where P divides a leading coefficient, as there.
+        NF is linear, so the value is the sum of the coefficients times the
+        values of their monomials, which a memo keyed by packed monomial
+        keeps: a standard monomial m is worth m(t); a reducible one is
+        worth -lc^-1 times the sum of c * value over its first divisor's
+        tail terms, shifted onto it.  0 where P divides a leading
+        coefficient.
         """
         if self._residues is None:
             reducers = tuple(
@@ -635,8 +627,6 @@ class Basis(Sequence):
     def __eq__(self, other):
         if isinstance(other, Basis):
             return self.polys == other.polys
-        if isinstance(other, list):
-            return list(self.polys) == other
         return NotImplemented
 
     __hash__ = None
@@ -645,18 +635,15 @@ class Basis(Sequence):
         return f"Basis({list(self.polys)!r})"
 
 
-def groebner_basis(
-    gens,
-    max_basis_terms: int = 50_000,
-    max_pair_reductions: int = 200_000,
-) -> Basis:
+def groebner_basis(gens) -> Basis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Buchberger with normal (smallest-lcm) pair selection and both classic
     pair-pruning criteria.  Output generators are monic, tails fully
     reduced, sorted by leading monomial: deterministic for a given input.
-    Raises ResourceLimitError when the configured budgets are exceeded or
-    a degree outgrows the packed monomials (`MAX_DEGREE`).
+    Raises ResourceLimitError when `MAX_BASIS_TERMS` or
+    `MAX_PAIR_REDUCTIONS` is exceeded or a degree outgrows the packed
+    monomials (`MAX_DEGREE`).
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -666,7 +653,7 @@ def groebner_basis(
         raise ValueError("polynomials over different rings")
     packing = _packing(len(ring))
     guards = packing.guards
-    counter = {"reductions": 0, "max_reductions": max_pair_reductions}
+    counter = {"reductions": 0}
 
     basis: list[tuple] = []  # divisors, in insertion order
     pairs: list[tuple] = []  # heap of (lcm key, i, j)
@@ -706,8 +693,8 @@ def groebner_basis(
         r = _int_reduce(_int_spoly(basis[i], basis[j], lcm_ij, packing), basis, guards, counter)
         if r:
             add(r)
-            if total_terms > max_basis_terms:
-                raise ResourceLimitError(f"basis term budget exceeded ({max_basis_terms})")
+            if total_terms > MAX_BASIS_TERMS:
+                raise ResourceLimitError(f"basis term budget exceeded ({MAX_BASIS_TERMS})")
 
     # Interreduce: drop generators whose lead is divisible by another lead,
     # then reduce each survivor against the rest (its lead is irreducible
@@ -736,18 +723,14 @@ def groebner_basis(
     return Basis(polys, ring)
 
 
-def reduces_to_zero(p: Polynomial, basis) -> bool:
-    """Zero-test for the normal form of `p` against `basis`.
-
-    `basis` is a `Basis` (what `groebner_basis` returns), whose packed
-    divisors are reused, or any iterable of polynomials, converted here.
-    The answer is False as soon as a leading term is irreducible.
+def reduces_to_zero(p: Polynomial, basis: Basis) -> bool:
+    """Zero-test for the normal form of `p` against `basis`, whose packed
+    divisors are reused.  The answer is False as soon as a leading term is
+    irreducible.
     """
     if not p:
         return True
-    if not isinstance(basis, Basis):
-        basis = Basis(basis, p.ring)
-    elif basis.ring != p.ring:
+    if basis.ring != p.ring:
         raise ValueError("polynomials over different rings")
     packing = basis._packing
     return not _int_reduce(_int_terms(p, packing), basis._divisors, packing.guards, full=False)

@@ -426,7 +426,10 @@ def analyze(d: Diagram) -> DiagramAnalysis:
 
     Branch constraints are kept per multiplier class, separate from the
     base ledger: they annotate the diagram for later finiteness work and
-    only exclude when every class is separately infeasible.
+    only exclude when every class is separately infeasible.  A branch
+    ledger holds the branch equalities alone, without the base ones.  That
+    is what reproduces the paper's 31 survivors at n=5: decided together
+    with its base ledger, every branch of 4 of them would be infeasible.
     """
     findings = tuple(apply_all(d))
     excludes = [f for f in findings if f.effect == "exclude"]

@@ -37,8 +37,15 @@ class AmbiguousExponentError(ValueError):
 # Two positions closer than this collide.
 COLLISION_DISTANCE = 1e-13
 
-# A solver attempt is abandoned if this many accepted steps do not halve its residual.
+# A solver attempt succeeds once its residual is below SOLVE_TOL, and is
+# abandoned after SOLVE_MAX_STEPS Gauss-Newton steps, or once this many
+# accepted steps do not halve its residual.
+SOLVE_TOL = 1e-12
+SOLVE_MAX_STEPS = 120
 STALL_STEPS = 10
+
+# `classify`'s thresholds, relative to the velocity scale.
+CLASSIFY_RTOL = 1e-8
 
 # Step lengths the line search tries, longest first: 1, 1/2, ..., 2**-26.
 STEP_LADDER = 0.5 ** np.arange(27)
@@ -202,8 +209,6 @@ def solve(
     lam: complex = 1.0 + 0.0j,
     seed: int = 0,
     attempts: int = 24,
-    tol: float = 1e-12,
-    max_iter: int = 120,
     trace: list | None = None,
 ) -> Configuration:
     """Find a real normalized configuration for the given strengths.
@@ -212,8 +217,10 @@ def solve(
     Each step takes the longest length on STEP_LADDER that lowers the
     residual, found on a stacked step-length ladder: one array evaluation
     per stage of the ladder.  Attempts run in seed order and the first
-    success wins, so results are reproducible.  An attempt whose residual
-    has not halved over the last STALL_STEPS accepted steps is abandoned.
+    to bring the residual below SOLVE_TOL wins, so results are
+    reproducible.  An attempt is abandoned after SOLVE_MAX_STEPS steps, or
+    once its residual has not halved over the last STALL_STEPS accepted
+    steps.
     Raises ValueError for fewer than two strengths, a strength that is zero
     or not finite, a multiplier that is not finite, or a negative `seed`,
     and NoConvergenceError when the budget is exhausted.  When `trace` is a
@@ -237,7 +244,7 @@ def solve(
         x = rng.standard_normal(2 * n) * 1.2
         norms = []
         try:
-            x = _gauss_newton(x, gamma, lam, tol, max_iter, norms)
+            x = _gauss_newton(x, gamma, lam, norms)
         except (CollisionError, np.linalg.LinAlgError):
             continue
         if x is None:
@@ -249,7 +256,7 @@ def solve(
             z = z * (abs(z12) / z12)
         try:
             config = make_configuration(gamma, z, None, lam)
-            if residual(config) < tol:
+            if residual(config) < SOLVE_TOL:
                 if trace is not None:
                     trace.extend(norms)
                 return config
@@ -258,7 +265,7 @@ def solve(
     raise NoConvergenceError(f"no solution after {attempts} attempts")
 
 
-def _gauss_newton(x, gamma, lam, tol, max_iter, norms):
+def _gauss_newton(x, gamma, lam, norms):
     """Damped Gauss-Newton from `x`, appending accepted residual norms to
     `norms`; None when the attempt fails or stalls."""
     try:
@@ -267,8 +274,8 @@ def _gauss_newton(x, gamma, lam, tol, max_iter, norms):
         return None
     norm = np.linalg.norm(F, np.inf)
     norms.append(float(norm))
-    for _ in range(max_iter):
-        if norm < tol / 4:
+    for _ in range(SOLVE_MAX_STEPS):
+        if norm < SOLVE_TOL / 4:
             return x
         if len(norms) > STALL_STEPS and norm > norms[-1 - STALL_STEPS] / 2:
             return None  # stuck at a minimum where the residual is not zero
@@ -279,7 +286,7 @@ def _gauss_newton(x, gamma, lam, tol, max_iter, norms):
             return None
         x, F, norm = accepted
         norms.append(float(norm))
-    return x if norm < tol / 4 else None
+    return x if norm < SOLVE_TOL / 4 else None
 
 
 def _line_search(x, step, norm, gamma, lam):
@@ -319,27 +326,28 @@ def _jacobian(x, gamma, lam):
 
 # -- classification --------------------------------------------------------
 
-def classify(z, gamma, rtol: float = 1e-8) -> str:
+def classify(z, gamma) -> str:
     """Stationary type of a collision-free configuration.
 
     Fits the best multiplier and center in least squares and applies the
-    defining dichotomies with thresholds relative to the velocity scale.
+    defining dichotomies with thresholds of CLASSIFY_RTOL relative to the
+    velocity scale.
     """
     z = np.asarray(z, dtype=complex)
     V = velocities(z, gamma)
     vscale = np.max(np.abs(V))
     zscale = max(np.max(np.abs(z - np.mean(z))), 1.0)
-    if vscale <= rtol * zscale:
+    if vscale <= CLASSIFY_RTOL * zscale:
         return "equilibrium"
     const = np.mean(V)
-    if np.max(np.abs(V - const)) <= rtol * vscale:
+    if np.max(np.abs(V - const)) <= CLASSIFY_RTOL * vscale:
         return "rigidly-translating"
     A = np.column_stack([z, np.ones(len(z))])
     coef, *_ = np.linalg.lstsq(A, V, rcond=None)
     lam_fit, offset = coef
-    if np.max(np.abs(A @ coef - V)) > rtol * vscale:
+    if np.max(np.abs(A @ coef - V)) > CLASSIFY_RTOL * vscale:
         return "non-stationary"
-    if abs(lam_fit.imag) <= rtol * abs(lam_fit):
+    if abs(lam_fit.imag) <= CLASSIFY_RTOL * abs(lam_fit):
         return "relative-equilibrium"
     return "collapse"
 

@@ -93,56 +93,26 @@ def angular_momentum(J) -> Polynomial:
     return _subset_polynomial(J, 2)
 
 
-def total_vorticity(n: int = N_VORTICES) -> Polynomial:
-    return gamma_sum(range(1, n + 1))
+class _LedgerFields(NamedTuple):
+    equalities: tuple
+    nonzeros: tuple
+    n: int
 
 
-def total_angular_momentum(n: int = N_VORTICES) -> Polynomial:
-    return angular_momentum(range(1, n + 1))
-
-
-class ConstraintLedger:
+class ConstraintLedger(_LedgerFields):
     """Equalities (= 0) and disequalities (!= 0) on the vortex strengths.
 
     Every single vorticity variable is always required nonzero; the
-    constructor inserts them if missing.  Immutable, and compared and
-    hashed by its three fields.
+    constructor inserts them if missing.
     """
 
-    __slots__ = ("equalities", "nonzeros", "n")
+    __slots__ = ()
 
-    def __init__(self, equalities=(), nonzeros=(), n: int = N_VORTICES):
+    def __new__(cls, equalities=(), nonzeros=(), n: int = N_VORTICES):
         base = _gamma_vars(n)
         extra = tuple(dict.fromkeys(p for p in nonzeros if p and p not in base))
-        object.__setattr__(self, "equalities", tuple(dict.fromkeys(p for p in equalities if p)))
-        object.__setattr__(self, "nonzeros", base + extra)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.equalities, self.nonzeros, self.n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"ConstraintLedger(equalities={self.equalities!r}, "
-            f"nonzeros={self.nonzeros!r}, n={self.n!r})"
-        )
-
-    def with_equalities(self, more) -> "ConstraintLedger":
-        return ConstraintLedger(self.equalities + tuple(more), self.nonzeros, self.n)
+        equalities = tuple(dict.fromkeys(p for p in equalities if p))
+        return super().__new__(cls, equalities, base + extra, n)
 
     def to_json(self) -> dict:
         return {

@@ -68,8 +68,8 @@ def timed_report():
 
 
 @pytest.fixture(scope="module")
-def report_single(timed_report):
-    return timed_report[0]
+def report_single(enumerated):
+    return enumerated(5)
 
 
 def test_criterion_1_catalog_reproduction(timed_report, catalog):
@@ -174,7 +174,7 @@ def test_criterion_4_constraint_decisions(catalog):
         elif verdict.infeasible:
             infeasible_seen += 1
             assert verify_certificate(ledger, verdict.certificate)
-        grown = decide(ledger.with_equalities((rng.choice(pool),)))
+        grown = decide(ConstraintLedger(ledger.equalities + (rng.choice(pool),), ledger.nonzeros))
         if verdict.infeasible:
             assert not grown.feasible  # monotone
     assert infeasible_seen >= 20

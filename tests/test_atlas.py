@@ -183,30 +183,29 @@ class TestCatalog:
     def test_entries_expose_ledgers_and_branches(self):
         by_ref = {e.figure_ref: e for e in load_catalog()}
         plain = by_ref["C4a #1"]
-        assert [p.to_text() for p in plain.ledger.equalities] == ["G1*G2 + G1*G3 + G2*G3"]
-        paired = by_ref["C0 #1"]
-        assert set(paired.branches) == {"+-1", "+-i"}
-        assert decide(paired.branches["+-1"]).feasible
-
-
-@pytest.fixture(scope="module")
-def report5():
-    return enumerate_diagrams(5)
+        ledger = analyze(plain.diagram).base_ledger
+        assert [p.to_text() for p in ledger.equalities] == ["G1*G2 + G1*G3 + G2*G3"]
+        branches = analyze(by_ref["C0 #1"].diagram).branch_ledgers
+        assert set(branches) == {"+-1", "+-i"}
+        assert decide(branches["+-1"]).feasible
 
 
 class TestDiff:
-    def test_reproduction_diff_is_empty(self, report5):
+    def test_reproduction_diff_is_empty(self, enumerated):
+        report5 = enumerated(5)
         diff = diff_report(report5.survivor_keys(), load_catalog())
         assert diff == {"missing": [], "extra": []}
 
-    def test_missing_entry_is_reported(self, report5):
+    def test_missing_entry_is_reported(self, enumerated):
+        report5 = enumerated(5)
         catalog = load_catalog()
         trimmed = [e for e in catalog if e.figure_ref != "C2 #2"]
         diff = diff_report(report5.survivor_keys(), trimmed)
         assert diff["missing"] == []
         assert len(diff["extra"]) == 1
 
-    def test_relabeled_duplicate_is_not_spurious(self, report5):
+    def test_relabeled_duplicate_is_not_spurious(self, enumerated):
+        report5 = enumerated(5)
         catalog = load_catalog()
         mapping = {1: 3, 2: 4, 3: 5, 4: 1, 5: 2}
         duplicate = CatalogEntry(
@@ -217,9 +216,10 @@ class TestDiff:
 
 
 class TestDecideDefault:
-    def test_default_seed_gives_the_reported_verdicts(self, report5):
+    def test_default_seed_gives_the_reported_verdicts(self, enumerated):
         """`decide(ledger)` with no seed reproduces every survivor's base
         and branch verdict as the report prints it."""
+        report5 = enumerated(5)
         decided = [(s.ledger, s.verdict) for s in report5.survivors]
         decided += [pair for s in report5.survivors for pair in s.branches.values()]
         assert len(decided) == 45
@@ -263,7 +263,8 @@ class TestRender:
 
 
 class TestStageMonotonicity:
-    def test_survivors_shrink_through_stages(self, report5):
+    def test_survivors_shrink_through_stages(self, enumerated):
+        report5 = enumerated(5)
         # every survivor passed validation and the lemma stage: rejected
         # classes at later stages never reappear among survivors
         lemma_rejected = {r["key"] for r in report5.rejected if r["stage"] == "lemma"}

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import os
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vortexdiagrams import quadrilateral
+from vortexdiagrams import exactpoly, quadrilateral
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import _join_signed_values, build_parser, main
 from vortexdiagrams.diagram import Diagram
@@ -159,11 +158,9 @@ class TestCatalog:
         diff = json.loads(out.read_text())
         assert len(diff["missing"]) == 31
 
-    def test_diff_refuses_an_n6_report(self, tmp_path, capsys):
-        from test_invariants import report  # cached, so n=6 is enumerated once per session
-
+    def test_diff_refuses_an_n6_report(self, tmp_path, capsys, enumerated):
         rp = tmp_path / "report.json"
-        rp.write_text(json.dumps(report(6).to_json()))
+        rp.write_text(json.dumps(enumerated(6).to_json()))
         assert main(["catalog", "--diff", str(rp)]) == 2
         assert "n=5 only" in capsys.readouterr().err
 
@@ -269,8 +266,7 @@ class TestVerifyGroebner:
         assert main(["verify-groebner"]) == 1
 
     def test_exhausted_budget_is_internal_error(self, monkeypatch, capsys):
-        small = functools.partial(quadrilateral.groebner_basis, max_pair_reductions=5)
-        monkeypatch.setattr(quadrilateral, "groebner_basis", small)
+        monkeypatch.setattr(exactpoly, "MAX_PAIR_REDUCTIONS", 5)
         assert main(["verify-groebner"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -8,7 +8,6 @@ infeasibility certificate re-checks without the Groebner kernel, and the
 report is pinned by a recorded hash.
 """
 
-import functools
 import hashlib
 import json
 import random
@@ -16,7 +15,7 @@ import random
 import pytest
 
 from vortexdiagrams import exactpoly, lemmas, vorticity
-from vortexdiagrams.atlas import enumerate_diagrams, judge
+from vortexdiagrams.atlas import judge
 from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks
 from vortexdiagrams.exactpoly import parse_polynomial
 from vortexdiagrams.vorticity import Certificate, ConstraintLedger, verify_certificate
@@ -27,19 +26,14 @@ VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 REPORT_N6_SHA256 = "506a9558111931725b98b0b130191fd07a5ab65f0bc06ed4a000cea6ba038b34"
 
 
-@functools.lru_cache(maxsize=None)
-def report(n: int):
-    return enumerate_diagrams(n)
-
-
 def class_masks(rep) -> list:
     keys = rep.survivor_keys() + [r["key"] for r in rep.rejected]
     return [tuple(int(x, 16) for x in key.split(":")[1:]) for key in keys]
 
 
 @pytest.mark.parametrize("n", sorted(VALID_LABELED))
-def test_orbits_partition_the_valid_labeled_diagrams(n):
-    rep = report(n)
+def test_orbits_partition_the_valid_labeled_diagrams(n, enumerated):
+    rep = enumerated(n)
     classes = class_masks(rep)
     assert len(classes) == rep.unique_classes
     assert rep.candidates_valid == VALID_LABELED[n]
@@ -47,8 +41,8 @@ def test_orbits_partition_the_valid_labeled_diagrams(n):
 
 
 @pytest.mark.parametrize("n", sorted(VALID_LABELED))
-def test_every_class_is_its_own_canonical_form(n):
-    for masks in class_masks(report(n)):
+def test_every_class_is_its_own_canonical_form(n, enumerated):
+    for masks in class_masks(enumerated(n)):
         assert canonical_masks(n, *masks) == masks
 
 
@@ -75,8 +69,8 @@ def certified_ledgers(rep) -> list:
 
 
 @pytest.mark.parametrize("n", sorted(VALID_LABELED))
-def test_certificates_re_check_without_the_groebner_kernel(n, monkeypatch):
-    certified = certified_ledgers(report(n))
+def test_certificates_re_check_without_the_groebner_kernel(n, monkeypatch, enumerated):
+    certified = certified_ledgers(enumerated(n))
     assert certified
 
     def refuse(*args, **kwargs):
@@ -112,12 +106,12 @@ def class_outcomes(rep) -> dict:
 
 
 @pytest.mark.parametrize("n", sorted(JUDGED_PER_CLASS))
-def test_judge_outcome_is_the_same_on_every_orbit_member(n):
+def test_judge_outcome_is_the_same_on_every_orbit_member(n, enumerated):
     """Relabeling or swapping colors never changes what `judge` concludes."""
     rng = random.Random(n)
     k = JUDGED_PER_CLASS[n]
-    classes = class_outcomes(report(n))
-    assert len(classes) == report(n).unique_classes
+    classes = class_outcomes(enumerated(n))
+    assert len(classes) == enumerated(n).unique_classes
     mismatches = []
     for masks, expected in sorted(classes.items()):
         orbit = sorted(orbit_masks(n, *masks))
@@ -129,7 +123,7 @@ def test_judge_outcome_is_the_same_on_every_orbit_member(n):
 
 
 @pytest.mark.parametrize("n", sorted(VALID_LABELED))
-def test_lemma_findings_map_onto_the_representatives(n):
+def test_lemma_findings_map_onto_the_representatives(n, enumerated):
     """Each class representative's findings, relabeled (and color-swapped on
     about half the draws), are the findings on its image: acceptance 5 at
     every n, on every class instead of random n=5 diagrams."""
@@ -137,7 +131,7 @@ def test_lemma_findings_map_onto_the_representatives(n):
 
     rng = random.Random(100 + n)
     mismatches = []
-    for masks in class_masks(report(n)):
+    for masks in class_masks(enumerated(n)):
         d = from_canonical_masks(n, masks)
         findings = lemmas.apply_all(d)
         for _ in range(2):
@@ -153,13 +147,13 @@ def test_lemma_findings_map_onto_the_representatives(n):
     assert not mismatches, mismatches[:5]
 
 
-def test_n6_counts_and_histogram():
-    rep = report(6)
+def test_n6_counts_and_histogram(enumerated):
+    rep = enumerated(6)
     assert rep.unique_classes == 268
     assert len(rep.survivors) == 146
     assert rep.histogram == {0: 15, 2: 7, 3: 9, 4: 32, 5: 27, 6: 29, 7: 15, 8: 9, 9: 1, 10: 2}
 
 
-def test_n6_report_is_byte_identical_to_the_record():
-    payload = json.dumps(report(6).to_json(), sort_keys=True, indent=2) + "\n"
+def test_n6_report_is_byte_identical_to_the_record(enumerated):
+    payload = json.dumps(enumerated(6).to_json(), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_N6_SHA256

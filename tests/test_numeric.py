@@ -171,7 +171,7 @@ class TestSolve:
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SOLUTIONS_SHA256
 
 
-def _halving_gauss_newton(x, gamma, lam, tol, max_iter, norms):
+def _halving_gauss_newton(x, gamma, lam, norms):
     """The solver's Gauss-Newton with the line search as a halving loop, one
     evaluation per step length: the reference for the stacked ladder."""
     try:
@@ -180,8 +180,8 @@ def _halving_gauss_newton(x, gamma, lam, tol, max_iter, norms):
         return None
     norm = np.linalg.norm(F, np.inf)
     norms.append(float(norm))
-    for _ in range(max_iter):
-        if norm < tol / 4:
+    for _ in range(numeric.SOLVE_MAX_STEPS):
+        if norm < numeric.SOLVE_TOL / 4:
             return x
         if len(norms) > numeric.STALL_STEPS and norm > norms[-1 - numeric.STALL_STEPS] / 2:
             return None
@@ -203,14 +203,14 @@ def _halving_gauss_newton(x, gamma, lam, tol, max_iter, norms):
             alpha /= 2
         else:
             return None
-    return x if norm < tol / 4 else None
+    return x if norm < numeric.SOLVE_TOL / 4 else None
 
 
 def _run_gauss_newton(gauss_newton, x, gamma, lam):
     """(final x as bytes, None or the exception type; accepted norms)."""
     norms = []
     try:
-        x = gauss_newton(x, gamma, complex(lam), 1e-12, 120, norms)
+        x = gauss_newton(x, gamma, complex(lam), norms)
     except (CollisionError, np.linalg.LinAlgError) as exc:
         return type(exc), norms
     return (None if x is None else x.tobytes()), norms

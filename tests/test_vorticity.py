@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 from vortexdiagrams import atlas, exactpoly, vorticity
+from vortexdiagrams.exactcheck import lift
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
     Polynomial,
@@ -24,8 +25,6 @@ from vortexdiagrams.vorticity import (
     gamma_sum,
     gamma_var,
     satisfies,
-    total_angular_momentum,
-    total_vorticity,
     verify_certificate,
 )
 
@@ -35,7 +34,7 @@ G = {i: gamma_var(i) for i in range(1, 6)}
 class TestBuilders:
     def test_gamma_sum_definition(self):
         assert gamma_sum([1, 2]) == G[1] + G[2]
-        assert gamma_sum(range(1, 6)) == total_vorticity()
+        assert gamma_sum(range(1, 6)) == G[1] + G[2] + G[3] + G[4] + G[5]
 
     def test_angular_momentum_definition(self):
         assert angular_momentum([1, 2, 3]) == G[1] * G[2] + G[1] * G[3] + G[2] * G[3]
@@ -187,7 +186,7 @@ class TestDecideFeasible:
 
     def test_total_momentum_with_partial(self):
         led = ConstraintLedger(
-            (total_angular_momentum(), angular_momentum([1, 2, 3])),
+            (angular_momentum(range(1, 6)), angular_momentum([1, 2, 3])),
         )
         verdict = decide(led)
         assert verdict.feasible
@@ -221,7 +220,9 @@ class TestDecideProperties:
         for _ in range(200):
             led = random_ledger(rng)
             verdict = decide(led)
-            bigger = led.with_equalities((rng.choice(list(led.nonzeros)),))
+            bigger = ConstraintLedger(
+                led.equalities + (rng.choice(list(led.nonzeros)),), led.nonzeros, led.n
+            )
             after = decide(bigger)
             if verdict.infeasible:
                 count += 1
@@ -381,6 +382,19 @@ class TestVerifyCertificate:
         ]
         for cert in forged:
             assert not verify_certificate(led, cert), cert
+
+    def test_rejects_a_subset_label_past_n(self):
+        # G1^2 + G6^2 is the n=5 ledger's own equality, and it is the sum of
+        # squares its subset (1, 6) prints, but 6 names no strength of the
+        # ledger: the subset must lie in 1..n.
+        g6 = vorticity.gamma_var(6)
+        squares = G[1] * G[1] + g6 * g6
+        led = ConstraintLedger((squares,), n=5)
+        one = Polynomial.constant(1)
+        assert vorticity._sum_of_squares((1, 6), one) == squares
+        assert lift(squares, led.equalities) is not None
+        cert = vorticity.Certificate("sum-of-squares", squares, subset=(1, 6), multiplier=one)
+        assert not verify_certificate(led, cert)
 
     def test_rejects_non_member(self):
         led = ConstraintLedger((gamma_sum([2, 3]),))
