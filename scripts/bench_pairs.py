@@ -1,0 +1,125 @@
+"""Paired benchmark runs: a parent revision against the working tree.
+
+Copies the parent revision (`git archive`) and the working tree (the files
+`git ls-files` lists, unless ignored) into two temporary directories and runs
+`perfbench/run.py` at its own run length on the two sides in turn: one seed
+per pair (1, 2, ... across the plan), the side that goes first alternating,
+and every job compiling the package from source (PYTHONDONTWRITEBYTECODE=1).
+
+    python3 scripts/bench_pairs.py --parent HEAD solve-sweep=10 atlas-n5=3 quad-cert=3
+
+writes BENCH_solve_sweep.json, named after the first workload: every run,
+and for each workload and end-to-end metric both sides' quartiles, the
+pairs the change wins and the change of the median in percent.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def copy_sides(parent: str, into: Path) -> dict:
+    """{side: directory}: the parent revision and the working tree."""
+    dirs = {side: into / side for side in SIDES}
+    dirs["parent"].mkdir()
+    subprocess.run(["tar", "-x", "-C", dirs["parent"]], input=git("archive", parent), check=True)
+    files = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0")
+    for name in filter(None, files):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            dst = dirs["change"] / name
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            dst.write_bytes(src.read_bytes())
+    return dirs
+
+
+def run_once(directory: Path, workload: str, seed: int) -> tuple:
+    """(exit code, result line, report line) of one perfbench run."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=directory, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and len(lines) >= 2:
+        return proc.returncode, json.loads(lines[-1]), json.loads(lines[-2])
+    return proc.returncode, {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}, {}
+
+
+def summarize(workload: str, runs: list, better: dict) -> dict:
+    pairs = sorted({r["pair"] for r in runs})
+    by = {(r["pair"], r["side"]): r for r in runs}
+    metrics = {}
+    for name, direction in better.items():
+        values = {side: [by[p, side]["metrics"].get(name) for p in pairs] for side in SIDES}
+        if None in values["parent"] + values["change"]:
+            continue  # a failed run has no metrics
+        entry = {"better": direction}
+        for side in SIDES:
+            q1, q2, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            entry[side] = {"median": q2, "q1": q1, "q3": q3}
+        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
+        entry["change_wins"] = f"{wins}/{len(pairs)}"
+        entry["median_delta_pct"] = 100 * (entry["change"]["median"] / entry["parent"]["median"] - 1)
+        entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        metrics[name] = entry
+    return {"workload": workload, "trace": 0, "seconds": runs[0]["seconds"],
+            "seeds": [by[p, "parent"]["seed"] for p in pairs], "pairs": len(pairs),
+            "first": [by[p, "parent"]["first"] for p in pairs],
+            "failed": {side: sum(by[p, side]["failed"] for p in pairs) for side in SIDES}, "metrics": metrics}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("plan", nargs="+", metavar="WORKLOAD=PAIRS", help="e.g. solve-sweep=10")
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
+    args = parser.parse_args(argv)
+    plan = [(w, int(k)) for w, k in (item.split("=") for item in args.plan)]
+    if min(k for _, k in plan) < 2:
+        parser.error("quartiles need at least two pairs of each workload")
+    out = ROOT / f"BENCH_{plan[0][0].replace('-', '_')}.json"
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    parent = git("rev-parse", "--short", args.parent).decode().strip()
+    runs, machine, summary = [], None, []
+    seed = 1
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        dirs = copy_sides(args.parent, Path(tmp))
+        for workload, count in plan:
+            done = []
+            for pair in range(count):
+                first = SIDES[pair % 2]
+                for side in (SIDES if first == "parent" else SIDES[::-1]):
+                    code, result, report = run_once(dirs[side], workload, seed)
+                    machine = machine or report.get("machine")
+                    done.append(dict(workload=workload, pair=pair, seed=seed, side=side, first=first,
+                                     seconds=report.get("seconds"), trace=0, returncode=code,
+                                     correct=result["correct"], attempted=result["attempted"], failed=result["failed"],
+                                     metrics={k: v["value"] for k, v in result["metrics"].items()}))
+                    print(json.dumps(done[-1]), file=sys.stderr, flush=True)
+                seed += 1
+            runs += done
+            summary.append(summarize(workload, done, better))
+    report = {
+        "what": f"paired perfbench/run.py runs by scripts/bench_pairs.py: parent {parent} against the working tree, "
+                "alternating which side runs first; quartiles by statistics.quantiles(n=4, method='inclusive'); "
+                "change_wins counts pairs where the change is strictly better",
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "parent": parent, "machine": machine, "summary": summary, "runs": runs,
+    }
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,8 +5,8 @@ variables w, inverse-difference variables Z, W and multiplier lambda,
 solves it for real configurations by damped Gauss-Newton with a
 closed-form Jacobian and a stacked step-length ladder (abandoning
 attempts that stall), classifies stationary configurations, checks the
-conserved identities, and maps synthetic singular sequences onto
-two-colored diagrams by fitting the decay order of every component.
+conserved identities, and maps singular sequences onto two-colored
+diagrams by fitting the decay order of every component.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ _LADDER_STAGES = (STEP_LADDER[:LADDER_SPLIT], STEP_LADDER[LADDER_SPLIT:])
 
 
 @functools.lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """The n-by-n identity, built once per n and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-@functools.lru_cache(maxsize=None)
 def _off_diagonal(n: int) -> np.ndarray:
     """The n-by-n mask that is True off the diagonal, built once per n and read-only."""
     mask = ~np.eye(n, dtype=bool)
@@ -83,18 +75,17 @@ def _differences(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     D = u[..., None, :] - u[..., :, None]
     close = (np.abs(D) < COLLISION_DISTANCE) & _off_diagonal(u.shape[-1])
-    if D.ndim == 2:
-        if close.any():
+    if close.any():
+        if D.ndim == 2:
             j, k = np.argwhere(close)[0]  # close is symmetric, so j < k
             raise CollisionError(f"vertices {j+1},{k+1} coincide")
-    else:
         D[close.any(axis=(-2, -1))] = np.nan
     return D
 
 
 def _off_diagonal_quotient(num, D) -> np.ndarray:
     """num / D elementwise off the diagonal, zero on it, over any leading axes."""
-    return np.divide(num, D, out=np.zeros_like(D), where=_off_diagonal(D.shape[-1]))
+    return np.divide(num, D, out=np.zeros(D.shape, dtype=complex), where=_off_diagonal(D.shape[-1]))
 
 
 class Configuration(NamedTuple):
@@ -166,11 +157,17 @@ def velocities(z, gamma) -> np.ndarray:
     axes a colliding configuration's velocities are NaN (see _differences).
     """
     D = _differences(z)
-    g = np.asarray(gamma, dtype=float)
-    # Divide and sum in this order to round as the pairwise loop does; a
-    # product with 1/conj(D) rounds differently and moves solver results.
     with np.errstate(invalid="ignore"):  # NaN rows are collisions, already flagged
-        return _off_diagonal_quotient(g[:, None], np.conj(D)).sum(axis=-2)
+        return _velocity_sum(D, np.asarray(gamma, dtype=float))
+
+
+def _velocity_sum(D: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum over j of g_j / conj(D[n, j]), from difference matrices D.
+
+    Divide and sum in this order to round as the pairwise loop does; a
+    product with 1/conj(D) rounds differently and moves solver results.
+    """
+    return _off_diagonal_quotient(g[:, None], np.conj(D)).sum(axis=-2)
 
 
 def residual(c: Configuration) -> float:
@@ -194,14 +191,35 @@ def residual(c: Configuration) -> float:
 # -- solver ----------------------------------------------------------------
 
 
-def _real_system(x: np.ndarray, gamma, lam: complex) -> np.ndarray:
-    """The 2n + 1 real equations at x = (Re z, Im z), over any leading axes of x."""
+class _System(NamedTuple):
+    """The solver's constants for one strength vector and multiplier,
+    built once per solve and read at every Gauss-Newton point."""
+
+    n: int
+    gamma: np.ndarray  # the strengths, as floats
+    lam: complex
+    lam_eye: np.ndarray  # lam * I
+
+
+def _system(gamma, lam: complex) -> _System:
     n = len(gamma)
+    return _System(n, np.asarray(gamma, dtype=float), lam, lam * np.eye(n))
+
+
+def _real_system(x: np.ndarray, system: _System):
+    """The 2n + 1 real equations at x = (Re z, Im z), and the difference
+    matrices D of z they were computed from, over any leading axes of x.
+
+    A collision raises or gives NaN rows as in `_differences`.
+    """
+    n = system.n
     z = x[..., :n] + 1j * x[..., n:]
-    V = velocities(z, gamma)
-    F = lam * z - V
-    pin = (z[..., 1] - z[..., 0]).imag  # rotation gauge
-    return np.concatenate([F.real, F.imag, pin[..., None]], axis=-1)
+    D = _differences(z)
+    F = system.lam * z - _velocity_sum(D, system.gamma)
+    out = np.empty(x.shape[:-1] + (2 * n + 1,))
+    out[..., :n], out[..., n:-1] = F.real, F.imag
+    out[..., -1] = (z[..., 1] - z[..., 0]).imag  # rotation gauge
+    return out, D
 
 
 def solve(
@@ -221,10 +239,25 @@ def solve(
     reproducible.  An attempt is abandoned after SOLVE_MAX_STEPS steps, or
     once its residual has not halved over the last STALL_STEPS accepted
     steps.
+
+    Strengths that all have one sign s admit no solution unless
+    s * Re(lam) > 0.  Multiply the balance equation
+    lam * z_m = sum over j != m of Gamma_j / conj(z_m - z_j) by
+    Gamma_m * conj(z_m) and sum over m: each pair j < k contributes
+    Gamma_j Gamma_k (conj(z_j) - conj(z_k)) / conj(z_j - z_k), so
+    lam * sum_m Gamma_m |z_m|^2 = sum_{j<k} Gamma_j Gamma_k (O'Neil,
+    Trans. AMS 302, 1987).  The right side is positive, and the sum on the
+    left has sign s because the distinct z_m are not all zero, so lam is
+    real with sign s.  Such input is refused before any attempt.  A
+    non-real lam with s * Re(lam) > 0 has no exact solution either; it is
+    not refused, since telling a nonzero Im(lam) from rounding would take a
+    tolerance.
+
     Raises ValueError for fewer than two strengths, a strength that is zero
     or not finite, a multiplier that is not finite, or a negative `seed`,
-    and NoConvergenceError when the budget is exhausted.  When `trace` is a
-    list it receives the accepted residual norms of the winning attempt.
+    and NoConvergenceError when no solution can exist (above) or the budget
+    is exhausted.  When `trace` is a list it receives the accepted residual
+    norms of the winning attempt.
     """
     gamma = [float(g) for g in gamma]
     n = len(gamma)
@@ -239,12 +272,19 @@ def solve(
         raise ValueError("the multiplier must be finite")
     if seed < 0:
         raise ValueError(f"the seed must not be negative, got {seed}")
+    for sign, name in ((1.0, "positive"), (-1.0, "negative")):
+        if all(g * sign > 0 for g in gamma) and lam.real * sign <= 0:
+            raise NoConvergenceError(
+                f"no solution exists: the strengths are all {name}, "
+                f"so the multiplier needs a {name} real part"
+            )
+    system = _system(gamma, lam)
     for attempt in range(attempts):
         rng = np.random.default_rng(seed * 1009 + attempt)
         x = rng.standard_normal(2 * n) * 1.2
         norms = []
         try:
-            x = _gauss_newton(x, gamma, lam, norms)
+            x = _gauss_newton(x, system, norms)
         except (CollisionError, np.linalg.LinAlgError):
             continue
         if x is None:
@@ -265,58 +305,62 @@ def solve(
     raise NoConvergenceError(f"no solution after {attempts} attempts")
 
 
-def _gauss_newton(x, gamma, lam, norms):
+def _gauss_newton(x, system: _System, norms):
     """Damped Gauss-Newton from `x`, appending accepted residual norms to
-    `norms`; None when the attempt fails or stalls."""
-    try:
-        F = _real_system(x, gamma, lam)
-    except CollisionError:
-        return None
-    norm = np.linalg.norm(F, np.inf)
-    norms.append(float(norm))
-    for _ in range(SOLVE_MAX_STEPS):
-        if norm < SOLVE_TOL / 4:
-            return x
-        if len(norms) > STALL_STEPS and norm > norms[-1 - STALL_STEPS] / 2:
-            return None  # stuck at a minimum where the residual is not zero
-        J = _jacobian(x, gamma, lam)
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        accepted = _line_search(x, step, norm, gamma, lam)
-        if accepted is None:
+    `norms`; None when the attempt fails or stalls.
+
+    Each point is evaluated once: the line search hands back the accepted
+    row's equations and difference matrix, and the Jacobian is built from
+    that matrix.
+    """
+    with np.errstate(invalid="ignore"):  # NaN ladder rows are collisions, never accepted
+        try:
+            F, D = _real_system(x, system)
+        except CollisionError:
             return None
-        x, F, norm = accepted
+        norm = np.abs(F).max()
         norms.append(float(norm))
-    return x if norm < SOLVE_TOL / 4 else None
+        for _ in range(SOLVE_MAX_STEPS):
+            if norm < SOLVE_TOL / 4:
+                return x
+            if len(norms) > STALL_STEPS and norm > norms[-1 - STALL_STEPS] / 2:
+                return None  # stuck at a minimum where the residual is not zero
+            step, *_ = np.linalg.lstsq(_jacobian(D, system), -F, rcond=None)
+            accepted = _line_search(x, step, norm, system)
+            if accepted is None:
+                return None
+            x, F, D, norm = accepted
+            norms.append(float(norm))
+        return x if norm < SOLVE_TOL / 4 else None
 
 
-def _line_search(x, step, norm, gamma, lam):
+def _line_search(x, step, norm, system: _System):
     """The longest step x + alpha * step on STEP_LADDER whose residual norm
-    is below `norm`, as (x, F, norm); None when no step length lowers it.
+    is below `norm`, as (x, F, D, norm); None when no step length lowers it.
 
     Each stage of the ladder is one stacked evaluation; a step that
     collides has a NaN norm and is never accepted.
     """
     for alphas in _LADDER_STAGES:
         X = x + alphas[:, None] * step
-        F = _real_system(X, gamma, lam)
+        F, D = _real_system(X, system)
         norms = np.abs(F).max(axis=1)
-        lower = np.flatnonzero(norms < norm)
+        lower = (norms < norm).nonzero()[0]
         if lower.size:
             i = lower[0]
-            return X[i], F[i], norms[i]
+            return X[i], F[i], D[i], norms[i]
     return None
 
 
-def _jacobian(x, gamma, lam):
-    """Closed-form Jacobian of `_real_system`.  V is antiholomorphic: with
+def _jacobian(D, system: _System):
+    """Closed-form Jacobian of `_real_system` at the point whose difference
+    matrix is D.  V is antiholomorphic: with
     B[m, k] = dV_m/d conj(z_k) = Gamma_k / conj(z_m - z_k)^2 for k != m and
     B[m, m] = -sum_k B[m, k], dF/d Re z = lam I - B, dF/d Im z = i(lam I + B)."""
-    n = len(gamma)
-    D = _differences(x[:n] + 1j * x[n:])
-    B = _off_diagonal_quotient(np.asarray(gamma, dtype=float)[None, :], np.conj(D) ** 2)
+    n = system.n
+    B = _off_diagonal_quotient(system.gamma[None, :], np.conj(D) ** 2)
     np.fill_diagonal(B, -B.sum(axis=1))
-    lam_eye = lam * _identity(n)
-    d_re, d_im = lam_eye - B, 1j * (lam_eye + B)
+    d_re, d_im = system.lam_eye - B, 1j * (system.lam_eye + B)
     J = np.zeros((2 * n + 1, 2 * n))
     J[:n, :n], J[n:-1, :n] = d_re.real, d_re.imag
     J[:n, n:], J[n:-1, n:] = d_im.real, d_im.imag
@@ -421,18 +465,6 @@ class SingularSequenceSample(_Sample):
             points.append((float(data["epsilon"]), make_configuration(gamma, z, w)))
         return cls(tuple(points))
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for eps, c in self.points:
-            pack = lambda xs: [[x.real, x.imag] for x in xs]
-            lines.append(
-                json.dumps(
-                    {"epsilon": eps, "gamma": list(c.gamma), "z": pack(c.z), "w": pack(c.w)},
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 def fit_exponent(eps, values) -> OrderExponent:
     """Least-squares slope of log|value| against log(epsilon)."""
@@ -500,51 +532,3 @@ def probe(sample: SingularSequenceSample, tol: float = 0.15) -> Diagram:
     if not report.valid:
         raise ValueError(f"probed diagram violates the rules: {report.failures}")
     return d
-
-
-def synthetic_sequence(d: Diagram, eps_list=None, gamma=None) -> SingularSequenceSample:
-    """An order-faithful sequence realizing the stroke/circle pattern of `d`.
-
-    Vertices in one component of the other color's strokes share a center
-    and differ by order eps^2; circled components sit at order eps^-2,
-    others at order one.  The
-    construction is deterministic and keeps both max norms at exactly
-    eps^-2.
-    """
-    from .diagram import components
-
-    if eps_list is None:
-        eps_list = [2.0**-k for k in range(4, 13)]
-    gamma = list(gamma) if gamma is not None else [1.0] * d.n
-    report = validate(d)
-    if not report.valid:
-        raise ValueError(f"cannot realize an invalid diagram: {report.failures}")
-
-    def build_vector(stroke_color: str, circle_color: str, eps: float):
-        # Positions of the `circle_color` coordinate: classes are the
-        # components of the opposite-color strokes.
-        comps = components(d.strokes(stroke_color), d.n)
-        values = [0j] * d.n
-        circled_seen = 0
-        plain_seen = 0
-        for t, comp in enumerate(comps):
-            members = sorted(comp)
-            circled = members[0] in d.circles(circle_color)
-            angle = cmath.exp(1j * (0.37 + 2 * math.pi * t / 9.0))
-            if circled:
-                center = (1.0 - 0.12 * circled_seen) * eps**-2 * angle
-                circled_seen += 1
-            else:
-                center = (1.7 + 0.6 * plain_seen) * angle
-                plain_seen += 1
-            offset_dir = cmath.exp(1j * (1.1 + 2 * math.pi * t / 7.0))
-            for rank, v in enumerate(members):
-                values[v - 1] = center + rank * eps**2 * offset_dir
-        return values
-
-    points = []
-    for eps in eps_list:
-        z = build_vector("w", "z", eps)
-        w = build_vector("z", "w", eps)
-        points.append((eps, make_configuration(gamma, z, w)))
-    return SingularSequenceSample(tuple(points))

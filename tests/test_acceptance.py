@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracle3 import oracle_enumerate3
+from synthetic import synthetic_sequence
 from vortexdiagrams import lemmas, numeric
 from vortexdiagrams.atlas import diff_report, enumerate_diagrams, load_catalog
 from vortexdiagrams.diagram import Diagram, canonical_key, stroke_count_C, validate
@@ -241,6 +242,7 @@ def test_criterion_7_numeric_identities():
     )
     rng = np.random.default_rng(22)
     successes = 0
+    same_sign = 0
     tries = 0
     worst = 0.0
     while successes < 50 and tries < 200:
@@ -261,7 +263,12 @@ def test_criterion_7_numeric_identities():
         report = numeric.check_identities(config, tol=1e-9)
         assert report.passed, (gamma.tolist(), report)
         worst = max(worst, report.moment_z, report.moment_w, report.angular)
+        # lam * sum(g |z|^2) = sum of pair products > 0 fixes lam's sign
+        if np.all(gamma > 0) or np.all(gamma < 0):
+            same_sign += 1
+            assert config.lam.real * gamma[0] > 0, gamma.tolist()
     assert successes == 50
+    assert same_sign > 0
     announce(
         f"ACCEPTANCE 7 PASS: closed forms at 1e-12, 50 solver successes with identities "
         f"below 1e-9 (worst {worst:.1e})"
@@ -274,7 +281,7 @@ def test_criterion_8_probe_round_trip(catalog):
     for entry in catalog:
         if entry.status != "possible":
             continue
-        sequence = numeric.synthetic_sequence(entry.diagram, eps)
+        sequence = synthetic_sequence(entry.diagram, eps)
         recovered = numeric.probe(sequence, tol=0.15)
         assert canonical_key(recovered) == canonical_key(entry.diagram), entry.figure_ref
         hits += 1

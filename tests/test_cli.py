@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from synthetic import synthetic_sequence, to_jsonl
 from vortexdiagrams import exactpoly, quadrilateral
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import _join_signed_values, build_parser, main
 from vortexdiagrams.diagram import Diagram
-from vortexdiagrams.numeric import synthetic_sequence
 
 
 @pytest.fixture
@@ -191,6 +191,15 @@ class TestSolveProbe:
         # zero strength is rejected up front as a usage-level error
         assert main(["solve", "--gamma", "1,0"]) == 2
 
+    def test_solve_refuses_an_impossible_multiplier_sign(self, tmp_path, capsys):
+        out = tmp_path / "solution.json"
+        assert main(["solve", "--gamma", "-1,-2,-0.5", "--lambda", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "no convergence: no solution exists: the strengths are all negative, "
+            "so the multiplier needs a negative real part\n"
+        )
+        assert not out.exists()
+
     def test_leading_negative_strength_needs_no_equals_sign(self, tmp_path, capsys):
         spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
         gamma = "-1,2,-1.5,0.7,2.2"
@@ -225,7 +234,7 @@ class TestSolveProbe:
     def test_probe_round_trip(self, tmp_path):
         d = Diagram(5, [(1, 2), (3, 4)], [(2, 3), (1, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
         samples = tmp_path / "seq.jsonl"
-        samples.write_text(synthetic_sequence(d).to_jsonl())
+        samples.write_text(to_jsonl(synthetic_sequence(d)))
         out = tmp_path / "probe.json"
         assert main(["probe", str(samples), "--out", str(out)]) == 0
         got = json.loads(out.read_text())

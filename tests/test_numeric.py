@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from synthetic import synthetic_sequence, to_jsonl
 from vortexdiagrams import numeric
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.diagram import Diagram, canonical_key
@@ -21,7 +23,6 @@ from vortexdiagrams.numeric import (
     probe,
     residual,
     solve,
-    synthetic_sequence,
     velocities,
 )
 
@@ -31,6 +32,40 @@ OMEGA = np.exp(2j * np.pi / 3)
 # 7's first 24 strength vectors, lambda = +1 then -1 with attempts=10.  A
 # solver change must either keep these roots or re-pin them on purpose.
 SWEEP_SOLUTIONS_SHA256 = "4a799d0b695a429083526758fa13f5876cdca05eb086029cbe0b21dd8507a948"
+
+# sha256 of the same solutions' accepted residual norms (`solve`'s trace,
+# as JSON), so that a solver change that keeps the roots but takes other
+# steps to them shows too.
+SWEEP_TRACES_SHA256 = "4bf6de98b2cecb442e97caa5150bd14b9d66f19253285daf01edd52dd7b5bd18"
+
+# Strengths of one sign with a multiplier of that sign, and mixed signs:
+# inputs the sign refusal must leave to the attempts.  SIGN_CASES_SHA256 is
+# the sha256 of their solutions (or null) and traces at seed 1, attempts=10.
+SIGN_CASES = [
+    ([1.0, 1.0], 1.0),
+    ([0.5, 2.0, 1.0], 1.0),
+    ([2.0, 0.5, 1.0, 3.0], cmath.exp(0.3j)),
+    ([-1.0, -2.0, -0.5], -1.0),
+    ([-1.5, -1.0, -2.5, -0.7, -1.2], -1.0),
+    ([1.0, -2.0, 1.5], 1.0),
+    ([1.0, -2.0, 1.5], -1.0),
+    ([2.0, 3.0, -1.0, 1.0, 1.0], 1.0),
+    ([1.0, 1.0, 1.0, -2.0, 0.5], -1.0),
+]
+SIGN_CASES_SHA256 = "7bcae43a23e90755e057e8083bd04b9044efca65ddadedacd04a28d90b111ef0"
+
+
+def count_jacobians(monkeypatch):
+    """A list that grows by one for every Jacobian the solver builds."""
+    calls = []
+    jacobian = numeric._jacobian
+
+    def counted(*args):
+        calls.append(args)
+        return jacobian(*args)
+
+    monkeypatch.setattr(numeric, "_jacobian", counted)
+    return calls
 
 
 def two_vortex():
@@ -114,19 +149,51 @@ class TestSolve:
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_unsolvable_input_fails_fast(self, monkeypatch):
-        # the angular-momentum identity lambda * sum(g |z|^2) = Gamma_1 Gamma_2
-        # = 1 rules out lambda = -1, so every attempt stalls; the exit ends them
-        calls = []
-        jacobian = numeric._jacobian
+        # the moment identity g_1 z_1 + g_2 z_2 = 0 gives z_1 = 2 z_2, so the
+        # angular-momentum identity reads lambda * 2|z_2|^2 = g_1 g_2 = -2 and
+        # rules out lambda = 1; mixed signs are not refused, so every attempt
+        # runs, stalls, and the stall exit ends it
+        calls = count_jacobians(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="after 24 attempts"):
+            solve([1, -2], 1.0)
+        assert 0 < len(calls) <= 24 * (numeric.STALL_STEPS + 2)
 
-        def counted(*args):
-            calls.append(args)
-            return jacobian(*args)
+    @pytest.mark.parametrize(
+        "gamma, lam",
+        [
+            ([1.0, 1.0], -1.0),
+            ([1.0, 2.0, 0.5, 3.0, 1.5], -1.0),
+            ([0.5, 2.0, 1.0], 0.0),
+            ([0.5, 2.0, 1.0], 1j),
+            ([0.5, 2.0, 1.0], -cmath.exp(0.3j)),
+            ([-1.0, -1.0, -2.0], 1.0),
+            ([-1.0, -2.0, -0.5, -3.0, -1.5], 1.0),
+            ([-1.0, -2.0], -1j),
+        ],
+    )
+    def test_impossible_sign_is_refused_before_any_attempt(self, gamma, lam, monkeypatch):
+        calls = count_jacobians(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="no solution exists"):
+            solve(gamma, lam)
+        assert calls == []
 
-        monkeypatch.setattr(numeric, "_jacobian", counted)
-        with pytest.raises(NoConvergenceError):
-            solve([1, 1], -1.0)
-        assert len(calls) < 180
+    def test_non_real_multiplier_of_the_right_sign_is_attempted(self, monkeypatch):
+        calls = count_jacobians(monkeypatch)
+        with pytest.raises(NoConvergenceError, match="after 2 attempts"):
+            solve([1.0, 1.0, 1.0], cmath.exp(0.3j), attempts=2)
+        assert calls
+
+    def test_unrefused_inputs_keep_their_solutions(self):
+        rows = []
+        for gamma, lam in SIGN_CASES:
+            trace = []
+            try:
+                data = solve(gamma, lam, seed=1, attempts=10, trace=trace).to_json()
+            except NoConvergenceError:
+                data = None
+            rows.append([data, trace])
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SIGN_CASES_SHA256
 
     def test_stall_exit_keeps_every_solvable_vector(self):
         # acceptance 7's draw on another seed: every vector has a solution
@@ -152,30 +219,36 @@ class TestSolve:
     def test_sweep_solutions_are_pinned(self):
         rng = np.random.default_rng(22)
         draws = 0
-        rows = []
+        rows, traces = [], []
         while len(rows) < 24:
             draws += 1
             gamma = rng.uniform(-3, 3, 5)
             if np.any(np.abs(gamma) < 0.2):
                 continue
-            row = None
+            row = trace = None
             for lam in (1.0, -1.0):
+                attempt_trace = []
                 try:
-                    data = solve(gamma, lam, seed=draws, attempts=10).to_json()
+                    data = solve(gamma, lam, seed=draws, attempts=10, trace=attempt_trace).to_json()
                 except NoConvergenceError:
                     continue
                 row = {key: data[key] for key in ("lambda", "z", "w")}
+                trace = attempt_trace
                 break
             rows.append(row)
+            traces.append(trace)
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SOLUTIONS_SHA256
+        assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == SWEEP_TRACES_SHA256
 
 
-def _halving_gauss_newton(x, gamma, lam, norms):
+def _halving_gauss_newton(x, system, norms):
     """The solver's Gauss-Newton with the line search as a halving loop, one
-    evaluation per step length: the reference for the stacked ladder."""
+    evaluation per step length, and a Jacobian from a fresh evaluation at
+    each point: the reference for the stacked ladder and the reused
+    difference matrix."""
     try:
-        F = numeric._real_system(x, gamma, lam)
+        F, _ = numeric._real_system(x, system)
     except CollisionError:
         return None
     norm = np.linalg.norm(F, np.inf)
@@ -185,12 +258,12 @@ def _halving_gauss_newton(x, gamma, lam, norms):
             return x
         if len(norms) > numeric.STALL_STEPS and norm > norms[-1 - numeric.STALL_STEPS] / 2:
             return None
-        J = numeric._jacobian(x, gamma, lam)
+        J = numeric._jacobian(numeric._real_system(x, system)[1], system)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         alpha = 1.0
         while alpha > 1e-8:
             try:
-                F_new = numeric._real_system(x + alpha * step, gamma, lam)
+                F_new, _ = numeric._real_system(x + alpha * step, system)
             except CollisionError:
                 alpha /= 2
                 continue
@@ -210,7 +283,7 @@ def _run_gauss_newton(gauss_newton, x, gamma, lam):
     """(final x as bytes, None or the exception type; accepted norms)."""
     norms = []
     try:
-        x = gauss_newton(x, gamma, complex(lam), norms)
+        x = gauss_newton(x, numeric._system(gamma, complex(lam)), norms)
     except (CollisionError, np.linalg.LinAlgError) as exc:
         return type(exc), norms
     return (None if x is None else x.tobytes()), norms
@@ -242,22 +315,43 @@ class TestLineSearch:
 
     def test_equal_residual_is_not_accepted(self):
         # a zero step leaves the residual as it is at every step length
-        gamma, lam = [1.0, -2.0, 1.5], 1.0 + 0.0j
+        system = numeric._system([1.0, -2.0, 1.5], 1.0 + 0.0j)
         x = np.array([0.3, -1.1, 0.8, 0.5, 0.2, -0.7])
-        norm = np.abs(numeric._real_system(x, gamma, lam)).max()
-        assert numeric._line_search(x, np.zeros_like(x), norm, gamma, lam) is None
+        norm = np.abs(numeric._real_system(x, system)[0]).max()
+        assert numeric._line_search(x, np.zeros_like(x), norm, system) is None
+
+    def test_accepted_difference_matrix_gives_the_fresh_jacobian(self):
+        # the Jacobian built from the line search's D against one built from
+        # a fresh evaluation at the accepted point, bit for bit
+        rng = np.random.default_rng(29)
+        for n in range(2, 9):
+            for lam in (1.0, -1.0, np.exp(0.3j)):
+                for _ in range(3):
+                    system = numeric._system(rng.uniform(-3, 3, n).tolist(), complex(lam))
+                    x = rng.standard_normal(2 * n) * 1.2
+                    F, D = numeric._real_system(x, system)
+                    step, *_ = np.linalg.lstsq(numeric._jacobian(D, system), -F, rcond=None)
+                    with np.errstate(invalid="ignore"):
+                        accepted = numeric._line_search(x, step, np.abs(F).max(), system)
+                    assert accepted is not None, (n, lam)
+                    x1, F1, D1, _ = accepted
+                    F_fresh, D_fresh = numeric._real_system(x1.copy(), system)
+                    assert F1.tobytes() == F_fresh.tobytes()
+                    got = numeric._jacobian(D1, system)
+                    assert got.tobytes() == numeric._jacobian(D_fresh, system).tobytes(), (n, lam)
 
     def test_colliding_ladder_row_is_skipped(self):
         # vertices 1, 2 mirror each other across the real axis and share a
         # strength, so every step keeps them mirrored; bisect the start's
         # height until the full step lands them on the axis together
         gamma, lam = [1.0, 1.0, -2.5], 1.0 + 0.0j
+        system = numeric._system(gamma, lam)
 
         def start(t):
             z = np.array([0.4 + 1j * t, 0.4 - 1j * t, -0.9])
             x = np.concatenate([z.real, z.imag])
-            F = numeric._real_system(x, gamma, lam)
-            step, *_ = np.linalg.lstsq(numeric._jacobian(x, gamma, lam), -F, rcond=None)
+            F, D = numeric._real_system(x, system)
+            step, *_ = np.linalg.lstsq(numeric._jacobian(D, system), -F, rcond=None)
             return x, step
 
         def gap(t):
@@ -271,24 +365,26 @@ class TestLineSearch:
             lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
         x, step = start(lo)
         with pytest.raises(CollisionError, match="vertices 1,2"):
-            numeric._real_system(x + step, gamma, lam)
+            numeric._real_system(x + step, system)
         rows = x + numeric.STEP_LADDER[:, None] * step
-        F = numeric._real_system(rows, gamma, lam)
-        assert np.isnan(F[0, :-1]).all()
-        for row, got in zip(rows[1:], F[1:]):
-            assert got.tobytes() == numeric._real_system(row, gamma, lam).tobytes()
+        with np.errstate(invalid="ignore"):
+            F, D = numeric._real_system(rows, system)
+        assert np.isnan(F[0, :-1]).all() and np.isnan(D[0]).all()
+        for row, got, got_D in zip(rows[1:], F[1:], D[1:]):
+            F_row, D_row = numeric._real_system(row, system)
+            assert got.tobytes() == F_row.tobytes() and got_D.tobytes() == D_row.tobytes()
         got = _run_gauss_newton(numeric._gauss_newton, x, gamma, lam)
         assert got == _run_gauss_newton(_halving_gauss_newton, x, gamma, lam)
         assert len(got[1]) >= 2  # the attempt went on past the collided step
 
 
-def _central_jacobian(x, gamma, lam, h=1e-7):
+def _central_jacobian(x, system, h=1e-7):
     """Central differences of the solver's real system, the reference."""
     J = np.zeros((len(x) + 1, len(x)))
     for i in range(len(x)):
         dx = np.zeros(len(x))
         dx[i] = h
-        J[:, i] = (numeric._real_system(x + dx, gamma, lam) - numeric._real_system(x - dx, gamma, lam)) / (2 * h)
+        J[:, i] = (numeric._real_system(x + dx, system)[0] - numeric._real_system(x - dx, system)[0]) / (2 * h)
     return J
 
 
@@ -299,9 +395,9 @@ class TestJacobian:
             for lam in (1.0, -1.0, np.exp(0.3j)):
                 for _ in range(4):
                     x = rng.standard_normal(2 * n)
-                    gamma = rng.uniform(-3, 3, n)
-                    got = numeric._jacobian(x, gamma, complex(lam))
-                    ref = _central_jacobian(x, gamma, complex(lam))
+                    system = numeric._system(rng.uniform(-3, 3, n), complex(lam))
+                    got = numeric._jacobian(numeric._real_system(x, system)[1], system)
+                    ref = _central_jacobian(x, system)
                     assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref)), (n, lam)
 
 
@@ -441,7 +537,7 @@ class TestProbe:
     def test_jsonl_round_trip(self):
         d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
         seq = synthetic_sequence(d)
-        again = SingularSequenceSample.from_jsonl(seq.to_jsonl())
+        again = SingularSequenceSample.from_jsonl(to_jsonl(seq))
         assert canonical_key(probe(again)) == canonical_key(d)
 
     def test_fit_exponent_recovers_slope(self):
