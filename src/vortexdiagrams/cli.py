@@ -4,7 +4,7 @@ Subcommands: enumerate, check, catalog, render, solve, probe,
 verify-groebner.  Machine-readable output is JSON with sorted keys, so a
 fixed invocation produces byte-identical reports.  Exit codes: 0 success
 or valid, 1 domain-negative result (invalid diagram, infeasible ledger,
-no convergence), 2 usage or internal error.
+no solution or no convergence), 2 usage or internal error.
 
 Each handler imports the module behind its subcommand, so a cold process
 pays only for what it runs: `solve` and `probe` load `numeric` and with
@@ -166,7 +166,7 @@ def _cmd_solve(args) -> int:
     try:
         config = numeric.solve(gamma, args.lam, seed=args.seed)
     except numeric.NoConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)  # a refusal, or the exhausted budget
         return 1
     ident = numeric.check_identities(config)
     payload = {

@@ -3,10 +3,12 @@
 Evaluates residuals of the coupled system in positions z, conjugate
 variables w, inverse-difference variables Z, W and multiplier lambda,
 solves it for real configurations by damped Gauss-Newton with a
-closed-form Jacobian and a stacked step-length ladder (abandoning
-attempts that stall), classifies stationary configurations, checks the
-conserved identities, and maps singular sequences onto two-colored
-diagrams by fitting the decay order of every component.
+closed-form Jacobian, each step from the normal equations
+J^T J s = -J^T F, and a stacked step-length ladder (abandoning attempts
+that stall; every configuration returned passes residual < SOLVE_TOL),
+classifies stationary configurations, checks the conserved identities,
+and maps singular sequences onto two-colored diagrams by fitting the
+decay order of every component.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class CollisionError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """The solver exhausted its attempt budget."""
+    """The solver found no solution: the input admits none, or the attempt
+    budget ran out.  The message says which."""
 
 
 class AmbiguousExponentError(ValueError):
@@ -231,14 +234,15 @@ def solve(
 ) -> Configuration:
     """Find a real normalized configuration for the given strengths.
 
-    Damped Gauss-Newton with a closed-form Jacobian from randomized starts.
-    Each step takes the longest length on STEP_LADDER that lowers the
-    residual, found on a stacked step-length ladder: one array evaluation
-    per stage of the ladder.  Attempts run in seed order and the first
-    to bring the residual below SOLVE_TOL wins, so results are
-    reproducible.  An attempt is abandoned after SOLVE_MAX_STEPS steps, or
-    once its residual has not halved over the last STALL_STEPS accepted
-    steps.
+    Damped Gauss-Newton with a closed-form Jacobian J from randomized
+    starts.  Each step s solves the normal equations J^T J s = -J^T F, the
+    least-squares step, and takes the longest length on STEP_LADDER that
+    lowers the residual, found on a stacked step-length ladder: one array
+    evaluation per stage of the ladder.  Attempts run in seed order and
+    the first whose configuration passes residual < SOLVE_TOL wins, so
+    results are reproducible and every configuration returned passes it.
+    An attempt is abandoned after SOLVE_MAX_STEPS steps, or once its
+    residual has not halved over the last STALL_STEPS accepted steps.
 
     Strengths that all have one sign s admit no solution unless
     s * Re(lam) > 0.  Multiply the balance equation
@@ -302,7 +306,7 @@ def solve(
                 return config
         except CollisionError:
             continue
-    raise NoConvergenceError(f"no solution after {attempts} attempts")
+    raise NoConvergenceError(f"no convergence after {attempts} attempts")
 
 
 def _gauss_newton(x, system: _System, norms):
@@ -325,13 +329,26 @@ def _gauss_newton(x, system: _System, norms):
                 return x
             if len(norms) > STALL_STEPS and norm > norms[-1 - STALL_STEPS] / 2:
                 return None  # stuck at a minimum where the residual is not zero
-            step, *_ = np.linalg.lstsq(_jacobian(D, system), -F, rcond=None)
+            step = _newton_step(D, F, system)
             accepted = _line_search(x, step, norm, system)
             if accepted is None:
                 return None
             x, F, D, norm = accepted
             norms.append(float(norm))
         return x if norm < SOLVE_TOL / 4 else None
+
+
+def _newton_step(D, F, system: _System):
+    """The Gauss-Newton step s minimizing |J s + F|, J the Jacobian at the
+    point with difference matrix D and equations F, from the normal
+    equations J^T J s = -J^T F.
+
+    This is the least-squares step, conditioned as cond(J)^2 rather than
+    cond(J); the gauge row gives J full column rank near every solution.
+    A singular J^T J raises LinAlgError, which ends the attempt.
+    """
+    J = _jacobian(D, system)
+    return np.linalg.solve(J.T @ J, -(J.T @ F))
 
 
 def _line_search(x, step, norm, system: _System):

@@ -404,14 +404,21 @@ def _certificate_candidates(n: int) -> tuple:
     return tuple(out.values())
 
 
+@lru_cache(maxsize=None)
+def _unit_polynomial(monomials: tuple) -> Polynomial:
+    """The sum of the monomials with these exponent tuples, each with
+    coefficient 1, built once per tuple and shared by every certificate
+    that uses it."""
+    return Polynomial(dict.fromkeys(monomials, ONE), DEFAULT_VARS, _clean=False)
+
+
 def _candidate_certificate(candidate: tuple) -> Certificate:
     """The `Certificate` that a packed candidate stands for."""
     _, kind, subset, mult = candidate
     if mult is None:
-        monomial = Polynomial({_squarefree(subset): ONE}, DEFAULT_VARS, _clean=False)
-        return Certificate(kind, monomial, subset)
-    poly = Polynomial({_square(i, mult): ONE for i in subset}, DEFAULT_VARS, _clean=False)
-    return Certificate(kind, poly, subset, Polynomial({mult: ONE}, DEFAULT_VARS, _clean=False))
+        return Certificate(kind, _unit_polynomial((_squarefree(subset),)), subset)
+    poly = _unit_polynomial(tuple(_square(i, mult) for i in subset))
+    return Certificate(kind, poly, subset, _unit_polynomial((mult,)))
 
 
 def _certificate_search(ledger: ConstraintLedger, basis):

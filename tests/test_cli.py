@@ -195,9 +195,16 @@ class TestSolveProbe:
         out = tmp_path / "solution.json"
         assert main(["solve", "--gamma", "-1,-2,-0.5", "--lambda", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "no convergence: no solution exists: the strengths are all negative, "
+            "no solution exists: the strengths are all negative, "
             "so the multiplier needs a negative real part\n"
         )
+        assert not out.exists()
+
+    def test_solve_reports_an_exhausted_budget(self, tmp_path, capsys):
+        # mixed signs are never refused, and lambda = 1 has no solution here
+        out = tmp_path / "solution.json"
+        assert main(["solve", "--gamma", "1,-2", "--lambda", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "no convergence after 24 attempts\n"
         assert not out.exists()
 
     def test_leading_negative_strength_needs_no_equals_sign(self, tmp_path, capsys):

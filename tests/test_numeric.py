@@ -31,12 +31,12 @@ OMEGA = np.exp(2j * np.pi / 3)
 # sha256 of the solutions (lambda, z and w as sorted-key JSON) of acceptance
 # 7's first 24 strength vectors, lambda = +1 then -1 with attempts=10.  A
 # solver change must either keep these roots or re-pin them on purpose.
-SWEEP_SOLUTIONS_SHA256 = "4a799d0b695a429083526758fa13f5876cdca05eb086029cbe0b21dd8507a948"
+SWEEP_SOLUTIONS_SHA256 = "ad516a4d751c59b1b10b488ec9fcbab9b7011b802ec8c8d91c067bf4383db0bd"
 
 # sha256 of the same solutions' accepted residual norms (`solve`'s trace,
 # as JSON), so that a solver change that keeps the roots but takes other
 # steps to them shows too.
-SWEEP_TRACES_SHA256 = "4bf6de98b2cecb442e97caa5150bd14b9d66f19253285daf01edd52dd7b5bd18"
+SWEEP_TRACES_SHA256 = "6d678fefe214d0f1510c32b9ef119ff2d0e53da62fdad45e2524f81a833d043e"
 
 # Strengths of one sign with a multiplier of that sign, and mixed signs:
 # inputs the sign refusal must leave to the attempts.  SIGN_CASES_SHA256 is
@@ -52,7 +52,7 @@ SIGN_CASES = [
     ([2.0, 3.0, -1.0, 1.0, 1.0], 1.0),
     ([1.0, 1.0, 1.0, -2.0, 0.5], -1.0),
 ]
-SIGN_CASES_SHA256 = "7bcae43a23e90755e057e8083bd04b9044efca65ddadedacd04a28d90b111ef0"
+SIGN_CASES_SHA256 = "0ed548f6f1867ddedf990d05870a2163fb713c67002e88f32d1e6eafd4bbcb7e"
 
 
 def count_jacobians(monkeypatch):
@@ -217,29 +217,71 @@ class TestSolve:
             assert check_identities(config, tol=1e-9).passed, gamma.tolist()
 
     def test_sweep_solutions_are_pinned(self):
-        rng = np.random.default_rng(22)
-        draws = 0
         rows, traces = [], []
-        while len(rows) < 24:
-            draws += 1
-            gamma = rng.uniform(-3, 3, 5)
-            if np.any(np.abs(gamma) < 0.2):
-                continue
-            row = trace = None
-            for lam in (1.0, -1.0):
-                attempt_trace = []
-                try:
-                    data = solve(gamma, lam, seed=draws, attempts=10, trace=attempt_trace).to_json()
-                except NoConvergenceError:
-                    continue
-                row = {key: data[key] for key in ("lambda", "z", "w")}
-                trace = attempt_trace
-                break
-            rows.append(row)
+        for gamma, seed in _sweep_vectors(22):
+            config, trace = _sweep_solve(gamma, seed)
+            data = None if config is None else config.to_json()
+            rows.append(None if data is None else {key: data[key] for key in ("lambda", "z", "w")})
             traces.append(trace)
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SOLUTIONS_SHA256
         assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == SWEEP_TRACES_SHA256
+
+
+def _sweep_vectors(seed):
+    """Acceptance 7's first 24 strength vectors on `seed`, each with the
+    draw number that seeds its solves."""
+    rng = np.random.default_rng(seed)
+    draws = 0
+    vectors = []
+    while len(vectors) < 24:
+        draws += 1
+        gamma = rng.uniform(-3, 3, 5)
+        if not np.any(np.abs(gamma) < 0.2):
+            vectors.append((gamma, draws))
+    return vectors
+
+
+def _sweep_solve(gamma, seed):
+    """(configuration, accepted norms) of the first of lambda = +1, -1 that
+    solves with attempts=10, or (None, None)."""
+    for lam in (1.0, -1.0):
+        trace = []
+        try:
+            return solve(gamma, lam, seed=seed, attempts=10, trace=trace), trace
+        except NoConvergenceError:
+            continue
+    return None, None
+
+
+class TestNewtonStep:
+    def test_matches_least_squares_along_the_winning_attempts(self, monkeypatch):
+        # the normal-equation step against lstsq on the same J and F, at
+        # every point of the 24 winning attempts of the seed-22 sweep
+        attempts = []
+        gauss_newton, newton_step = numeric._gauss_newton, numeric._newton_step
+
+        def recorded_gauss_newton(*args):
+            attempts.append([])
+            return gauss_newton(*args)
+
+        def recorded_step(D, F, system):
+            step = newton_step(D, F, system)
+            attempts[-1].append((numeric._jacobian(D, system), F, step))
+            return step
+
+        monkeypatch.setattr(numeric, "_gauss_newton", recorded_gauss_newton)
+        monkeypatch.setattr(numeric, "_newton_step", recorded_step)
+        worst = 0.0
+        for gamma, seed in _sweep_vectors(22):
+            config, trace = _sweep_solve(gamma, seed)
+            assert config is not None, gamma.tolist()
+            winning = attempts[-1]  # the attempt that `solve` returned
+            assert len(winning) == len(trace) - 1
+            for J, F, step in winning:
+                ref, *_ = np.linalg.lstsq(J, -F, rcond=None)
+                worst = max(worst, np.linalg.norm(step - ref) / np.linalg.norm(ref))
+        assert worst <= 1e-8
 
 
 def _halving_gauss_newton(x, system, norms):
@@ -258,8 +300,7 @@ def _halving_gauss_newton(x, system, norms):
             return x
         if len(norms) > numeric.STALL_STEPS and norm > norms[-1 - numeric.STALL_STEPS] / 2:
             return None
-        J = numeric._jacobian(numeric._real_system(x, system)[1], system)
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        step = numeric._newton_step(numeric._real_system(x, system)[1], F, system)
         alpha = 1.0
         while alpha > 1e-8:
             try:
@@ -351,8 +392,7 @@ class TestLineSearch:
             z = np.array([0.4 + 1j * t, 0.4 - 1j * t, -0.9])
             x = np.concatenate([z.real, z.imag])
             F, D = numeric._real_system(x, system)
-            step, *_ = np.linalg.lstsq(numeric._jacobian(D, system), -F, rcond=None)
-            return x, step
+            return x, numeric._newton_step(D, F, system)
 
         def gap(t):
             x, step = start(t)
