@@ -321,8 +321,3 @@ def from_canonical_masks(n: int, masks) -> Diagram:
         [v for v in range(1, n + 1) if zc >> (v - 1) & 1],
         [v for v in range(1, n + 1) if wc >> (v - 1) & 1],
     )
-
-
-def canonical_form(d: Diagram) -> Diagram:
-    """The representative diagram encoded by the canonical key."""
-    return from_canonical_masks(d.n, canonical_masks(d.n, *_masks(d)))

@@ -21,8 +21,7 @@ import itertools
 from typing import NamedTuple
 
 from .diagram import Diagram, components
-from .exactpoly import Polynomial
-from .vorticity import ConstraintLedger, angular_momentum, gamma_sum, gamma_var
+from .vorticity import ConstraintLedger, angular_momentum, gamma_sum, gamma_var, polynomial_cache
 
 COLORS = ("z", "w")
 
@@ -208,26 +207,27 @@ def apply_l_identity(d: Diagram, views=None) -> list:
     return findings
 
 
-def _lambda_branches(d: Diagram, pair_product: Polynomial, inside, outside, extra=None):
-    """Branch constraints for an isolated circled stroke or triangle.
+@polynomial_cache
+def _lambda_branches(n: int, comp: tuple, outside: tuple, bare: int | None = None) -> tuple:
+    """Branch constraints for an isolated circled stroke `comp`, or an
+    isolated triangle `comp` whose uncircled vertex is `bare`, built once
+    per arguments and shared by every diagram that matches them.
 
     Unit-real multiplier: the outside vorticities sum to zero.  Unit
     imaginary: total angular momentum vanishes together with the matched
     component's balance identity.
     """
-    real_eqs = []
-    if outside:
-        real_eqs.append(gamma_sum(outside))
-    imag_eqs = [angular_momentum(range(1, d.n + 1))]
-    balance = pair_product
+    real_eqs = (gamma_sum(outside),) if outside else ()
+    imag_eqs = [angular_momentum(range(1, n + 1))]
+    balance = angular_momentum(comp)
     if len(outside) >= 2:
         balance = balance - angular_momentum(outside)
-    if extra is not None:
-        balance = balance - extra
+    if bare is not None and outside:
+        balance = balance - gamma_var(bare) * gamma_sum(outside)
     if balance:
         imag_eqs.append(balance)
     return (
-        BranchAlternative(LAMBDA_REAL, tuple(real_eqs)),
+        BranchAlternative(LAMBDA_REAL, real_eqs),
         BranchAlternative(LAMBDA_IMAGINARY, tuple(imag_eqs)),
     )
 
@@ -245,8 +245,7 @@ def apply_lambda_lemmas(d: Diagram, views=None) -> list:
             circled = sorted(comp & view.circles)
             if len(comp) == 2 and len(circled) == 2 and view.circles == comp:
                 k, l = sorted(comp)
-                outside = _others(d, comp)
-                branches = _lambda_branches(d, gamma_var(k) * gamma_var(l), (k, l), outside)
+                branches = _lambda_branches(d.n, (k, l), tuple(_others(d, comp)))
                 findings.append(
                     LemmaFinding(
                         "IsolatedStroke-Lambda",
@@ -259,13 +258,7 @@ def apply_lambda_lemmas(d: Diagram, views=None) -> list:
                 )
             elif len(comp) == 3 and len(circled) == 2 and view.circles == frozenset(circled):
                 (bare,) = sorted(comp - set(circled))
-                outside = _others(d, comp)
-                extra = None
-                if outside:
-                    extra = gamma_var(bare) * gamma_sum(outside)
-                branches = _lambda_branches(
-                    d, angular_momentum(sorted(comp)), tuple(sorted(comp)), outside, extra
-                )
+                branches = _lambda_branches(d.n, tuple(sorted(comp)), tuple(_others(d, comp)), bare)
                 findings.append(
                     LemmaFinding(
                         "IsolatedTriangle-Lambda",

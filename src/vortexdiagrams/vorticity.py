@@ -48,12 +48,25 @@ WITNESS_ATTEMPTS = 200
 LEDGER_SEED = 11
 
 
+# The caches that keep report polynomials (immutable, so shared by every
+# ledger and certificate that uses them), listed in one place so that all
+# of them can be emptied together.
+POLYNOMIAL_CACHES = []
+
+
+def polynomial_cache(function):
+    """`function` memoized without bound, its cache added to POLYNOMIAL_CACHES."""
+    cached = lru_cache(maxsize=None)(function)
+    POLYNOMIAL_CACHES.append(cached)
+    return cached
+
+
 def gamma_var(i: int) -> Polynomial:
     """The strength G_i: the one-vertex `gamma_sum`, shared with it."""
     return gamma_sum((i,))
 
 
-@lru_cache(maxsize=None)
+@polynomial_cache
 def _gamma_vars(n: int) -> tuple:
     """G1..Gn, built once per n: every ledger requires them nonzero."""
     return tuple(gamma_var(i) for i in range(1, n + 1))
@@ -69,12 +82,18 @@ def _subset(J) -> tuple:
     return tuple(sorted(set(J)))
 
 
-@lru_cache(maxsize=None)
+@polynomial_cache
+def _unit_polynomial(monomials: tuple) -> Polynomial:
+    """The sum of the monomials with these exponent tuples, each with
+    coefficient 1, built once per tuple and shared by every vorticity sum
+    and certificate that uses it: polynomials are immutable."""
+    return Polynomial(dict.fromkeys(monomials, ONE), DEFAULT_VARS, _clean=False)
+
+
+@polynomial_cache
 def _subset_polynomial(J: tuple, size: int) -> Polynomial:
-    """The sum over the `size`-subsets S of J of the product of G_s over S,
-    built once and shared: polynomials are immutable."""
-    terms = {_squarefree(S): ONE for S in itertools.combinations(J, size)}
-    return Polynomial(terms, DEFAULT_VARS, _clean=False)
+    """The sum over the `size`-subsets S of J of the product of G_s over S."""
+    return _unit_polynomial(tuple(_squarefree(S) for S in itertools.combinations(J, size)))
 
 
 def gamma_sum(J) -> Polynomial:
@@ -157,10 +176,6 @@ class Verdict(NamedTuple):
     kind: str  # Feasible | Infeasible | Unknown
     witness: dict | None = None
     certificate: Certificate | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.kind == "Feasible"
 
     @property
     def infeasible(self) -> bool:
@@ -402,14 +417,6 @@ def _certificate_candidates(n: int) -> tuple:
                 terms = {square[i]: 1 for i in S}
                 out.setdefault(frozenset(terms), (terms, "sum-of-squares", S, mult))
     return tuple(out.values())
-
-
-@lru_cache(maxsize=None)
-def _unit_polynomial(monomials: tuple) -> Polynomial:
-    """The sum of the monomials with these exponent tuples, each with
-    coefficient 1, built once per tuple and shared by every certificate
-    that uses it."""
-    return Polynomial(dict.fromkeys(monomials, ONE), DEFAULT_VARS, _clean=False)
 
 
 def _candidate_certificate(candidate: tuple) -> Certificate:

@@ -9,10 +9,10 @@ import pytest
 from vortexdiagrams import diagram
 from vortexdiagrams.diagram import (
     Diagram,
-    canonical_form,
     canonical_key,
     canonical_masks,
     components,
+    from_canonical_masks,
     orbit_masks,
     stroke_count_C,
     validate,
@@ -24,6 +24,11 @@ from vortexdiagrams.lemmas import _views
 
 def K(*vs):
     return list(itertools.combinations(vs, 2))
+
+
+def canonical_form(d: Diagram) -> Diagram:
+    """The representative diagram encoded by the canonical key."""
+    return from_canonical_masks(d.n, canonical_masks(d.n, *_masks(d)))
 
 
 ROBERTS = Diagram(5, [(1, 2), (3, 4)], [(2, 3), (1, 4)], [1, 2, 3, 4], [1, 2, 3, 4])

@@ -56,13 +56,14 @@ SIGN_CASES_SHA256 = "0ed548f6f1867ddedf990d05870a2163fb713c67002e88f32d1e6eafd4b
 
 
 def count_jacobians(monkeypatch):
-    """A list that grows by one for every Jacobian the solver builds."""
+    """A list that grows by one for every call that builds Jacobians,
+    holding how many it built: one, or one per row of a stack."""
     calls = []
     jacobian = numeric._jacobian
 
-    def counted(*args):
-        calls.append(args)
-        return jacobian(*args)
+    def counted(D, system):
+        calls.append(math.prod(D.shape[:-2]))
+        return jacobian(D, system)
 
     monkeypatch.setattr(numeric, "_jacobian", counted)
     return calls
@@ -118,8 +119,18 @@ class TestSolve:
         assert report.passed
 
     def test_budget_exhaustion(self):
-        with pytest.raises(NoConvergenceError):
-            solve([1.0, 1.0], 1.0, attempts=0)
+        # no solution exists (see test_unsolvable_input_fails_fast); the
+        # second budget runs one attempt stacked
+        for attempts in (1, numeric.SOLO_ATTEMPTS + 1):
+            with pytest.raises(NoConvergenceError, match=f"after {attempts} attempts"):
+                solve([1.0, -2.0], 1.0, attempts=attempts)
+
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_rejects_fewer_than_one_attempt(self, attempts, monkeypatch):
+        calls = count_jacobians(monkeypatch)
+        with pytest.raises(ValueError, match="at least one attempt"):
+            solve([1.0, 1.0], 1.0, attempts=attempts)
+        assert calls == []
 
     def test_rejects_zero_strength(self):
         with pytest.raises(ValueError):
@@ -152,11 +163,13 @@ class TestSolve:
         # the moment identity g_1 z_1 + g_2 z_2 = 0 gives z_1 = 2 z_2, so the
         # angular-momentum identity reads lambda * 2|z_2|^2 = g_1 g_2 = -2 and
         # rules out lambda = 1; mixed signs are not refused, so every attempt
-        # runs, stalls, and the stall exit ends it
+        # runs, stalls, and the stall exit ends it; a stacked step builds
+        # one Jacobian per row, so the bound is per attempt on both paths
         calls = count_jacobians(monkeypatch)
         with pytest.raises(NoConvergenceError, match="after 24 attempts"):
             solve([1, -2], 1.0)
-        assert 0 < len(calls) <= 24 * (numeric.STALL_STEPS + 2)
+        assert 0 < sum(calls) <= 24 * (numeric.STALL_STEPS + 2)
+        assert max(calls) > 1  # the attempts after the solo ones ran stacked
 
     @pytest.mark.parametrize(
         "gamma, lam",
@@ -254,34 +267,231 @@ def _sweep_solve(gamma, seed):
     return None, None
 
 
+# (sweep seed, position in `_sweep_vectors(seed)`) of vectors whose first
+# winning attempt at lambda = +1, attempts=10, is attempt 8, 4, 5 and 9: a
+# stack's winner.  For (3, 3) attempts 7 and 19 also win, and converge in
+# fewer steps than attempt 4 does.
+LATE_WINNERS = [(1, 21), (3, 3), (4, 5), (11, 20)]
+# (sweep seed, position) of vectors whose first winning attempt at
+# lambda = -1, attempts=24, is attempt 11, 10 and 17: past the first stack.
+LATER_STACK_WINNERS = [(1, 9), (3, 17), (4, 22)]
+
+
+def _sequential_solve(gamma, lam, seed=0, attempts=24, trace=None):
+    """`solve`'s attempts each run alone in seed order, as before some ran
+    stacked: the reference for the stacked attempts.  No sign refusal."""
+    gamma = [float(g) for g in gamma]
+    n = len(gamma)
+    lam = complex(lam)
+    system = numeric._system(gamma, lam)
+    for attempt in range(attempts):
+        x = numeric._start(seed, attempt, n)
+        norms = []
+        try:
+            x = numeric._gauss_newton(x, system, norms)
+        except (CollisionError, np.linalg.LinAlgError):
+            continue
+        if x is None:
+            continue
+        z = x[:n] + 1j * x[n:]
+        # Fix the remaining rotation sign and re-center exactly.
+        z12 = z[1] - z[0]
+        if abs(z12) > 1e-13:
+            z = z * (abs(z12) / z12)
+        try:
+            config = make_configuration(gamma, z, None, lam)
+            if residual(config) < numeric.SOLVE_TOL:
+                if trace is not None:
+                    trace.extend(norms)
+                return config
+        except CollisionError:
+            continue
+    raise NoConvergenceError(f"no convergence after {attempts} attempts")
+
+
+def _outcome(solver, gamma, lam, seed, attempts):
+    """(configuration JSON or the error message, trace) of one solve."""
+    trace = []
+    try:
+        config = solver(gamma, lam, seed=seed, attempts=attempts, trace=trace)
+    except NoConvergenceError as exc:
+        return str(exc), trace
+    return json.dumps(config.to_json()), trace
+
+
+def _late_winner(position):
+    """(strengths, draw) of one of LATE_WINNERS."""
+    seed, index = position
+    return _sweep_vectors(seed)[index]
+
+
+class TestStackedAttempts:
+    """`solve`, whose attempts after the solo ones run stacked, against
+    the sequential loop, bit for bit: configurations and traces."""
+
+    def test_seed_22_pool(self):
+        # both multipliers for every vector, except the sign refusals,
+        # which run no attempt to compare
+        for gamma, seed in _sweep_vectors(22):
+            for lam in (1.0, -1.0):
+                got = _outcome(solve, gamma, lam, seed, 10)
+                if not got[0].startswith("no solution exists"):
+                    assert got == _outcome(_sequential_solve, gamma, lam, seed, 10), (gamma.tolist(), lam)
+
+    @pytest.mark.parametrize("attempts", [2, 10, 24])
+    def test_sign_cases(self, attempts):
+        for gamma, lam in SIGN_CASES:
+            got = _outcome(solve, gamma, lam, 1, attempts)
+            assert got == _outcome(_sequential_solve, gamma, lam, 1, attempts), (gamma, lam)
+
+    def test_failed_attempts_take_as_many_steps_as_alone(self, monkeypatch):
+        # where every attempt fails, every row runs to its end, so the
+        # stack builds one Jacobian for each point the loop steps from
+        calls = count_jacobians(monkeypatch)
+        failures = 0
+        for gamma, seed in _sweep_vectors(22) + [([1.0, -2.0], 0)]:
+            calls.clear()
+            got = _outcome(solve, gamma, 1.0, seed, 24)
+            stacked = sum(calls)
+            calls.clear()
+            if got[0] == "no convergence after 24 attempts":
+                assert got == _outcome(_sequential_solve, gamma, 1.0, seed, 24)
+                assert stacked == sum(calls) == len(calls), list(gamma)
+                failures += 1
+        assert failures >= 3
+
+    @pytest.mark.parametrize(
+        "positions, lam, attempts, least_stacks",
+        [(LATE_WINNERS, 1.0, 10, 1), (LATER_STACK_WINNERS, -1.0, 24, 2)],
+        ids=["first-stack", "later-stack"],
+    )
+    def test_winner_inside_the_stack(self, positions, lam, attempts, least_stacks, monkeypatch):
+        wins = []  # whether each stack of one solve returned a winner
+        stack = numeric._gauss_newton_stack
+
+        def recorded(*args):
+            won = stack(*args)
+            wins.append(won is not None)
+            return won
+
+        monkeypatch.setattr(numeric, "_gauss_newton_stack", recorded)
+        for position in positions:
+            gamma, seed = _late_winner(position)
+            wins.clear()
+            got = _outcome(solve, gamma, lam, seed, attempts)
+            assert got == _outcome(_sequential_solve, gamma, lam, seed, attempts), position
+            assert len(wins) >= least_stacks and wins == [False] * (len(wins) - 1) + [True], position
+
+    @pytest.mark.parametrize("attempts", [4, 10, 12, 24])
+    def test_stacks_hold_at_most_stack_rows(self, attempts, monkeypatch):
+        # an unsolvable input runs every attempt: after the solo ones, in
+        # seed order, in full stacks and a last one holding the rest
+        stacks = []
+        stack = numeric._gauss_newton_stack
+
+        def recorded(X, *args):
+            stacks.append(X.copy())
+            return stack(X, *args)
+
+        monkeypatch.setattr(numeric, "_gauss_newton_stack", recorded)
+        with pytest.raises(NoConvergenceError):
+            solve([1, -2], 1.0, attempts=attempts)
+        sizes = [len(X) for X in stacks]
+        assert all(size == numeric.STACK_ROWS for size in sizes[:-1])
+        assert 0 < sizes[-1] <= numeric.STACK_ROWS
+        expected = [numeric._start(0, attempt, 2) for attempt in range(numeric.SOLO_ATTEMPTS, attempts)]
+        assert np.array_equal(np.concatenate(stacks), expected)
+
+    @pytest.mark.parametrize("attempt", [3, 4])
+    def test_colliding_start_ends_only_its_row(self, attempt, monkeypatch):
+        # the winner is attempt 4; attempt 7 converges before it in their
+        # stack, and with 4 gone the winner is 6
+        start = numeric._start
+
+        def colliding(seed, k, n):
+            x = start(seed, k, n)
+            if k == attempt:
+                x[1], x[n + 1] = x[0], x[n]  # z_2 = z_1
+            return x
+
+        monkeypatch.setattr(numeric, "_start", colliding)
+        gamma, seed = _late_winner((3, 3))
+        got = _outcome(solve, gamma, 1.0, seed, 24)
+        assert got == _outcome(_sequential_solve, gamma, 1.0, seed, 24)
+        assert got[0] != "no convergence after 24 attempts"
+
+    @pytest.mark.parametrize("attempt", [3, 4])
+    def test_singular_step_ends_only_its_row(self, attempt, monkeypatch):
+        # J^T J at the third point of one attempt is declared singular
+        gamma, seed = _late_winner((3, 3))
+        system = numeric._system(gamma, 1.0 + 0.0j)
+        matrices = []
+        linalg_solve = np.linalg.solve
+
+        def recorded(a, b):
+            matrices.append(a.tobytes())
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        numeric._gauss_newton(numeric._start(seed, attempt, 5), system, [])
+        singular, stacks = matrices[2], []
+
+        def stub(a, b):
+            if any(m.tobytes() == singular for m in a.reshape(-1, 10, 10)):
+                stacks.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", stub)
+        got = _outcome(solve, gamma, 1.0, seed, 24)
+        assert got == _outcome(_sequential_solve, gamma, 1.0, seed, 24)
+        assert got[0] != "no convergence after 24 attempts"
+        assert stacks == [3, 2, 2]  # the stack, its row alone, then the reference
+
+
 class TestNewtonStep:
     def test_matches_least_squares_along_the_winning_attempts(self, monkeypatch):
         # the normal-equation step against lstsq on the same J and F, at
-        # every point of the 24 winning attempts of the seed-22 sweep
-        attempts = []
-        gauss_newton, newton_step = numeric._gauss_newton, numeric._newton_step
-
-        def recorded_gauss_newton(*args):
-            attempts.append([])
-            return gauss_newton(*args)
+        # every point of the winning attempts of the seed-22 sweep, all
+        # solo, and of LATE_WINNERS, all stacked
+        points = []  # (J, F, step, stacked) of every row of every step
+        newton_step = numeric._newton_step
 
         def recorded_step(D, F, system):
             step = newton_step(D, F, system)
-            attempts[-1].append((numeric._jacobian(D, system), F, step))
+            J = numeric._jacobian(D, system)
+            F = F.copy()  # the stacked line search overwrites F in place
+            for row in zip(J.reshape(-1, *J.shape[-2:]), F.reshape(-1, F.shape[-1]), step.reshape(-1, step.shape[-1])):
+                points.append(row + (D.ndim == 3,))
             return step
 
-        monkeypatch.setattr(numeric, "_gauss_newton", recorded_gauss_newton)
         monkeypatch.setattr(numeric, "_newton_step", recorded_step)
-        worst = 0.0
-        for gamma, seed in _sweep_vectors(22):
-            config, trace = _sweep_solve(gamma, seed)
-            assert config is not None, gamma.tolist()
-            winning = attempts[-1]  # the attempt that `solve` returned
-            assert len(winning) == len(trace) - 1
-            for J, F, step in winning:
-                ref, *_ = np.linalg.lstsq(J, -F, rcond=None)
-                worst = max(worst, np.linalg.norm(step - ref) / np.linalg.norm(ref))
+        vectors = [(gamma, seed, (1.0, -1.0)) for gamma, seed in _sweep_vectors(22)]
+        vectors += [_late_winner(position) + ((1.0,),) for position in LATE_WINNERS]
+        worst, stacked = 0.0, []
+        for gamma, seed, lams in vectors:
+            for lam in lams:
+                points.clear()
+                trace = []
+                try:
+                    solve(gamma, lam, seed=seed, attempts=10, trace=trace)
+                    break
+                except NoConvergenceError:
+                    continue
+            assert trace, gamma.tolist()
+            # the winning attempt's points are those whose residual norms
+            # are its trace, in order
+            winning = iter(trace[:-1])
+            norm = next(winning)
+            for J, F, step, in_stack in points:
+                if np.abs(F).max() == norm:
+                    ref, *_ = np.linalg.lstsq(J, -F, rcond=None)
+                    worst = max(worst, np.linalg.norm(step - ref) / np.linalg.norm(ref))
+                    stacked.append(in_stack)
+                    norm = next(winning, None)
+            assert norm is None, gamma.tolist()
         assert worst <= 1e-8
+        assert any(stacked) and not all(stacked)
 
 
 def _halving_gauss_newton(x, system, norms):
