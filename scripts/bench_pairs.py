@@ -10,7 +10,10 @@ and every job compiling the package from source (PYTHONDONTWRITEBYTECODE=1).
 
 writes BENCH_solve_sweep.json, named after the first workload: every run,
 and for each workload and end-to-end metric both sides' quartiles, the
-pairs the change wins and the change of the median in percent.
+pairs the change wins and the change of the median in percent.  Each
+workload's summary also counts, per side, the runs that exited nonzero
+and the runs whose result says `correct: false`: a crashed run has no
+metrics, and a metric that some run lacks is left out of the summary.
 """
 
 import argparse
@@ -63,7 +66,7 @@ def summarize(workload: str, runs: list, better: dict) -> dict:
     for name, direction in better.items():
         values = {side: [by[p, side]["metrics"].get(name) for p in pairs] for side in SIDES}
         if None in values["parent"] + values["change"]:
-            continue  # a failed run has no metrics
+            continue  # a crashed run has no metrics; `exited_nonzero` counts them
         entry = {"better": direction}
         for side in SIDES:
             q1, q2, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
@@ -73,10 +76,16 @@ def summarize(workload: str, runs: list, better: dict) -> dict:
         entry["median_delta_pct"] = 100 * (entry["change"]["median"] / entry["parent"]["median"] - 1)
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
         metrics[name] = entry
+
+    def per_side(count) -> dict:
+        return {side: sum(count(by[p, side]) for p in pairs) for side in SIDES}
+
     return {"workload": workload, "trace": 0, "seconds": runs[0]["seconds"],
             "seeds": [by[p, "parent"]["seed"] for p in pairs], "pairs": len(pairs),
             "first": [by[p, "parent"]["first"] for p in pairs],
-            "failed": {side: sum(by[p, side]["failed"] for p in pairs) for side in SIDES}, "metrics": metrics}
+            "failed": per_side(lambda r: r["failed"]),
+            "exited_nonzero": per_side(lambda r: r["returncode"] != 0),
+            "incorrect": per_side(lambda r: not r["correct"]), "metrics": metrics}
 
 
 def main(argv=None) -> int:

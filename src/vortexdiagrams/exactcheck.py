@@ -1,20 +1,19 @@
 """Checks of the exact-algebra kernel that do not use it.
 
 `normal_form`, division with `Fraction`s over exponent tuples, is the
-reference the packed kernel of `exactpoly` is tested against.  `lift`
-proves ideal membership by cofactors, which `is_cofactor_identity`
-confirms by `Polynomial` `*`, `+` and `==` alone.  No enumeration runs
-any of them.
+reference the packed kernel of `exactpoly` is tested against; only the
+tests run it.  `lift` proves ideal membership by cofactors, which
+`is_cofactor_identity` confirms by `Polynomial` `*`, `+` and `==` alone.
+No enumeration runs any of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from operator import sub
 
-from .exactpoly import LIFT_PRIME, Polynomial, _mono_mul
+from .exactpoly import LIFT_PRIME, Polynomial, _grevlex_key, _mono_mul
 
 
 def _mono_divides(m1: tuple, m2: tuple) -> bool:
@@ -34,42 +33,25 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     No term of the result is divisible by any basis leading term, and
     ``p - result`` lies in the ideal generated by `basis` (exact division,
     no scalar slack).  This is the `Fraction` reference for the packed
-    integer kernel of `exactpoly`.
-
-    Each step takes the largest pending term and divides it by the first
-    basis element whose leading monomial divides it.  The pending terms
-    wait in a min-heap keyed by (-degree, reversed exponents), which is
-    grevlex order with the largest first, so the steps and the remainder
-    are those of a scan for the maximum at every step.  A term cancelled
-    to zero leaves a stale heap entry, skipped when popped.
+    integer kernel of `exactpoly`: textbook division (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2, section 3), which
+    takes the largest remaining term and divides it by the first basis
+    element whose leading monomial divides it.
     """
-    divisors = []
-    for g in basis:
-        if g:
-            lm = g.leading_monomial()
-            tail = [(mg, cg) for mg, cg in g.terms.items() if mg != lm]
-            divisors.append((lm, g.terms[lm], tail))
+    divisors = [(g.leading_monomial(), g) for g in basis if g]
     work = dict(p.terms)
-    heap = [(-sum(m), m[::-1], m) for m in work]
-    heapify(heap)
     remainder: dict = {}
-    while heap:
-        m = heappop(heap)[2]
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for lm, lc, tail in divisors:
+    while work:
+        m = max(work, key=_grevlex_key)
+        c = work.pop(m)
+        for lm, g in divisors:
             if _mono_divides(lm, m):
                 q = _mono_div(m, lm)
-                factor = c / lc
-                for mg, cg in tail:
-                    mm = _mono_mul(mg, q)
-                    nc = work.get(mm)
-                    if nc is None:
-                        work[mm] = -factor * cg
-                        heappush(heap, (-sum(mm), mm[::-1], mm))
-                    else:
-                        nc -= factor * cg
+                factor = c / g.terms[lm]
+                for mg, cg in g.terms.items():
+                    if mg != lm:
+                        mm = _mono_mul(mg, q)
+                        nc = work.get(mm, 0) - factor * cg
                         if nc:
                             work[mm] = nc
                         else:
@@ -103,8 +85,10 @@ def _monomials(degree: int, positions: tuple, nvars: int) -> list:
     return out
 
 
-def _rational(x: int, p: int = LIFT_PRIME) -> Fraction:
-    """The fraction n/d with |n|, d below sqrt(p/2) that is x mod p."""
+def _rational(x: int) -> Fraction:
+    """The fraction n/d with |n|, d below sqrt(P/2) that is x mod P,
+    P = `LIFT_PRIME`."""
+    p = LIFT_PRIME
     bound = int((p // 2) ** 0.5)
     r0, r1, t0, t1 = p, x % p, 0, 1
     while r1 > bound:
@@ -116,13 +100,15 @@ def _rational(x: int, p: int = LIFT_PRIME) -> Fraction:
     return Fraction(r1, t1)
 
 
-def _solve_mod(rows: list, ncols: int, p: int = LIFT_PRIME) -> list:
-    """One solution mod p of the sparse system, free unknowns at 0.
+def _solve_mod(rows: list, ncols: int) -> list:
+    """One solution mod P = `LIFT_PRIME` of the sparse system, free
+    unknowns at 0.
 
     Each row is a dict column -> coefficient, with the right-hand side at
     column `ncols`.  Rows are reduced one by one against the pivots found
     so far; a reduced row's smallest column becomes its pivot.
     """
+    p = LIFT_PRIME
     pivots: dict = {}  # column -> row normalized to 1 there
     for row in rows:
         row = {c: v % p for c, v in row.items() if v % p}

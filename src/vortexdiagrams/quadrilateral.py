@@ -14,16 +14,18 @@ equal to the target, as `exactcheck.lift` derives them, and
 `check_cofactor_identity` confirms that by `Polynomial` multiplication and
 addition alone, so the proof does not rest on the Groebner kernel (the
 "lift" of Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
-ch. 2).  The second is a reduction of the target to zero against the
-reduced Groebner basis, by the packed kernel and again by the `Fraction`
-normal form.
+ch. 2).  The second is the packed kernel's reduction of the target to
+zero against the reduced Groebner basis.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactcheck import is_cofactor_identity, normal_form
+from .exactcheck import (
+    is_cofactor_identity,
+    normal_form,  # unused here; perfbench/tracer.py wraps quadrilateral.normal_form
+)
 from .exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_zero
 
 
@@ -31,13 +33,9 @@ from .exactpoly import Polynomial, groebner_basis, parse_polynomial, reduces_to_
 RING = ("a", "b", "G1", "G3", "G4")
 
 
-def _vars():
-    return tuple(Polynomial.variable(name, RING) for name in RING)
-
-
 def quadrilateral_system() -> tuple:
     """The four balance polynomials and the target product."""
-    a, b, G1, G3, G4 = _vars()
+    a, b, G1, G3, G4 = (Polynomial.variable(name, RING) for name in RING)
     p1 = (
         a**2 * (-G3) * (b + G4)
         + a * b * (-G4 * (b - 2 * G3) + G1**2 + 2 * G1 * (G3 + G4))
@@ -79,12 +77,7 @@ def quadrilateral_system() -> tuple:
         - a * b * (b * (G1 + 2 * G3) + G4 * (2 * G1 + 2 * G3 + G4))
         + b**2 * (b * (G1 + G3) + G4 * (2 * G1 + 2 * G3 + G4))
     )
-    a_, b_, G1_, G3_, G4_ = _vars()
-    target = (
-        b_**5
-        * (G1_ + G3_ + G4_)
-        * (G1_**2 + G1_ * G3_ + G1_ * G4_ + G3_**2 + G3_ * G4_ + G4_**2)
-    )
+    target = b**5 * (G1 + G3 + G4) * (G1**2 + G1 * G3 + G1 * G4 + G3**2 + G3 * G4 + G4**2)
     return (p1, p2, p3, p4), target
 
 
@@ -120,12 +113,11 @@ class MembershipResult(NamedTuple):
     member: bool
     basis_size: int
     cofactor_identity: bool
-    exact_normal_form_zero: bool
     cofactors: tuple
 
     @property
     def verified(self) -> bool:
-        return self.member and self.cofactor_identity and self.exact_normal_form_zero
+        return self.member and self.cofactor_identity
 
     def to_json(self) -> dict:
         return {
@@ -133,7 +125,6 @@ class MembershipResult(NamedTuple):
             "basis_size": self.basis_size,
             "cofactor_identity": self.cofactor_identity,
             "cofactors": list(self.cofactors),
-            "exact_normal_form_zero": self.exact_normal_form_zero,
             "verified": self.verified,
         }
 
@@ -141,16 +132,14 @@ class MembershipResult(NamedTuple):
 def verify_membership() -> MembershipResult:
     """Prove the target product lies in the quadrilateral ideal.
 
-    One reduced Groebner basis is computed.  `member` is the packed
-    kernel's zero-test of the target against it, and
-    `exact_normal_form_zero` the `Fraction` normal form's, which checks
-    the kernel.  `cofactor_identity` checks sum h_i * p_i == target for
-    `COFACTORS` by multiplication alone, a proof that uses neither the
-    basis nor any division.  The result is verified when all three hold.
+    One reduced Groebner basis is computed, and `member` is the packed
+    kernel's zero-test of the target against it.  `cofactor_identity`
+    checks sum h_i * p_i == target for `COFACTORS` by multiplication
+    alone, a proof that uses neither the basis nor any division.  The
+    result is verified when both hold.
     """
     gens, target = quadrilateral_system()
     basis = groebner_basis(gens)
     member = reduces_to_zero(target, basis)
     identity = check_cofactor_identity(gens, target, COFACTORS)
-    exact_zero = not normal_form(target, basis)
-    return MembershipResult(member, len(basis), identity, exact_zero, COFACTORS)
+    return MembershipResult(member, len(basis), identity, COFACTORS)

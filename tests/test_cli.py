@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 
 from synthetic import synthetic_sequence, to_jsonl
-from vortexdiagrams import exactpoly, quadrilateral
+from vortexdiagrams import atlas, exactcheck, exactpoly, quadrilateral
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import _join_signed_values, build_parser, main
 from vortexdiagrams.diagram import Diagram
+from vortexdiagrams.exactcheck import normal_form
+from vortexdiagrams.exactpoly import groebner_basis
+from vortexdiagrams.numeric import SingularSequenceSample, make_configuration
+from vortexdiagrams.render import render
 
 
 @pytest.fixture
@@ -132,6 +136,20 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_n5_has_an_empty_catalog_diff(self, tmp_path, capsys):
+        assert main(["enumerate", "--n", "5", "--out", str(tmp_path / "report.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("survivors: 31   ") and err.endswith("catalog diff: empty\n")
+
+    def test_nonempty_catalog_diff_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a catalog without one possible entry makes that survivor extra
+        entries = load_catalog()
+        dropped = next(e for e in entries if e.status == "possible")
+        monkeypatch.setattr(atlas, "load_catalog", lambda: [e for e in entries if e is not dropped])
+        assert main(["enumerate", "--n", "5", "--out", str(tmp_path / "report.json")]) == 1
+        diff = {"missing": [], "extra": [dropped.key]}
+        assert capsys.readouterr().err.endswith(f"catalog diff: {diff}\n")
+
     def test_budget_refusal_is_domain_negative(self):
         assert main(["enumerate", "--n", "5", "--max-raw-candidates", "1000"]) == 1
 
@@ -171,6 +189,11 @@ class TestRender:
             out = tmp_path / f"r.{fmt}"
             assert main(["render", str(roberts_file), "--format", fmt, "--out", str(out)]) == 0
             assert out.read_text()
+
+    def test_without_out_writes_stdout(self, roberts_file, capsys):
+        assert main(["render", str(roberts_file), "--format", "tikz"]) == 0
+        d = Diagram.from_json(json.loads(roberts_file.read_text()))
+        assert capsys.readouterr().out == render(d, "tikz")
 
     def test_byte_stable(self, roberts_file, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -247,6 +270,21 @@ class TestSolveProbe:
         got = json.loads(out.read_text())
         assert Diagram.from_json(got["diagram"]) == d
 
+    def test_failed_probe_exits_one(self, tmp_path, capsys):
+        # a circled coordinate blurred into the ambiguous exponent band
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
+        points = []
+        for eps, c in synthetic_sequence(d).points:
+            z = list(c.z)
+            z[0] *= eps**0.25  # exponent -2 drifts to -1.75
+            points.append((eps, make_configuration(c.gamma, z, c.w, c.lam)))
+        samples = tmp_path / "seq.jsonl"
+        samples.write_text(to_jsonl(SingularSequenceSample(tuple(points))))
+        out = tmp_path / "probe.json"
+        assert main(["probe", str(samples), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("probe failed: ")
+        assert not out.exists()
+
     def test_probe_rejects_bad_sample(self, tmp_path):
         samples = tmp_path / "seq.jsonl"
         lines = []
@@ -271,8 +309,20 @@ class TestVerifyGroebner:
         data = json.loads(out.read_text())
         assert data["verified"] is True
         assert data["basis_size"] == 22
-        assert data["member"] is data["cofactor_identity"] is data["exact_normal_form_zero"] is True
+        assert data["member"] is data["cofactor_identity"] is True
         assert data["cofactors"] == list(quadrilateral.COFACTORS)
+        # the Fraction normal form, which the command does not run, agrees
+        gens, target = quadrilateral.quadrilateral_system()
+        assert not normal_form(target, groebner_basis(gens))
+
+    def test_runs_no_fraction_normal_form(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-groebner must not run the Fraction normal form")
+
+        monkeypatch.setattr(exactcheck, "normal_form", refuse)
+        monkeypatch.setattr(quadrilateral, "normal_form", refuse)
+        assert main(["verify-groebner"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_wrong_cofactor_exits_one(self, monkeypatch):
         cofactors = list(quadrilateral.COFACTORS)
@@ -304,7 +354,7 @@ class TestVerifyGroebner:
 
 
 # sha256 of `verify-groebner`'s stdout
-VERIFY_GROEBNER_STDOUT_SHA256 = "bedce33a7cacfd05a93aa5975ec5d66faa1d6f0105b5e46722ee5635bfd9dd37"
+VERIFY_GROEBNER_STDOUT_SHA256 = "56221d22d5836313a2d919ba86b17094716429fc0cfabb7f8d5cf0f7bc3debfe"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -229,6 +229,56 @@ class TestSolve:
             assert config is not None, gamma.tolist()
             assert check_identities(config, tol=1e-9).passed, gamma.tolist()
 
+    def test_singular_step_skips_a_solo_attempt(self, monkeypatch):
+        # sweep vector 1 of seed 22 is solved by attempts 0 and 1 alone;
+        # with J^T J at attempt 0's first point declared singular, attempt 1 wins
+        gamma, seed = _sweep_vectors(22)[1]
+        system = numeric._system(gamma, 1.0 + 0.0j)
+        winner = _outcome(solve, gamma, 1.0, seed, 10)
+        matrices = []
+        linalg_solve = np.linalg.solve
+
+        def recorded(a, b):
+            matrices.append(a.tobytes())
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        numeric._gauss_newton(numeric._start(seed, 0, 5), system, [])
+        singular, refused = matrices[0], []
+
+        def stub(a, b):
+            if a.tobytes() == singular:
+                refused.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", stub)
+        norms = []
+        numeric._gauss_newton(numeric._start(seed, 1, 5), system, norms)
+        got = _outcome(solve, gamma, 1.0, seed, 10)
+        assert got == _outcome(_sequential_solve, gamma, 1.0, seed, 10)
+        assert got[0] != winner[0] and got[1] == norms
+        assert refused == [(10, 10), (10, 10)]  # once by solve, once by the reference
+
+    def test_attempt_out_of_steps_is_abandoned(self, monkeypatch):
+        # attempt 0 on sweep vector 1 of seed 22 converges in its 12th step
+        gamma, seed = _sweep_vectors(22)[1]
+        system = numeric._system(gamma, 1.0 + 0.0j)
+        start = numeric._start(seed, 0, 5)
+        norms = []
+        assert numeric._gauss_newton(start, system, norms) is not None
+        assert len(norms) == 13
+        monkeypatch.setattr(numeric, "SOLVE_MAX_STEPS", 12)
+        assert numeric._gauss_newton(start, system, []) is not None
+        monkeypatch.setattr(numeric, "SOLVE_MAX_STEPS", 11)
+        cut = []
+        assert numeric._gauss_newton(start, system, cut) is None
+        assert cut == norms[:12]
+        # the stacked attempts obey the same cap
+        for attempts in (10, 24):
+            got = _outcome(solve, gamma, 1.0, seed, attempts)
+            assert got == _outcome(_sequential_solve, gamma, 1.0, seed, attempts)
+
     def test_sweep_solutions_are_pinned(self):
         rows, traces = [], []
         for gamma, seed in _sweep_vectors(22):

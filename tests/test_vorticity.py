@@ -347,7 +347,8 @@ class TestVerifyCertificate:
         pair = gamma_sum([2, 3])
         led = ConstraintLedger((pair, angular_momentum([1, 2, 3])), (pair,))
         # G2*G3 = e2(1,2,3) - G1*(G2 + G3) lies in the ideal, so the forgeries
-        # on it below are wrong only in the subset or multiplier reports print.
+        # on it below are wrong only in the kind, subset or multiplier
+        # reports print.
         monomial = G[2] * G[3]
         assert verify_certificate(led, Certificate("vanishing-monomial", monomial, subset=(2, 3)))
         assert verify_certificate(led, Certificate("direct-disequality", pair))
@@ -359,6 +360,8 @@ class TestVerifyCertificate:
             Certificate("vanishing-monomial", monomial, subset=(1,), multiplier=G[1] + G[4]),
             Certificate("vanishing-monomial", monomial, subset=(2, 3), multiplier=G[1] + G[4]),
             Certificate("vanishing-monomial", monomial),
+            # no polynomial the ledger requires nonzero
+            Certificate("direct-disequality", monomial),
             Certificate("direct-disequality", pair, subset=(2, 3)),
             Certificate("direct-disequality", pair, multiplier=Polynomial.constant(1)),
         ]
@@ -386,7 +389,8 @@ class TestVerifyCertificate:
     def test_rejects_a_subset_label_past_n(self):
         # G1^2 + G6^2 is the n=5 ledger's own equality, and it is the sum of
         # squares its subset (1, 6) prints, but 6 names no strength of the
-        # ledger: the subset must lie in 1..n.
+        # ledger: the subset must lie in 1..n.  Likewise for the monomial
+        # G1*G6.
         g6 = vorticity.gamma_var(6)
         squares = G[1] * G[1] + g6 * g6
         led = ConstraintLedger((squares,), n=5)
@@ -395,6 +399,26 @@ class TestVerifyCertificate:
         assert lift(squares, led.equalities) is not None
         cert = vorticity.Certificate("sum-of-squares", squares, subset=(1, 6), multiplier=one)
         assert not verify_certificate(led, cert)
+        monomial = G[1] * g6
+        led = ConstraintLedger((monomial,), n=5)
+        assert lift(monomial, led.equalities) is not None
+        cert = vorticity.Certificate("vanishing-monomial", monomial, subset=(1, 6))
+        assert not verify_certificate(led, cert)
+
+    def test_rejects_a_sum_of_squares_of_another_subset(self):
+        # G1^2 + G2^2 + G3^2 lies in the ideal and is the certificate `decide`
+        # finds, but the subset (1, 2) printed with it builds G1^2 + G2^2
+        led = ConstraintLedger((gamma_sum([1, 2, 3]), angular_momentum([1, 2, 3])))
+        cert = decide(led).certificate
+        assert verify_certificate(led, cert) and cert.subset == (1, 2, 3)
+        assert not verify_certificate(led, cert._replace(subset=(1, 2)))
+
+    def test_rejects_any_certificate_for_a_ledger_without_equalities(self):
+        # every ledger requires G1 nonzero, so this is a well-formed direct
+        # disequality, but an empty ideal holds nothing
+        led = ConstraintLedger()
+        assert G[1] in led.nonzeros and not led.equalities
+        assert not verify_certificate(led, vorticity.Certificate("direct-disequality", G[1]))
 
     def test_rejects_non_member(self):
         led = ConstraintLedger((gamma_sum([2, 3]),))
