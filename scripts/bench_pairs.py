@@ -10,10 +10,19 @@ and every job compiling the package from source (PYTHONDONTWRITEBYTECODE=1).
 
 writes BENCH_solve_sweep.json, named after the first workload: every run,
 and for each workload and end-to-end metric both sides' quartiles, the
-pairs the change wins and the change of the median in percent.  Each
-workload's summary also counts, per side, the runs that exited nonzero
-and the runs whose result says `correct: false`: a crashed run has no
-metrics, and a metric that some run lacks is left out of the summary.
+pairs the change wins and the change of the median in percent.  It also
+states two verdicts per metric, and prints them:
+
+- `gain_rule`: the change wins at least 9 of every 10 pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+- `within_bound`: the change's median is worse than the parent's by no
+  more than the metric's `BENCHMARK.json` bound (a fraction of the
+  parent's median).
+
+Each workload's summary also counts, per side, the runs that exited
+nonzero and the runs whose result says `correct: false`: a crashed run has
+no metrics, and a metric that some run lacks is left out of the summary.
 """
 
 import argparse
@@ -59,11 +68,12 @@ def run_once(directory: Path, workload: str, seed: int) -> tuple:
     return proc.returncode, {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}, {}
 
 
-def summarize(workload: str, runs: list, better: dict) -> dict:
+def summarize(workload: str, runs: list, end_to_end: list) -> dict:
     pairs = sorted({r["pair"] for r in runs})
     by = {(r["pair"], r["side"]): r for r in runs}
     metrics = {}
-    for name, direction in better.items():
+    for spec in end_to_end:
+        name, direction = spec["name"], spec["better"]
         values = {side: [by[p, side]["metrics"].get(name) for p in pairs] for side in SIDES}
         if None in values["parent"] + values["change"]:
             continue  # a crashed run has no metrics; `exited_nonzero` counts them
@@ -71,10 +81,15 @@ def summarize(workload: str, runs: list, better: dict) -> dict:
         for side in SIDES:
             q1, q2, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             entry[side] = {"median": q2, "q1": q1, "q3": q3}
-        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
+        sign = 1 if direction == "lower" else -1  # sign * (parent - change) > 0: the change is better
+        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
         entry["change_wins"] = f"{wins}/{len(pairs)}"
-        entry["median_delta_pct"] = 100 * (entry["change"]["median"] / entry["parent"]["median"] - 1)
+        entry["median_delta_pct"] = 100 * (change / parent - 1)
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        entry["gain_rule"] = 10 * wins >= 9 * len(pairs) and sign * (parent - change) > entry["parent_iqr"]
+        entry["bound"] = spec["bound"]
+        entry["within_bound"] = sign * (change - parent) <= spec["bound"] * parent
         metrics[name] = entry
 
     def per_side(count) -> dict:
@@ -97,7 +112,7 @@ def main(argv=None) -> int:
     if min(k for _, k in plan) < 2:
         parser.error("quartiles need at least two pairs of each workload")
     out = ROOT / f"BENCH_{plan[0][0].replace('-', '_')}.json"
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     runs, machine, summary = [], None, []
     seed = 1
@@ -117,7 +132,12 @@ def main(argv=None) -> int:
                     print(json.dumps(done[-1]), file=sys.stderr, flush=True)
                 seed += 1
             runs += done
-            summary.append(summarize(workload, done, better))
+            summary.append(summarize(workload, done, end_to_end))
+            for name, m in summary[-1]["metrics"].items():
+                print(f"{workload} {name}: {m['median_delta_pct']:+.1f}% median, wins {m['change_wins']}, "
+                      f"gain rule {'holds' if m['gain_rule'] else 'fails'}, "
+                      f"{'within' if m['within_bound'] else 'PAST'} the {m['bound']:.0%} bound",
+                      file=sys.stderr, flush=True)
     report = {
         "what": f"paired perfbench/run.py runs by scripts/bench_pairs.py: parent {parent} against the working tree, "
                 "alternating which side runs first; quartiles by statistics.quantiles(n=4, method='inclusive'); "

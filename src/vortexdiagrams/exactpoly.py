@@ -14,9 +14,13 @@ zero-test run on one integer kernel instead: content-stripped integer
 coefficients and packed monomials, one Python int per monomial whose
 integer order is the grevlex order, so that products are additions and
 divisibility is one subtraction and mask (layout below, limit
-`MAX_DEGREE`).  `groebner_basis` returns a `Basis`, which converts its
-generators to packed divisors once; every `reduces_to_zero` against it
-reuses them.  The code that checks this kernel without using it, the
+`MAX_DEGREE`).  `groebner_basis` returns a `Basis` that holds the packed
+divisors of the minimal basis Buchberger leaves; every `reduces_to_zero`
+and residue against it reuses them.  The normal form against a Groebner
+basis does not depend on which basis of the ideal it is, so zero-tests
+and residues need neither the interreduction nor `Fraction`
+coefficients: the reduced polynomials are built only when first read.
+The code that checks this kernel without using it, the
 `Fraction` reference `normal_form` and the cofactor proof `lift`, lives
 in `exactcheck`.
 
@@ -398,7 +402,9 @@ def packed_key(exps: tuple) -> int:
 # rational scalar, which zero-tests and leading monomials do not see, and
 # Python int arithmetic is much faster than Fraction churn.  A divisor is
 # ``(lead | guards, lead, lead coefficient, tail)`` with the tail a tuple of
-# ``(key, coefficient)`` pairs.
+# ``(key, coefficient)`` pairs.  Its lead coefficient is positive: a
+# negative one would make `_int_reduce` negate every pending term at each
+# step that uses it.
 
 
 def _int_terms(p: Polynomial, packing: _Packing) -> dict:
@@ -425,6 +431,8 @@ def _int_strip(terms: dict) -> dict:
 
 def _divisor(terms: dict, guards: int) -> tuple:
     lm = max(terms)
+    if terms[lm] < 0:
+        terms = {m: -c for m, c in terms.items()}
     return lm | guards, lm, terms[lm], tuple((m, c) for m, c in terms.items() if m != lm)
 
 
@@ -530,20 +538,45 @@ class Basis(Sequence):
     monomial values, built on its first call.  A basis reads as the
     sequence of its polynomials and equals a basis of the same polynomials
     in the same order.
+
+    `groebner_basis` makes a basis from the divisors of a minimal Groebner
+    basis alone (`_lazy`).  Its zero-tests and residues run on those
+    divisors, and `len` counts them, which is the size of the reduced
+    basis too.  The reduced polynomials are built on the first read of
+    `polys` (iteration, indexing, ``==``, ``repr``) and kept.
     """
 
-    __slots__ = ("polys", "ring", "_packing", "_divisors", "_residues")
+    __slots__ = ("_polys", "ring", "_packing", "_divisors", "_residues")
 
     def __init__(self, polys, ring: tuple[str, ...] = DEFAULT_VARS):
-        self.polys = tuple(polys)
+        self._polys = tuple(polys)
         self.ring = ring
-        if any(g.ring != ring for g in self.polys):
+        if any(g.ring != ring for g in self._polys):
             raise ValueError("polynomials over different rings")
         self._packing = packing = _packing(len(ring))
         self._divisors = tuple(
-            _divisor(_int_terms(g, packing), packing.guards) for g in self.polys if g
+            _divisor(_int_terms(g, packing), packing.guards) for g in self._polys if g
         )
         self._residues = None
+
+    @classmethod
+    def _lazy(cls, minimal: tuple, ring: tuple[str, ...]) -> "Basis":
+        """The basis whose divisors are the minimal Groebner basis
+        `minimal` and whose polynomials are its reduced basis, built when
+        first read."""
+        basis = cls.__new__(cls)
+        basis._polys = None
+        basis.ring = ring
+        basis._packing = _packing(len(ring))
+        basis._divisors = minimal
+        basis._residues = None
+        return basis
+
+    @property
+    def polys(self) -> tuple:
+        if self._polys is None:
+            self._polys = _reduced_polynomials(self._divisors, self.ring)
+        return self._polys
 
     def residue(self, p: Polynomial) -> int:
         """(NF(q) mod P)(t): q the content-stripped integer multiple of p
@@ -551,7 +584,10 @@ class Basis(Sequence):
 
         NF is the normal form of `exactcheck.normal_form` against this
         basis, so NF(q) is a nonzero multiple of NF(p) and vanishes at t
-        exactly where NF(p) does.  A nonzero residue proves NF(p) != 0.
+        exactly where NF(p) does.  A basis from `groebner_basis` walks its
+        minimal divisors; NF against a Groebner basis is the ideal's
+        unique normal form, so the value is the one its reduced
+        polynomials give.  A nonzero residue proves NF(p) != 0.
         Zero means NF(p) = 0, or a coincidence of probability at most
         deg / P (Schwartz-Zippel), or that P divides a leading coefficient,
         where the value is undefined; only the exact `reduces_to_zero`
@@ -626,7 +662,7 @@ class Basis(Sequence):
         return self.polys[index]
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self._divisors) if self._polys is None else len(self._polys)
 
     def __eq__(self, other):
         if isinstance(other, Basis):
@@ -643,11 +679,16 @@ def groebner_basis(gens) -> Basis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Buchberger with normal (smallest-lcm) pair selection and both classic
-    pair-pruning criteria.  Output generators are monic, tails fully
-    reduced, sorted by leading monomial: deterministic for a given input.
-    Raises ResourceLimitError when `MAX_BASIS_TERMS` or
-    `MAX_PAIR_REDUCTIONS` is exceeded or a degree outgrows the packed
-    monomials (`MAX_DEGREE`).
+    pair-pruning criteria.  The returned `Basis` zero-tests and takes
+    residues against the minimal basis that Buchberger leaves: normal forms
+    against any Groebner basis of an ideal are the same (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2, sections 6-7), and
+    a minimal basis has the reduced basis's leading terms, hence its size.
+    The reduced generators, monic, tails fully reduced and sorted by
+    leading monomial (deterministic for a given input), are built on the
+    first read of the polynomials.  Raises ResourceLimitError when
+    `MAX_BASIS_TERMS` or `MAX_PAIR_REDUCTIONS` is exceeded or a degree
+    outgrows the packed monomials (`MAX_DEGREE`).
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -700,19 +741,28 @@ def groebner_basis(gens) -> Basis:
             if total_terms > MAX_BASIS_TERMS:
                 raise ResourceLimitError(f"basis term budget exceeded ({MAX_BASIS_TERMS})")
 
-    # Interreduce: drop generators whose lead is divisible by another lead,
-    # then reduce each survivor against the rest (its lead is irreducible
-    # among minimal leads, so full reduction just cleans the tail).
-    minimal = [
+    # The minimal basis: the generators whose lead no other lead divides
+    # (Buchberger's leads are distinct, so this keeps one generator per
+    # minimal lead), in insertion order.
+    minimal = tuple(
         div
         for i, div in enumerate(basis)
         if not any(j != i and (basis[j][0] - div[1]) & guards == guards for j in range(len(basis)))
-    ]
+    )
+    return Basis._lazy(minimal, ring)
+
+
+def _reduced_polynomials(minimal: tuple, ring: tuple) -> tuple:
+    """The reduced Groebner basis of a minimal one, given as its divisors:
+    each generator reduced against the rest (its lead is irreducible among
+    minimal leads, so full reduction just cleans the tail), made monic and
+    sorted by leading monomial."""
+    packing = _packing(len(ring))
     reduced = []
     for idx, (_, lm, lc, tail) in enumerate(minimal):
         terms = dict(tail)
         terms[lm] = lc
-        terms = _int_reduce(terms, minimal[:idx] + minimal[idx + 1:], guards)
+        terms = _int_reduce(terms, minimal[:idx] + minimal[idx + 1:], packing.guards)
         reduced.append((max(terms), terms))
     reduced.sort(key=lambda lead_terms: lead_terms[0])
     unpack = packing.unpack
@@ -720,11 +770,12 @@ def groebner_basis(gens) -> Basis:
     for lead, terms in reduced:
         lc = terms[lead]
         g = Polynomial({unpack(m): Fraction(c, lc) for m, c in terms.items()}, ring, _clean=False)
-        # `terms` is content-stripped, so these are the integer terms
-        # `_int_terms` would pack for monic g: `terms`, with a positive lead
-        g._packed = terms if lc > 0 else {m: -c for m, c in terms.items()}
+        # `terms` is content-stripped, and its lead is positive (reduction
+        # by divisors with positive leads scales by positive factors only),
+        # so these are the integer terms `_int_terms` would pack for monic g
+        g._packed = terms
         polys.append(g)
-    return Basis(polys, ring)
+    return tuple(polys)
 
 
 def reduces_to_zero(p: Polynomial, basis: Basis) -> bool:

@@ -15,7 +15,7 @@ equal to the target, as `exactcheck.lift` derives them, and
 addition alone, so the proof does not rest on the Groebner kernel (the
 "lift" of Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
 ch. 2).  The second is the packed kernel's reduction of the target to
-zero against the reduced Groebner basis.
+zero against a Groebner basis of the ideal.
 """
 
 from __future__ import annotations
@@ -132,11 +132,12 @@ class MembershipResult(NamedTuple):
 def verify_membership() -> MembershipResult:
     """Prove the target product lies in the quadrilateral ideal.
 
-    One reduced Groebner basis is computed, and `member` is the packed
-    kernel's zero-test of the target against it.  `cofactor_identity`
-    checks sum h_i * p_i == target for `COFACTORS` by multiplication
-    alone, a proof that uses neither the basis nor any division.  The
-    result is verified when both hold.
+    One Groebner basis is computed, and `member` is the packed kernel's
+    zero-test of the target against it; `basis_size` is the size of the
+    reduced basis, whose polynomials are never built here.
+    `cofactor_identity` checks sum h_i * p_i == target for `COFACTORS` by
+    multiplication alone, a proof that uses neither the basis nor any
+    division.  The result is verified when both hold.
     """
     gens, target = quadrilateral_system()
     basis = groebner_basis(gens)

@@ -485,7 +485,9 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
     polynomial a member of the equality ideal by `exactcheck.lift`:
     cofactors h_i with sum h_i * e_i equal to it, confirmed by
     multiplication alone.  Every equality the lemmas emit is homogeneous,
-    where the lift's degree bound is exact.
+    where the lift's degree bound is exact.  Every shape that passes has a
+    nonzero polynomial, for which `lift` finds no cofactors over an empty
+    list of equalities.
     """
     from .exactcheck import lift
 
@@ -515,7 +517,5 @@ def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bo
         if _sum_of_squares(certificate.subset, mult) != certificate.polynomial:
             return False
     else:
-        return False
-    if not ledger.equalities:
         return False
     return lift(certificate.polynomial, ledger.equalities) is not None

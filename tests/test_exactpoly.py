@@ -1,13 +1,15 @@
 from fractions import Fraction
+import json
 from math import gcd, lcm
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from vortexdiagrams.atlas import load_catalog
-from vortexdiagrams import exactpoly, quadrilateral
+from vortexdiagrams import atlas, exactpoly, quadrilateral, vorticity
 from vortexdiagrams.exactcheck import is_cofactor_identity, lift, normal_form
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.exactpoly import (
@@ -583,6 +585,94 @@ class TestResidue:
     def test_rejects_another_ring(self):
         with pytest.raises(ValueError):
             groebner_basis([G1]).residue(Polynomial.variable("G1", ("G1", "G2")))
+
+
+def decided_equality_sets(n):
+    """Each distinct equality set of the ledgers that one
+    `enumerate_diagrams(n)` decides, in the order first decided."""
+    seen = {}
+    decide = atlas.decide
+
+    def recorded(ledger, *args, **kwargs):
+        if ledger.equalities:
+            seen.setdefault(frozenset(ledger.equalities), ledger.equalities)
+        return decide(ledger, *args, **kwargs)
+
+    with mock.patch.object(atlas, "decide", recorded):
+        atlas.enumerate_diagrams(n)
+    return list(seen.values())
+
+
+def refuse_to_build(*args):
+    raise AssertionError("the reduced polynomials were built")
+
+
+class TestLazyBasis:
+    """`groebner_basis` answers zero-tests and residues from its minimal
+    basis, before its reduced polynomials exist, exactly as the reduced
+    basis does."""
+
+    @staticmethod
+    def compare(gens, polys) -> tuple:
+        """(members, nonzero residues) among `polys`, after checking that a
+        fresh `groebner_basis(gens)` answers like a `Basis` of its reduced
+        polynomials without building them."""
+        reduced = Basis(list(groebner_basis(gens)), gens[0].ring)
+        lazy = groebner_basis(gens)
+        members = nonzero = 0
+        with mock.patch.object(exactpoly, "_reduced_polynomials", refuse_to_build):
+            assert len(lazy) == len(reduced)
+            for p in polys:
+                residue = reduced.residue(p)
+                assert lazy.residue(p) == residue, (gens, p)
+                # a nonzero residue proves p no member; only a zero one
+                # needs the reduced basis's exact zero-test
+                member = residue == 0 and reduces_to_zero(p, reduced)
+                assert reduces_to_zero(p, lazy) == member, (gens, p)
+                members += member
+                nonzero += residue != 0
+        assert lazy == reduced  # built now, and the same polynomials
+        return members, nonzero
+
+    def test_quadrilateral_system(self):
+        gens, target = quadrilateral.quadrilateral_system()
+        rng = random.Random(26)
+        others = [random_ring_poly(rng, quadrilateral.RING, max_deg=6) for _ in range(30)]
+        members, nonzero = self.compare(list(gens), [*gens, target, *others])
+        assert members >= 5 and nonzero >= 25
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_decided_equality_sets(self, n):
+        candidates = [
+            vorticity._candidate_certificate(c).polynomial
+            for c in vorticity._certificate_candidates(n)
+        ]
+        members = nonzero = 0
+        equality_sets = decided_equality_sets(n)
+        for equalities in equality_sets:
+            m, z = self.compare(equalities, [*equalities, *candidates])
+            members += m
+            nonzero += z
+        assert equality_sets and members > 0 and nonzero > 0
+
+    def test_a_generator_whose_lead_another_lead_divides_is_left_out(self):
+        # Buchberger keeps G1*G2 + G3^2, then adds G1 and, from their
+        # S-polynomial, G3^2; G1 divides the first lead.
+        gens = [G1 * G2 + G3**2, G1]
+        assert len(groebner_basis(gens)) == 2
+        members, nonzero = self.compare(gens, [*gens, G1 * G2, G3**2, G2, G2 * G3 + G1])
+        assert members == 4 and nonzero == 2
+
+    def test_commands_never_build_the_reduced_polynomials(self):
+        membership = quadrilateral.verify_membership()
+        report = json.dumps(atlas.enumerate_diagrams(5).to_json(), sort_keys=True)
+        with mock.patch.object(exactpoly, "_reduced_polynomials", refuse_to_build):
+            assert quadrilateral.verify_membership() == membership
+            assert json.dumps(atlas.enumerate_diagrams(5).to_json(), sort_keys=True) == report
+        assert membership.verified and membership.basis_size == 22
+
+    def test_a_hand_built_basis_counts_its_zero_polynomials(self):
+        assert len(Basis([Polynomial.zero(), G1])) == 2
 
 
 class TestSympyOracle:
