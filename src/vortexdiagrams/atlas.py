@@ -186,7 +186,6 @@ class SurvivorEntry(NamedTuple):
     ledger: ConstraintLedger
     verdict: Verdict
     branches: dict  # lambda class -> (ConstraintLedger, Verdict)
-    findings: tuple
 
     def to_json(self) -> dict:
         out = {
@@ -293,11 +292,8 @@ def _judge_class(n: int, masks, memo: dict) -> tuple:
     key = masks_key(n, masks)
     j = judge(d, memo)
     if j.outcome == "retained":
-        analysis = j.analysis
-        entry = SurvivorEntry(
-            key, d, stroke_count_C(d), analysis.base_ledger, j.verdict, j.branches, analysis.findings
-        )
-        return ("survivor", entry)
+        ledger = j.analysis.base_ledger
+        return ("survivor", SurvivorEntry(key, d, stroke_count_C(d), ledger, j.verdict, j.branches))
     if j.outcome == "invalid":
         return ("rejected", {"key": key, "stage": "validate", "reason": "; ".join(j.rules.failures)})
     f = j.analysis.exclusion

@@ -6,15 +6,16 @@ disequalities admits real vortex strengths, producing machine-checkable
 certificates for the infeasible direction and exact rational witnesses
 for the feasible one.
 
-`decide` runs on integers until an answer is found.  The witness search
-compiles the ledger once and makes one pass over each equality per
-point, which gives the equality's value and its coefficient in every
-strength that all equalities are linear in, so the point is checked and
-completed from the same numbers.  The certificate candidates are packed
-monomial keys, screened by their residue against the Groebner basis; a
-`Certificate` is built only for a candidate whose residue is zero, and
-kept only once the exact zero-test confirms it.  `satisfies` confirms
-every witness in `Fraction`s.
+The witness search compiles the ledger's equalities once into integers
+and makes one pass over each equality per point, which gives the
+equality's value and its coefficient in every strength that all
+equalities are linear in, so the point is tested and completed from the
+same numbers.  Only a point that solves every equality reaches
+`satisfies`, which checks it exactly in `Fraction`s; the search itself
+evaluates no nonzero constraint.  The certificate candidates are
+packed monomial keys, screened by their residue against the Groebner
+basis; a `Certificate` is built only for a candidate whose residue is
+zero, and kept only once the exact zero-test confirms it.
 """
 
 from __future__ import annotations
@@ -210,14 +211,16 @@ _POOL_NUMERATORS = tuple(int(v * _POOL_DENOMINATOR) for v in WITNESS_POOL)
 
 
 def _integer_form(p: Polynomial, slots: dict) -> tuple:
-    """`p` as integer terms over the strengths named in `slots`.
+    """`p` as integer terms over the strengths named in `slots`, for points
+    over `_POOL_DENOMINATOR`.
 
-    Each term is ``(coefficient, gap, factors)``: the coefficient times the
-    lcm of p's denominators, the term's degree below p's, and the slot of
-    each variable factor, repeated by exponent.  At a point x = t / den,
-    ``_int_value(form, t, den)`` is p(x) times a nonzero constant, so it
-    vanishes exactly when p(x) does.  A term in a variable outside `slots`
-    is dropped: `satisfies` reads such a variable as 0.
+    Each term is ``(coefficient, factors)``: the slot of each variable
+    factor, repeated by exponent, and the term's coefficient times the lcm
+    of p's denominators and times den to the term's degree below p's.  At
+    a point x = t / den, the sum of the terms with each factor read as its
+    numerator in t is p(x) times a nonzero constant, so it vanishes exactly
+    when p(x) does.  A term in a variable outside `slots` is dropped:
+    `satisfies` reads such a variable as 0.
     """
     kept = []
     for m, c in p.terms.items():
@@ -234,47 +237,35 @@ def _integer_form(p: Polynomial, slots: dict) -> tuple:
         return ()
     scale = lcm(*(c.denominator for c, _ in kept))
     degree = max(len(f) for _, f in kept)
+    den = _POOL_DENOMINATOR
     return tuple(
-        (c.numerator * (scale // c.denominator), degree - len(f), tuple(f)) for c, f in kept
+        (c.numerator * (scale // c.denominator) * den ** (degree - len(f)), tuple(f))
+        for c, f in kept
     )
 
 
-def _int_value(form: tuple, point: list, den: int) -> int:
-    total = 0
-    for c, gap, factors in form:
-        for slot in factors:
-            c *= point[slot]
-        if gap:
-            c *= den**gap
-        total += c
-    return total
-
-
 def _linear_form(form: tuple, solvable) -> tuple:
-    """`form` compiled for `_linear_pass` at points over `_POOL_DENOMINATOR`.
-
-    Each term becomes ``(coefficient, factors, splits)``: the coefficient
-    times the denominator to the term's gap, and for each factor whose
-    slot is in `solvable`, that slot with the other factors.
-    """
-    den = _POOL_DENOMINATOR
+    """`form` compiled for `_linear_pass`: each term becomes
+    ``(coefficient, factors, splits)``, with one split for each factor
+    whose slot is in `solvable`, that slot with the other factors."""
     out = []
-    for c, gap, factors in form:
+    for c, factors in form:
         splits = tuple(
             (s, factors[:i] + factors[i + 1:]) for i, s in enumerate(factors) if s in solvable
         )
-        out.append((c * den**gap, factors, splits))
+        out.append((c, factors, splits))
     return tuple(out)
 
 
 def _linear_pass(form: tuple, point: tuple) -> tuple:
     """``(value, coefficients)`` of a `_linear_form` at ``point / den``.
 
-    `value` is the `_int_value` of the form there.  The form is linear in
-    each solvable slot s, a * x + b in the strength x at s, and
-    ``coefficients[s]`` times the denominator is a, while b is `value`
-    less ``coefficients[s] * point[s]``.  One pass over the terms gives
-    the value and every coefficient.
+    `value` is the form's integer value there, zero exactly when the
+    equality vanishes.  The form is linear in each solvable slot s,
+    a * x + b in the strength x at s, and ``coefficients[s]`` times the
+    denominator is a, while b is `value` less ``coefficients[s] *
+    point[s]``.  One pass over the terms gives the value and every
+    coefficient; it is the search's only integer evaluation.
     """
     value = 0
     coefficients = [0] * len(point)
@@ -302,34 +293,34 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
     """Random pool points, each also completed by solving the equalities
     for one variable when they are linear in it, last variable first.
 
-    The ledger is compiled once into integer form and points are pool
-    numerators over `_POOL_DENOMINATOR`, so an attempt makes no `Fraction`.
-    Each point takes one `_linear_pass` over each equality.  A completion
-    solves every equality by construction, so only its nonzero constraints
-    are checked in integers.  A point that passes the integer check is
-    returned only after `satisfies` confirms it exactly.
+    Only the equalities are compiled, once, into integer form, and points
+    are pool numerators over `_POOL_DENOMINATOR`, so testing a point makes
+    no `Fraction`.  Each point takes one `_linear_pass` over each equality.
+    A point at which every equality vanishes, and every completion, which
+    solves them all by construction, goes to `satisfies`: the one check of
+    the nonzero constraints, made exactly in `Fraction`s.
     """
     gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
     slots = {g: i for i, g in enumerate(gammas)}
     forms = [_integer_form(p, slots) for p in ledger.equalities]
-    nzs = [_integer_form(q, slots) for q in ledger.nonzeros]
     # the slots every equality is linear in, last first
     solvable = [
         slot
         for slot in reversed(range(len(gammas)))
-        if forms and all(factors.count(slot) < 2 for f in forms for _, _, factors in f)
+        if forms and all(factors.count(slot) < 2 for f in forms for _, factors in f)
     ]
     eqs = [_linear_form(f, solvable) for f in forms]
     den = _POOL_DENOMINATOR
     for point in _witness_points(seed, attempts, ledger.n):
         passes = [_linear_pass(f, point) for f in eqs]
-        if not any(value for value, _ in passes) and all(_int_value(f, point, den) for f in nzs):
+        if not any(value for value, _ in passes):
             witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
             if satisfies(ledger, witness):
                 return witness
         for slot in solvable:
-            # The root num / a of every equality a * x + b, x the strength
-            # at `slot`; no root when two disagree or one has a = 0, b != 0.
+            # The root -b / a, kept as (-b, a), of every equality a * x + b,
+            # x the strength at `slot`; none when two disagree or one has
+            # a = 0, b != 0.
             root = None
             for value, coefficients in passes:
                 a = coefficients[slot] * den
@@ -343,15 +334,11 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
                 elif root[0] * a != -b * root[1]:
                     break
             else:
+                # a root of 0 completes nothing: every strength is nonzero
                 if root is None or not root[0]:
                     continue
-                num, a = root
-                full = [t * a for t in point]
-                full[slot] = num * den
-                if not all(_int_value(f, full, den * a) for f in nzs):
-                    continue
-                witness = {g: Fraction(t, den) for g, t in zip(gammas, point) if slots[g] != slot}
-                witness[gammas[slot]] = Fraction(num, a)
+                witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
+                witness[gammas[slot]] = Fraction(*root)
                 if satisfies(ledger, witness):
                     return witness
     return None

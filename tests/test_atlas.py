@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +15,15 @@ from vortexdiagrams.atlas import (
     load_catalog,
     set_partitions,
 )
-from vortexdiagrams.diagram import Diagram, canonical_key, orbit_masks, validate
+from vortexdiagrams.diagram import (
+    Diagram,
+    _masks,
+    canonical_key,
+    canonical_masks,
+    masks_key,
+    orbit_masks,
+    validate,
+)
 from vortexdiagrams.exactpoly import Polynomial
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.render import render
@@ -170,6 +180,13 @@ class TestCatalog:
         keys = [e.key for e in load_catalog()]
         assert len(set(keys)) == 39
 
+    def test_corrupt_count_is_refused(self, tmp_path, monkeypatch):
+        text = resources.files("vortexdiagrams.data").joinpath("catalog.jsonl").read_text()
+        (tmp_path / "catalog.jsonl").write_text("".join(text.splitlines(keepends=True)[:-1]))
+        monkeypatch.setattr(atlas, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValueError, match="corrupt catalog: expected 39 entries, found 38"):
+            load_catalog()
+
     def test_excluded_entries_have_lemmas(self):
         for e in load_catalog():
             if e.status == "excluded":
@@ -188,6 +205,50 @@ class TestCatalog:
         branches = analyze(by_ref["C0 #1"].diagram).branch_ledgers
         assert set(branches) == {"+-1", "+-i"}
         assert decide(branches["+-1"]).kind == "Feasible"
+
+
+class TestBranchInfeasibility:
+    """The outcome for a diagram whose every multiplier branch is infeasible.
+
+    No valid diagram on at most 8 vertices reaches it.  A unit-real branch
+    ledger is the sums over the vertices outside each matched component,
+    at most one component per color, and it forces a strength to zero only
+    when one outside is a single vertex (n = 3 or 4, where the enumeration
+    meets no such class) or when the two components differ by one vertex,
+    which R2 forbids.  So the lemma layer is patched here: the Roberts
+    diagram, retained with no branches, gets two infeasible ones.
+    """
+
+    @pytest.fixture
+    def branched(self, monkeypatch):
+        real = analyze(ROBERTS)
+        branches = {
+            "+-1": vorticity.ConstraintLedger((vorticity.gamma_sum([5]),)),
+            "+-i": vorticity.ConstraintLedger(
+                (vorticity.angular_momentum(range(1, 6)), vorticity.angular_momentum([1, 2]))
+            ),
+        }
+        monkeypatch.setattr(lemmas, "analyze", lambda d: real._replace(branch_ledgers=branches))
+        return branches
+
+    def test_judge_excludes_it(self, branched):
+        j = atlas.judge(ROBERTS)
+        assert (j.outcome, j.excluded_by) == ("excluded", "branch-infeasibility")
+        assert j.verdict.kind == "Feasible"
+        assert {cls: (led, ver.kind) for cls, (led, ver) in j.branches.items()} == {
+            cls: (led, "Infeasible") for cls, led in branched.items()
+        }
+
+    def test_enumeration_records_it_as_a_ledger_rejection(self, branched):
+        masks = canonical_masks(5, *_masks(ROBERTS))
+        kind, record = atlas._judge_class(5, masks, {})
+        assert kind == "rejected"
+        assert record == {
+            "key": masks_key(5, masks),
+            "stage": "ledger",
+            "reason": "branch-infeasibility",
+            "ledger": analyze(ROBERTS).base_ledger.to_json(),
+        }
 
 
 class TestDiff:
@@ -251,6 +312,10 @@ class TestRender:
         assert "stroke-dasharray" in svg
         tikz = render(ROBERTS, "tikz")
         assert "red" in tikz and "blue" in tikz and "dashed" in tikz
+
+    def test_more_than_eight_vertices_is_refused(self):
+        with pytest.raises(ValueError, match="n <= 8"):
+            render(Diagram(9, [(1, 2)], [(3, 4)], [1, 2], [3, 4]))
 
     def test_unsupported_format(self):
         with pytest.raises(ValueError):

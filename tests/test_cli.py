@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -461,6 +462,18 @@ class TestImportFootprint:
         assert code == 0
         assert {"numpy", "vortexdiagrams.numeric"} <= modules
         assert "vortexdiagrams.exactpoly" not in modules
+
+    def test_package_names_resolve_to_their_modules_objects(self, monkeypatch):
+        import vortexdiagrams
+
+        for name, module in vortexdiagrams._EXPORTS.items():
+            # drop the copy an earlier lookup cached, so the lazy path runs
+            monkeypatch.delattr(vortexdiagrams, name, raising=False)
+            expected = getattr(importlib.import_module(f"vortexdiagrams.{module}"), name)
+            assert getattr(vortexdiagrams, name) is expected
+            assert vortexdiagrams.__dict__[name] is expected
+        with pytest.raises(AttributeError, match="has no attribute 'solve'"):
+            vortexdiagrams.solve
 
 
 class TestUsage:

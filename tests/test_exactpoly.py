@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams import atlas, exactpoly, quadrilateral, vorticity
-from vortexdiagrams.exactcheck import is_cofactor_identity, lift, normal_form
+from vortexdiagrams.exactcheck import _rational, is_cofactor_identity, lift, normal_form
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
@@ -395,6 +395,44 @@ class TestSerialization:
     def test_canonical_text_ordering_is_stable(self):
         p = G2 + G1 + G3**2
         assert p.to_text() == "G3^2 + G1 + G2"
+
+
+class TestRefusals:
+    """Refusals of the exact layer that no command input reaches."""
+
+    def test_malformed_text(self):
+        with pytest.raises(ValueError, match=r"cannot parse polynomial at: '\*\* 2'"):
+            parse_polynomial("G1 ** 2")
+
+    def test_terms_that_cancel_in_the_text_leave_none(self):
+        assert parse_polynomial("G1 - G1").terms == {}
+        assert parse_polynomial("G1 + G2 - G1") == G2
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="negative power"):
+            G1**-1
+
+    def test_arithmetic_across_rings(self):
+        other = Polynomial.variable("G1", ("G1", "G2"))
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+            with pytest.raises(ValueError, match="different rings"):
+                op(G1, other)
+
+    def test_basis_over_mixed_rings(self):
+        with pytest.raises(ValueError, match="different rings"):
+            Basis([G1, Polynomial.variable("G1", ("G1", "G2"))])
+
+    def test_zero_has_no_leading_monomial(self):
+        with pytest.raises(ValueError, match="no leading monomial"):
+            Polynomial.zero().leading_monomial()
+
+    def test_residue_with_no_rational_reconstruction(self):
+        # fractions n/d with |n|, d at most 2^30 are reconstructed; 2^30 + 1
+        # is n/1 with n past that bound, and every other d makes n larger
+        assert _rational(2**30) == 2**30
+        assert _rational(-3 * pow(7, -1, LIFT_PRIME)) == Fraction(-3, 7)
+        with pytest.raises(ArithmeticError, match="no rational reconstruction"):
+            _rational(2**30 + 1)
 
 
 class TestPackedKernel:

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import synthetic
 from synthetic import synthetic_sequence, to_jsonl
 from vortexdiagrams import numeric
 from vortexdiagrams.atlas import load_catalog
-from vortexdiagrams.diagram import Diagram, canonical_key
+from vortexdiagrams.diagram import Diagram, RuleReport, canonical_key, validate
 from vortexdiagrams.numeric import (
     AmbiguousExponentError,
     CollisionError,
@@ -705,6 +706,10 @@ class TestClassify:
     def test_equilateral_is_relative_equilibrium(self):
         assert classify([1.0, OMEGA, OMEGA**2], [1, 1, 1]) == "relative-equilibrium"
 
+    def test_fixed_collinear_triple_is_an_equilibrium(self):
+        # at z = -1, 0, 1 with strengths 1, -1/2, 1 every velocity vanishes
+        assert classify([-1.0, 0.0, 1.0], [1.0, -0.5, 1.0]) == "equilibrium"
+
     def test_dipole_translates(self):
         assert classify([0.0, 1.0], [1.0, -1.0]) == "rigidly-translating"
 
@@ -839,6 +844,33 @@ class TestProbe:
         seq = synthetic_sequence(d)
         again = SingularSequenceSample.from_jsonl(to_jsonl(seq))
         assert canonical_key(probe(again)) == canonical_key(d)
+
+    def test_jsonl_skips_blank_lines(self):
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
+        text = to_jsonl(synthetic_sequence(d))
+        spaced = "\n" + text.replace("\n", "\n  \n")
+        assert SingularSequenceSample.from_jsonl(spaced) == SingularSequenceSample.from_jsonl(text)
+
+    def test_sample_off_the_max_norm_scale_is_refused(self):
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
+        # z a million times too large: its norm is no longer of order eps^-2
+        points = [
+            (eps, make_configuration(c.gamma, [1e6 * z for z in c.z], c.w, c.lam))
+            for eps, c in synthetic_sequence(d).points
+        ]
+        with pytest.raises(ValueError, match="violates the max-norm normalization"):
+            probe(SingularSequenceSample(tuple(points)))
+
+    def test_probed_diagram_that_breaks_the_rules_is_refused(self, monkeypatch):
+        # a lone z-circle on the z-stroke 12 (R1a, R4): the sequence helper
+        # refuses to build it unless its own rule check is switched off
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1], [3, 4])
+        assert not validate(d).valid
+        monkeypatch.setattr(synthetic, "validate", lambda d: RuleReport(()))
+        seq = synthetic_sequence(d)
+        with pytest.raises(ValueError, match="probed diagram violates the rules") as info:
+            probe(seq)
+        assert "R4: lone z-circle in component [1, 2]" in str(info.value)
 
     def test_fit_exponent_recovers_slope(self):
         eps = [2.0**-k for k in range(4, 10)]
