@@ -23,6 +23,10 @@ states two verdicts per metric, and prints them:
 Each workload's summary also counts, per side, the runs that exited
 nonzero and the runs whose result says `correct: false`: a crashed run has
 no metrics, and a metric that some run lacks is left out of the summary.
+It sums each side's attempted and failed operations, gives the failed
+share (1 for a side that attempted nothing, as when every run crashed)
+and states, in one printed line per workload, whether the change's share
+rises above the parent's.
 """
 
 import argparse
@@ -95,12 +99,22 @@ def summarize(workload: str, runs: list, end_to_end: list) -> dict:
     def per_side(count) -> dict:
         return {side: sum(count(by[p, side]) for p in pairs) for side in SIDES}
 
+    attempted, failed = per_side(lambda r: r["attempted"]), per_side(lambda r: r["failed"])
+    share = {side: failed[side] / attempted[side] if attempted[side] else 1.0 for side in SIDES}
     return {"workload": workload, "trace": 0, "seconds": runs[0]["seconds"],
             "seeds": [by[p, "parent"]["seed"] for p in pairs], "pairs": len(pairs),
             "first": [by[p, "parent"]["first"] for p in pairs],
-            "failed": per_side(lambda r: r["failed"]),
+            "attempted": attempted, "failed": failed, "failed_share": share,
+            "failed_share_rises": share["change"] > share["parent"],
             "exited_nonzero": per_side(lambda r: r["returncode"] != 0),
             "incorrect": per_side(lambda r: not r["correct"]), "metrics": metrics}
+
+
+def failed_share_line(entry: dict) -> str:
+    """The verdict on one workload's failed share, as `main` prints it."""
+    sides = ", ".join(f"{side} {entry['failed'][side]}/{entry['attempted'][side]} ({entry['failed_share'][side]:.1%})"
+                      for side in SIDES)
+    return f"{entry['workload']} failed share: {sides}, {'RISES' if entry['failed_share_rises'] else 'does not rise'}"
 
 
 def main(argv=None) -> int:
@@ -138,6 +152,7 @@ def main(argv=None) -> int:
                       f"gain rule {'holds' if m['gain_rule'] else 'fails'}, "
                       f"{'within' if m['within_bound'] else 'PAST'} the {m['bound']:.0%} bound",
                       file=sys.stderr, flush=True)
+            print(failed_share_line(summary[-1]), file=sys.stderr, flush=True)
     report = {
         "what": f"paired perfbench/run.py runs by scripts/bench_pairs.py: parent {parent} against the working tree, "
                 "alternating which side runs first; quartiles by statistics.quantiles(n=4, method='inclusive'); "

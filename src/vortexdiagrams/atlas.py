@@ -35,10 +35,6 @@ from .diagram import (
 from .vorticity import LEDGER_SEED, ConstraintLedger, Verdict, decide
 
 
-class EnumerationBudgetError(RuntimeError):
-    """The raw candidate space exceeds the configured budget."""
-
-
 # -- enumeration ----------------------------------------------------------
 
 
@@ -243,9 +239,9 @@ class Judgment(NamedTuple):
 
     `outcome` is "invalid", "excluded" or "retained".  An excluded diagram
     names what excluded it in `excluded_by`: a lemma, or
-    "constraint-infeasibility" (the base ledger) or "branch-infeasibility"
-    (every multiplier branch).  Later stages are None or empty when an
-    earlier one already settled the outcome.
+    "constraint-infeasibility" (the base ledger).  The multiplier branches
+    of a retained diagram annotate it and exclude nothing.  Later stages
+    are None or empty when an earlier one already settled the outcome.
     """
 
     outcome: str
@@ -281,8 +277,6 @@ def judge(d: Diagram, memo: dict | None = None) -> Judgment:
     branches = {
         cls: (led, _decide_memo(led, memo)) for cls, led in sorted(analysis.branch_ledgers.items())
     }
-    if branches and all(ver.infeasible for _, ver in branches.values()):
-        return Judgment("excluded", rules, "branch-infeasibility", analysis, verdict, branches)
     return Judgment("retained", rules, None, analysis, verdict, branches)
 
 
@@ -309,22 +303,19 @@ def _judge_class(n: int, masks, memo: dict) -> tuple:
                 "binding": list(f.binding),
             },
         )
-    payload = {
-        "key": key,
-        "stage": "ledger",
-        "reason": j.excluded_by,
-        "ledger": j.analysis.base_ledger.to_json(),
-    }
-    if j.excluded_by == "constraint-infeasibility":
-        payload["certificate"] = j.verdict.certificate.to_json()
-    return ("rejected", payload)
+    return (
+        "rejected",
+        {
+            "key": key,
+            "stage": "ledger",
+            "reason": j.excluded_by,
+            "ledger": j.analysis.base_ledger.to_json(),
+            "certificate": j.verdict.certificate.to_json(),
+        },
+    )
 
 
-def enumerate_diagrams(
-    n: int = 5,
-    workers: int = 1,
-    max_raw_candidates: int | None = None,
-) -> EnumerationReport:
+def enumerate_diagrams(n: int = 5, workers: int = 1) -> EnumerationReport:
     """Exhaustively enumerate valid diagram classes for n vertices.
 
     The scan visits one z-partition per block-size type (a representative)
@@ -333,23 +324,17 @@ def enumerate_diagrams(
     diagrams, is the sum of the orbit sizes (orbit-stabilizer).
     The scan runs in the calling process.  `workers` selects nothing: it
     is kept so that existing callers keep working, and any value of at
-    least 1 gives the same report.  When a budget is given and the raw
-    candidate space exceeds it, the run refuses up front rather than
-    truncating silently.  At n=5 the report carries its diff against the
-    curated catalog, which covers n=5 only.
+    least 1 gives the same report.  `candidates_raw` is the size of the
+    unpruned space, bell(n)^2 * 4^n (every pair of set partitions crossed
+    with every pair of circle subsets), which the scan does not visit.
+    At n=5 the report carries its diff against the curated catalog, which
+    covers n=5 only.
     """
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if max_raw_candidates is not None and max_raw_candidates < 0:
-        raise ValueError(f"the raw candidate budget must not be negative, got {max_raw_candidates}")
     bell = len(set_partitions(n))
-    space = bell * bell * (1 << (2 * n))
-    if max_raw_candidates is not None and space > max_raw_candidates:
-        raise EnumerationBudgetError(
-            f"{space} raw candidates exceed the budget of {max_raw_candidates}"
-        )
     classes = _scan(n)
     survivors = []
     rejected = []
@@ -370,7 +355,7 @@ def enumerate_diagrams(
         survivors,
         rejected,
         histogram,
-        candidates_raw=space,
+        candidates_raw=bell * bell << 2 * n,
         candidates_valid=sum(classes.values()),
         unique_classes=len(classes),
         diff_vs_catalog=diff_report([s.key for s in survivors], load_catalog()) if n == 5 else None,

@@ -42,13 +42,7 @@ def _load_diagram(path: str) -> Diagram:
 def _cmd_enumerate(args) -> int:
     from . import atlas
 
-    try:
-        report = atlas.enumerate_diagrams(
-            args.n, workers=args.workers, max_raw_candidates=args.max_raw_candidates
-        )
-    except atlas.EnumerationBudgetError as exc:
-        print(f"refusing: {exc}", file=sys.stderr)
-        return 1
+    report = atlas.enumerate_diagrams(args.n, workers=args.workers)
     payload = report.to_json()
     _dump(payload, args.out)
     hist = " ".join(f"C={k}:{v}" for k, v in sorted(report.histogram.items()))
@@ -218,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--workers", type=int, default=1,
                    help="ignored (the scan runs in this process); must be at least 1")
-    p.add_argument("--max-raw-candidates", type=int, default=None,
-                   help="refuse (rather than truncate) beyond this raw candidate count")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 

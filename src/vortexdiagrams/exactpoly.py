@@ -268,9 +268,12 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
+# One term: an optional sign, then a coefficient or a first factor, then
+# `* factor` any number of times.  A zero denominator does not match.
+_FACTOR = r"[A-Za-zΓ][A-Za-z0-9]*(?:\^\d+)?"
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*"
-    r"(?P<vars>(?:\*?\s*[A-Za-zΓ][A-Za-z0-9]*(?:\^\d+)?\s*)*)"
+    rf"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?"
+    rf"(?P<factors>(?(coeff)|{_FACTOR})(?:\s*\*\s*{_FACTOR})*)\s*"
 )
 
 
@@ -285,6 +288,9 @@ def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
     """Parse the text form ``3/2*G1^2*G2 - G3 + 1``.
 
     Greek gamma aliases (``Γ1``) are accepted for the ``G`` variables.
+    Every term after the first needs its sign, and every term a
+    coefficient or a variable; anything else, a zero denominator or a
+    variable outside `ring` raises `ValueError`.
     """
     text = text.strip()
     if text in ("0", ""):
@@ -293,18 +299,17 @@ def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
     pos = 0
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
-        if not match or match.end() == pos:
+        if not match or (pos and not match.group("sign")):
             raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
         sign = -1 if match.group("sign") == "-" else 1
         coeff = Fraction(match.group("coeff")) if match.group("coeff") else ONE
         exps = [0] * len(ring)
-        for piece in re.findall(r"[A-Za-zΓ][A-Za-z0-9]*(?:\^\d+)?", match.group("vars") or ""):
-            if "^" in piece:
-                name, power = piece.split("^")
-                e = int(power)
-            else:
-                name, e = piece, 1
-            exps[ring.index(_normalize_var(name))] += e
+        for piece in re.findall(_FACTOR, match.group("factors")):
+            name, _, power = piece.partition("^")
+            var = _normalize_var(name)
+            if var not in ring:
+                raise ValueError(f"unknown variable {name!r} in polynomial {text!r}")
+            exps[ring.index(var)] += int(power or 1)
         m = tuple(exps)
         c = terms.get(m, ZERO) + sign * coeff
         if c:

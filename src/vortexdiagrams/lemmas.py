@@ -419,7 +419,14 @@ def analyze(d: Diagram) -> DiagramAnalysis:
 
     Branch constraints are kept per multiplier class, separate from the
     base ledger: they annotate the diagram for later finiteness work and
-    only exclude when every class is separately infeasible.  A branch
+    exclude nothing.  No class that reaches them could be excluded by them
+    anyway: its unit-real ledger sets to zero the strength sum outside each
+    matched component, at most one per color, and so forces a strength to
+    zero only when an outside is a single vertex (n <= 4, where the base
+    ledger already excludes every such class) or when the two components
+    differ by one vertex b.  Then b shares the larger component with the
+    smaller one's circled vertices but is not circled in the smaller one's
+    color, which has no circle outside it, and R2 forbids that.  A branch
     ledger holds the branch equalities alone, without the base ones.  That
     is what reproduces the paper's 31 survivors at n=5: decided together
     with its base ledger, every branch of 4 of them would be infeasible.

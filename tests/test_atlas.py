@@ -34,18 +34,6 @@ GOLDEN = Path(__file__).parent / "golden"
 ROBERTS = Diagram(5, [(1, 2), (3, 4)], [(2, 3), (1, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
 
 
-class TestBudget:
-    def test_refuses_rather_than_truncates(self):
-        from vortexdiagrams.atlas import EnumerationBudgetError
-
-        with pytest.raises(EnumerationBudgetError):
-            enumerate_diagrams(5, max_raw_candidates=1000)
-
-    def test_budget_large_enough_passes(self):
-        report = enumerate_diagrams(3, max_raw_candidates=10_000)
-        assert report.candidates_raw == 25 * 64
-
-
 class TestWorkers:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_below_one_is_rejected(self, workers):
@@ -132,6 +120,7 @@ class TestSmallN:
     def test_enumerate3_matches_oracle(self):
         report = enumerate_diagrams(3)
         assert set(report.survivor_keys()) == oracle_enumerate3()
+        assert report.candidates_raw == 25 * 64
 
     def test_enumerate4_is_deterministic(self):
         a = enumerate_diagrams(4)
@@ -207,15 +196,11 @@ class TestCatalog:
         assert decide(branches["+-1"]).kind == "Feasible"
 
 
-class TestBranchInfeasibility:
-    """The outcome for a diagram whose every multiplier branch is infeasible.
+class TestBranchesAnnotateOnly:
+    """Multiplier branches annotate a retained diagram and exclude nothing.
 
-    No valid diagram on at most 8 vertices reaches it.  A unit-real branch
-    ledger is the sums over the vertices outside each matched component,
-    at most one component per color, and it forces a strength to zero only
-    when one outside is a single vertex (n = 3 or 4, where the enumeration
-    meets no such class) or when the two components differ by one vertex,
-    which R2 forbids.  So the lemma layer is patched here: the Roberts
+    No valid diagram could be excluded by them (the guard in
+    test_invariants.py), so the lemma layer is patched here: the Roberts
     diagram, retained with no branches, gets two infeasible ones.
     """
 
@@ -231,24 +216,27 @@ class TestBranchInfeasibility:
         monkeypatch.setattr(lemmas, "analyze", lambda d: real._replace(branch_ledgers=branches))
         return branches
 
-    def test_judge_excludes_it(self, branched):
+    def test_judge_retains_a_diagram_whose_every_branch_is_infeasible(self, branched):
         j = atlas.judge(ROBERTS)
-        assert (j.outcome, j.excluded_by) == ("excluded", "branch-infeasibility")
+        assert (j.outcome, j.excluded_by) == ("retained", None)
         assert j.verdict.kind == "Feasible"
         assert {cls: (led, ver.kind) for cls, (led, ver) in j.branches.items()} == {
             cls: (led, "Infeasible") for cls, led in branched.items()
         }
 
-    def test_enumeration_records_it_as_a_ledger_rejection(self, branched):
+    def test_enumeration_keeps_it_as_a_survivor_with_its_branches(self, branched):
         masks = canonical_masks(5, *_masks(ROBERTS))
-        kind, record = atlas._judge_class(5, masks, {})
-        assert kind == "rejected"
-        assert record == {
-            "key": masks_key(5, masks),
-            "stage": "ledger",
-            "reason": "branch-infeasibility",
-            "ledger": analyze(ROBERTS).base_ledger.to_json(),
-        }
+        kind, entry = atlas._judge_class(5, masks, {})
+        assert (kind, entry.key) == ("survivor", masks_key(5, masks))
+        assert set(entry.to_json()["branches"]) == set(branched)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_ledger_rejection_is_a_certified_base_infeasibility(self, n, enumerated):
+        ledger_rejections = [r for r in enumerated(n).rejected if r["stage"] == "ledger"]
+        assert ledger_rejections
+        for r in ledger_rejections:
+            assert r["reason"] == "constraint-infeasibility"
+            assert set(r) == {"key", "stage", "reason", "ledger", "certificate"}
 
 
 class TestDiff:

@@ -16,14 +16,18 @@ END_TO_END = [
 ]
 
 
-def runs(parent: dict, change: dict) -> list:
-    """One run per pair and side, with the metric values given per side."""
+def runs(parent: dict, change: dict, attempted=None, failed=None) -> list:
+    """One run per pair and side, with the metric values given per side, and
+    per side the operations each run attempted and failed (3 and 0 unless
+    given)."""
     out = []
     for side, values in (("parent", parent), ("change", change)):
         for pair in range(len(values["job_ref"])):
             metrics = {name: column[pair] for name, column in values.items()}
             out.append(dict(pair=pair, side=side, seed=pair + 1, first="parent", seconds=30.0,
-                            returncode=0, correct=True, failed=0, metrics=metrics))
+                            returncode=0, correct=True, metrics=metrics,
+                            attempted=(attempted or {}).get(side, [3] * 10)[pair],
+                            failed=(failed or {}).get(side, [0] * 10)[pair]))
     return out
 
 
@@ -63,3 +67,37 @@ def test_the_bound_of_a_lower_is_better_metric(factor, within):
 def test_the_bound_of_a_higher_is_better_metric(util, within):
     change = {"job_ref": PARENT["job_ref"], "cpu_util": [util] * 10}
     assert verdicts(PARENT, change)["cpu_util"] == (False, within)
+
+
+def failure_summary(attempted=None, failed=None) -> dict:
+    return bench_pairs.summarize("w", runs(PARENT, PARENT, attempted, failed), END_TO_END)
+
+
+def test_no_failures_give_equal_shares_that_do_not_rise():
+    entry = failure_summary()
+    assert entry["attempted"] == {"parent": 30, "change": 30}
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert not entry["failed_share_rises"]
+    assert bench_pairs.failed_share_line(entry) == (
+        "w failed share: parent 0/30 (0.0%), change 0/30 (0.0%), does not rise"
+    )
+
+
+def test_one_more_failure_on_the_change_side_rises():
+    entry = failure_summary(failed={"parent": [1] + [0] * 9, "change": [1, 1] + [0] * 8})
+    assert entry["failed"] == {"parent": 1, "change": 2}
+    assert entry["failed_share_rises"]
+    assert bench_pairs.failed_share_line(entry).endswith("change 2/30 (6.7%), RISES")
+
+
+def test_the_share_is_of_attempts_not_of_runs():
+    # the same failures over twice the attempts: 2/60 is below the parent's 2/30
+    entry = failure_summary(attempted={"change": [6] * 10}, failed={"parent": [2] + [0] * 9, "change": [2] + [0] * 9})
+    assert entry["failed_share"] == {"parent": 2 / 30, "change": 2 / 60}
+    assert not entry["failed_share_rises"]
+
+
+def test_a_side_that_attempted_nothing_reads_all_failed():
+    entry = failure_summary(attempted={"change": [0] * 10})
+    assert entry["failed_share"]["change"] == 1.0
+    assert entry["failed_share_rises"]

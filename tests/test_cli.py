@@ -151,12 +151,10 @@ class TestEnumerate:
         diff = {"missing": [], "extra": [dropped.key]}
         assert capsys.readouterr().err.endswith(f"catalog diff: {diff}\n")
 
-    def test_budget_refusal_is_domain_negative(self):
-        assert main(["enumerate", "--n", "5", "--max-raw-candidates", "1000"]) == 1
-
-    def test_negative_budget_is_usage_error(self, capsys):
-        assert main(["enumerate", "--n", "3", "--max-raw-candidates", "-1"]) == 2
-        assert "must not be negative" in capsys.readouterr().err
+    def test_the_raw_candidate_budget_is_no_option(self, capsys):
+        # the scan never visits the raw space, so no budget on it is taken
+        assert main(["enumerate", "--n", "3", "--max-raw-candidates", "1000"]) == 2
+        assert "unrecognized arguments: --max-raw-candidates 1000" in capsys.readouterr().err
 
 
 class TestCatalog:

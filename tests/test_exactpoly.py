@@ -2,6 +2,7 @@ from fractions import Fraction
 import json
 from math import gcd, lcm
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -403,6 +404,29 @@ class TestRefusals:
     def test_malformed_text(self):
         with pytest.raises(ValueError, match=r"cannot parse polynomial at: '\*\* 2'"):
             parse_polynomial("G1 ** 2")
+
+    @pytest.mark.parametrize(
+        "text, rest",
+        [
+            ("G1 +", "+"),
+            ("G1 + * G2", "+ * G2"),
+            ("G1 - - G2", "- - G2"),
+            ("+", "+"),
+            ("G1 G2", "G2"),
+            ("2G1", "G1"),
+            ("G1*", "*"),
+            ("1/0*G1", "/0*G1"),
+        ],
+    )
+    def test_a_term_without_coefficient_or_variable_or_sign(self, text, rest):
+        with pytest.raises(ValueError, match=f"cannot parse polynomial at: {re.escape(repr(rest))}$"):
+            parse_polynomial(text)
+
+    def test_unknown_variable_is_named_with_the_text(self):
+        with pytest.raises(ValueError, match=r"unknown variable 'G9' in polynomial 'G1 \+ G9'"):
+            parse_polynomial("G1 + G9")
+        with pytest.raises(ValueError, match="unknown variable 'a'"):
+            parse_polynomial("a*G1")
 
     def test_terms_that_cancel_in_the_text_leave_none(self):
         assert parse_polynomial("G1 - G1").terms == {}

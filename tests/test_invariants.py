@@ -4,8 +4,9 @@ The paper gives no reference beyond n=5, so n=6 is checked by invariants:
 the orbits of the classes partition the valid labeled diagrams, every class
 is its own canonical form, `judge` reaches the class's outcome and the
 lemma findings carry over on sampled relabelings and color swaps, every
-infeasibility certificate re-checks without the Groebner kernel, and the
-report is pinned by a recorded hash.
+infeasibility certificate re-checks without the Groebner kernel, every
+polynomial text parses back to itself, no multiplier branch could exclude a
+class that reaches it, and the report is pinned by a recorded hash.
 """
 
 import hashlib
@@ -14,11 +15,11 @@ import random
 
 import pytest
 
-from vortexdiagrams import exactpoly, lemmas, vorticity
+from vortexdiagrams import atlas, exactpoly, lemmas, vorticity
 from vortexdiagrams.atlas import judge
-from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks
+from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks, validate
 from vortexdiagrams.exactpoly import parse_polynomial
-from vortexdiagrams.vorticity import Certificate, ConstraintLedger, verify_certificate
+from vortexdiagrams.vorticity import Certificate, ConstraintLedger, decide, verify_certificate
 
 VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 
@@ -89,6 +90,56 @@ def test_certificates_re_check_without_the_groebner_kernel(n, monkeypatch, enume
         # the lift's degree bound is exact for homogeneous equalities
         for e in ledger.equalities:
             assert len({sum(m) for m in e.terms}) == 1, e
+
+
+def polynomial_texts(payload) -> set:
+    """Every polynomial text of a report: ledger equalities and nonzeros,
+    certificate polynomials and multipliers, at any depth."""
+    out = set()
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if key in ("equalities", "nonzeros"):
+                out.update(value)
+            elif key in ("polynomial", "multiplier"):
+                out.add(value)
+            else:
+                out |= polynomial_texts(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            out |= polynomial_texts(value)
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_every_polynomial_text_of_the_report_parses_back(n, enumerated):
+    """perfbench's output checks and `ConstraintLedger.from_json` read the
+    report's polynomials through `parse_polynomial`."""
+    texts = polynomial_texts(enumerated(n).to_json())
+    assert texts
+    for text in texts:
+        assert parse_polynomial(text).to_text() == text
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_no_judged_class_has_an_infeasible_unit_real_branch(n):
+    """`judge` excludes nothing on a multiplier branch, and the branches
+    give it nothing to exclude: a `+-1` ledger is infeasible only when it
+    forces one strength to zero (an outside of one vertex, so n <= 4), and
+    such a class is already excluded before its branches are decided."""
+    verdicts: dict = {}
+    for masks in atlas._scan(n):
+        d = from_canonical_masks(n, masks)
+        if not validate(d).valid:
+            continue
+        analysis = lemmas.analyze(d)
+        ledger = analysis.branch_ledgers.get(lemmas.LAMBDA_REAL)
+        if ledger is None:
+            continue
+        if ledger not in verdicts:
+            verdicts[ledger] = decide(ledger)
+        if verdicts[ledger].infeasible:
+            assert n <= 4 and [len(e.terms) for e in ledger.equalities] == [1], (masks, ledger)
+            assert analysis.exclusion is not None or decide(analysis.base_ledger).infeasible, masks
 
 
 # orbit members judged per class: all of them at n=3 and n=4

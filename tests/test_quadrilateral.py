@@ -110,6 +110,9 @@ class TestCofactors:
         gens, target = quadrilateral_system()
         assert tuple(h.to_text() for h in lift(target, gens)) == COFACTORS
 
+    def test_their_texts_parse_back(self):
+        assert tuple(parse_polynomial(text, RING).to_text() for text in COFACTORS) == COFACTORS
+
 
 class TestSympyOracle:
     def test_sympy_expands_the_identity_to_zero(self):
