@@ -6,12 +6,14 @@ Copies the parent revision (`git archive`) and the working tree (the files
 per pair (1, 2, ... across the plan), the side that goes first alternating,
 and every job compiling the package from source (PYTHONDONTWRITEBYTECODE=1).
 
-    python3 scripts/bench_pairs.py --parent HEAD solve-sweep=10 atlas-n5=3 quad-cert=3
+    python3 scripts/bench_pairs.py --parent HEAD solve-sweep=10 atlas-n5=3 quad-cert=3 > check.json
 
-writes BENCH_solve_sweep.json, named after the first workload: every run,
-and for each workload and end-to-end metric both sides' quartiles, the
-pairs the change wins and the change of the median in percent.  It also
-states two verdicts per metric, and prints them:
+prints one JSON report on stdout: every run, and for each workload and
+end-to-end metric both sides' quartiles, the pairs the change wins and the
+change of the median in percent.  Progress and verdicts go to stderr, and
+no file is written; to record a claimed gain, redirect stdout into the
+workload's `BENCH_*.json`.  The report states two verdicts per metric, and
+they are printed as well:
 
 - `gain_rule`: the change wins at least 9 of every 10 pairs, and its
   median is better than the parent's by more than the parent's
@@ -125,7 +127,6 @@ def main(argv=None) -> int:
     plan = [(w, int(k)) for w, k in (item.split("=") for item in args.plan)]
     if min(k for _, k in plan) < 2:
         parser.error("quartiles need at least two pairs of each workload")
-    out = ROOT / f"BENCH_{plan[0][0].replace('-', '_')}.json"
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     runs, machine, summary = [], None, []
@@ -160,8 +161,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "parent": parent, "machine": machine, "summary": summary, "runs": runs,
     }
-    out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    print(json.dumps(report, indent=1))
     return 0
 
 

@@ -14,12 +14,13 @@ zero-test run on one integer kernel instead: content-stripped integer
 coefficients and packed monomials, one Python int per monomial whose
 integer order is the grevlex order, so that products are additions and
 divisibility is one subtraction and mask (layout below, limit
-`MAX_DEGREE`).  `groebner_basis` returns a `Basis` that holds the packed
-divisors of the minimal basis Buchberger leaves; every `reduces_to_zero`
-and residue against it reuses them.  The normal form against a Groebner
-basis does not depend on which basis of the ideal it is, so zero-tests
-and residues need neither the interreduction nor `Fraction`
-coefficients: the reduced polynomials are built only when first read.
+`MAX_DEGREE`).  A `Basis` is made only by `groebner_basis`, from the
+packed divisors of the minimal basis Buchberger leaves; every
+`reduces_to_zero` and residue against it reuses them.  The normal form
+against a Groebner basis does not depend on which basis of the ideal it
+is, so zero-tests and residues need neither the interreduction nor
+`Fraction` coefficients: the reduced polynomials are built only when
+first read.
 The code that checks this kernel without using it, the
 `Fraction` reference `normal_form` and the cofactor proof `lift`, lives
 in `exactcheck`.
@@ -36,7 +37,6 @@ few that pass.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -84,11 +84,9 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_hash", "_packed", "_text")
 
-    def __init__(self, terms=None, ring: tuple[str, ...] = DEFAULT_VARS, _clean=True):
+    def __init__(self, terms: dict, ring: tuple[str, ...] = DEFAULT_VARS, _clean=True):
         self.ring = ring
-        if terms is None:
-            self.terms = {}
-        elif _clean:
+        if _clean:
             clean = {}
             for m, c in terms.items():
                 c = Fraction(c)
@@ -270,7 +268,7 @@ class Polynomial:
 
 # One term: an optional sign, then a coefficient or a first factor, then
 # `* factor` any number of times.  A zero denominator does not match.
-_FACTOR = r"[A-Za-zΓ][A-Za-z0-9]*(?:\^\d+)?"
+_FACTOR = r"[A-Za-z][A-Za-z0-9]*(?:\^\d+)?"
 _TERM_RE = re.compile(
     rf"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?"
     rf"(?P<factors>(?(coeff)|{_FACTOR})(?:\s*\*\s*{_FACTOR})*)\s*"
@@ -285,16 +283,15 @@ def _over_common_denominator(terms: dict) -> tuple:
 
 
 def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
-    """Parse the text form ``3/2*G1^2*G2 - G3 + 1``.
+    """Parse the text form ``3/2*G1^2*G2 - G3 + 1``; zero is ``0``.
 
-    Greek gamma aliases (``Γ1``) are accepted for the ``G`` variables.
     Every term after the first needs its sign, and every term a
-    coefficient or a variable; anything else, a zero denominator or a
-    variable outside `ring` raises `ValueError`.
+    coefficient or a variable; anything else, empty text, a zero
+    denominator or a variable outside `ring` raises `ValueError`.
     """
     text = text.strip()
-    if text in ("0", ""):
-        return Polynomial.zero(ring)
+    if not text:
+        raise ValueError("cannot parse empty text as a polynomial")
     terms = {}
     pos = 0
     while pos < len(text):
@@ -306,10 +303,9 @@ def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
         exps = [0] * len(ring)
         for piece in re.findall(_FACTOR, match.group("factors")):
             name, _, power = piece.partition("^")
-            var = _normalize_var(name)
-            if var not in ring:
+            if name not in ring:
                 raise ValueError(f"unknown variable {name!r} in polynomial {text!r}")
-            exps[ring.index(var)] += int(power or 1)
+            exps[ring.index(name)] += int(power or 1)
         m = tuple(exps)
         c = terms.get(m, ZERO) + sign * coeff
         if c:
@@ -318,10 +314,6 @@ def parse_polynomial(text, ring: tuple[str, ...] = DEFAULT_VARS) -> Polynomial:
             terms.pop(m, None)
         pos = match.end()
     return Polynomial(terms, ring, _clean=False)
-
-
-def _normalize_var(name: str) -> str:
-    return "G" + name[1:] if name.startswith("Γ") else name
 
 
 # -- packed monomials -------------------------------------------------------
@@ -535,47 +527,31 @@ def _residue_point(nvars: int) -> tuple:
     return tuple(random.Random(_RESIDUE_SEED).sample(range(2, LIFT_PRIME), nvars))
 
 
-class Basis(Sequence):
-    """Polynomials together with their packed integer divisors.
+class Basis:
+    """A minimal Groebner basis, held as its packed integer divisors.
 
-    The divisors are built once, when the basis is made, so that every
-    `reduces_to_zero` against it reuses them.  `residue` keeps a memo of
-    monomial values, built on its first call.  A basis reads as the
-    sequence of its polynomials and equals a basis of the same polynomials
-    in the same order.
-
-    `groebner_basis` makes a basis from the divisors of a minimal Groebner
-    basis alone (`_lazy`).  Its zero-tests and residues run on those
-    divisors, and `len` counts them, which is the size of the reduced
-    basis too.  The reduced polynomials are built on the first read of
-    `polys` (iteration, indexing, ``==``, ``repr``) and kept.
+    `groebner_basis` makes it from the divisors Buchberger leaves; every
+    zero-test and residue against it walks them.  `len` counts them, which
+    is the size of the reduced basis too.  The residue tables are built
+    here: the memo of monomial values, each divisor's inverse lead
+    coefficient mod `LIFT_PRIME` and the point `_residue_point`.  The
+    reduced polynomials are built on the first read of `polys` (or
+    iteration) and kept.
     """
 
-    __slots__ = ("_polys", "ring", "_packing", "_divisors", "_residues")
+    __slots__ = ("ring", "_packing", "_divisors", "_polys", "_values", "_reducers", "_point")
 
-    def __init__(self, polys, ring: tuple[str, ...] = DEFAULT_VARS):
-        self._polys = tuple(polys)
+    def __init__(self, divisors: tuple, ring: tuple[str, ...]):
         self.ring = ring
-        if any(g.ring != ring for g in self._polys):
-            raise ValueError("polynomials over different rings")
-        self._packing = packing = _packing(len(ring))
-        self._divisors = tuple(
-            _divisor(_int_terms(g, packing), packing.guards) for g in self._polys if g
+        self._packing = _packing(len(ring))
+        self._divisors = divisors
+        self._polys = None
+        self._values = {}
+        self._reducers = tuple(
+            (top, lm, pow(lc, -1, LIFT_PRIME) if lc % LIFT_PRIME else None, tail)
+            for top, lm, lc, tail in divisors
         )
-        self._residues = None
-
-    @classmethod
-    def _lazy(cls, minimal: tuple, ring: tuple[str, ...]) -> "Basis":
-        """The basis whose divisors are the minimal Groebner basis
-        `minimal` and whose polynomials are its reduced basis, built when
-        first read."""
-        basis = cls.__new__(cls)
-        basis._polys = None
-        basis.ring = ring
-        basis._packing = _packing(len(ring))
-        basis._divisors = minimal
-        basis._residues = None
-        return basis
+        self._point = _residue_point(len(ring))
 
     @property
     def polys(self) -> tuple:
@@ -583,16 +559,22 @@ class Basis(Sequence):
             self._polys = _reduced_polynomials(self._divisors, self.ring)
         return self._polys
 
+    def __iter__(self):
+        return iter(self.polys)
+
+    def __len__(self) -> int:
+        return len(self._divisors)
+
     def residue(self, p: Polynomial) -> int:
         """(NF(q) mod P)(t): q the content-stripped integer multiple of p
         that the kernel packs, P = `LIFT_PRIME`, t the fixed `_residue_point`.
 
         NF is the normal form of `exactcheck.normal_form` against this
         basis, so NF(q) is a nonzero multiple of NF(p) and vanishes at t
-        exactly where NF(p) does.  A basis from `groebner_basis` walks its
-        minimal divisors; NF against a Groebner basis is the ideal's
-        unique normal form, so the value is the one its reduced
-        polynomials give.  A nonzero residue proves NF(p) != 0.
+        exactly where NF(p) does.  The walk runs on the minimal divisors;
+        NF against a Groebner basis is the ideal's unique normal form, so
+        the value is the one its reduced polynomials give.  A nonzero
+        residue proves NF(p) != 0.
         Zero means NF(p) = 0, or a coincidence of probability at most
         deg / P (Schwartz-Zippel), or that P divides a leading coefficient,
         where the value is undefined; only the exact `reduces_to_zero`
@@ -613,13 +595,7 @@ class Basis(Sequence):
         tail terms, shifted onto it.  0 where P divides a leading
         coefficient.
         """
-        if self._residues is None:
-            reducers = tuple(
-                (top, lm, pow(lc, -1, LIFT_PRIME) if lc % LIFT_PRIME else None, tail)
-                for top, lm, lc, tail in self._divisors
-            )
-            self._residues = ({}, reducers, _residue_point(len(self.ring)))
-        values = self._residues[0]
+        values = self._values
         total = 0
         try:
             for key, c in terms.items():
@@ -635,7 +611,7 @@ class Basis(Sequence):
         """Fill the memo down from `key` with an explicit stack, so a chain
         of reductions thousands of steps deep needs no recursion; return
         the value of `key`."""
-        values, reducers, point = self._residues
+        values, reducers, point = self._values, self._reducers, self._point
         guards = self._packing.guards
         unpack = self._packing.unpack
         todo = [(key, None)]
@@ -662,22 +638,6 @@ class Basis(Sequence):
                         value = value * pow(t, e, LIFT_PRIME) % LIFT_PRIME
                 values[m] = value
         return values[key]
-
-    def __getitem__(self, index):
-        return self.polys[index]
-
-    def __len__(self) -> int:
-        return len(self._divisors) if self._polys is None else len(self._polys)
-
-    def __eq__(self, other):
-        if isinstance(other, Basis):
-            return self.polys == other.polys
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Basis({list(self.polys)!r})"
 
 
 def groebner_basis(gens) -> Basis:
@@ -754,7 +714,7 @@ def groebner_basis(gens) -> Basis:
         for i, div in enumerate(basis)
         if not any(j != i and (basis[j][0] - div[1]) & guards == guards for j in range(len(basis)))
     )
-    return Basis._lazy(minimal, ring)
+    return Basis(minimal, ring)
 
 
 def _reduced_polynomials(minimal: tuple, ring: tuple) -> tuple:

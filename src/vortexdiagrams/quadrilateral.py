@@ -11,11 +11,11 @@ This module builds that system over the five variables it uses and
 certifies the membership in two ways.  The first is a cofactor identity:
 `COFACTORS` holds polynomials h1..h4 with h1*p1 + h2*p2 + h3*p3 + h4*p4
 equal to the target, as `exactcheck.lift` derives them, and
-`check_cofactor_identity` confirms that by `Polynomial` multiplication and
-addition alone, so the proof does not rest on the Groebner kernel (the
-"lift" of Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
-ch. 2).  The second is the packed kernel's reduction of the target to
-zero against a Groebner basis of the ideal.
+`exactcheck.is_cofactor_identity` confirms that by `Polynomial`
+multiplication and addition alone, so the proof does not rest on the
+Groebner kernel (the "lift" of Cox, Little and O'Shea, *Ideals, Varieties,
+and Algorithms*, ch. 2).  The second is the packed kernel's reduction of
+the target to zero against a Groebner basis of the ideal.
 """
 
 from __future__ import annotations
@@ -99,16 +99,6 @@ COFACTORS = (
 )
 
 
-def check_cofactor_identity(gens, target, cofactors) -> bool:
-    """True iff sum(h_i * g_i) == target for the cofactor texts h_i.
-
-    Only `Polynomial` parsing, `*`, `+` and `==` run here: no division and
-    no Groebner basis, so the identity proves membership in the ideal of
-    `gens` independently of that kernel.
-    """
-    return is_cofactor_identity(target, gens, [parse_polynomial(text, RING) for text in cofactors])
-
-
 class MembershipResult(NamedTuple):
     member: bool
     basis_size: int
@@ -142,5 +132,6 @@ def verify_membership() -> MembershipResult:
     gens, target = quadrilateral_system()
     basis = groebner_basis(gens)
     member = reduces_to_zero(target, basis)
-    identity = check_cofactor_identity(gens, target, COFACTORS)
+    cofactors = [parse_polynomial(text, RING) for text in COFACTORS]
+    identity = is_cofactor_identity(target, gens, cofactors)
     return MembershipResult(member, len(basis), identity, COFACTORS)

@@ -1,6 +1,8 @@
-"""The verdicts of `scripts/bench_pairs.py`'s summary, on made-up runs."""
+"""The verdicts of `scripts/bench_pairs.py`'s summary, and its report on
+stdout, on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,27 @@ def test_a_side_that_attempted_nothing_reads_all_failed():
     entry = failure_summary(attempted={"change": [0] * 10})
     assert entry["failed_share"]["change"] == 1.0
     assert entry["failed_share_rises"]
+
+
+def test_main_prints_one_report_and_writes_no_bench_file(monkeypatch, capsys):
+    def fake_run(directory, workload, seed):
+        value = 3.0 if directory.name == "parent" else 2.9 + seed / 100
+        result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"job_ref": {"value": value}}}
+        return 0, result, {"machine": {"cpus": 2}, "seconds": 30.0}
+
+    def fake_copy(parent, into):
+        return {side: into / side for side in bench_pairs.SIDES}
+
+    root = bench_pairs.ROOT
+    before = {path.name: path.read_bytes() for path in root.glob("BENCH_*.json")}
+    monkeypatch.setattr(bench_pairs, "copy_sides", fake_copy)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc1234\n")
+    assert bench_pairs.main(["--parent", "HEAD", "quad-cert=3", "atlas-n5=2"]) == 0
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert report["parent"] == "abc1234" and len(report["runs"]) == 10
+    assert [entry["workload"] for entry in report["summary"]] == ["quad-cert", "atlas-n5"]
+    assert report["summary"][0]["metrics"]["job_ref"]["change_wins"] == "3/3"
+    assert "quad-cert job_ref" in out.err
+    assert {path.name: path.read_bytes() for path in root.glob("BENCH_*.json")} == before

@@ -124,6 +124,13 @@ class TestLedger:
         assert again.equalities == led.equalities
         assert set(again.nonzeros) == set(led.nonzeros)
 
+    @pytest.mark.parametrize("field", ["equalities", "nonzeros"])
+    def test_json_with_an_empty_polynomial_text_is_refused(self, field):
+        # an emptied text is no zero polynomial the ledger could drop
+        with pytest.raises(ValueError, match="empty text"):
+            ConstraintLedger.from_json({field: [""]})
+        assert ConstraintLedger.from_json({"equalities": ["0"]}).equalities == ()
+
     def test_deduplication(self):
         led = ConstraintLedger((gamma_sum([1, 2]), gamma_sum([1, 2])), (G[1],))
         assert len(led.equalities) == 1
