@@ -206,9 +206,6 @@ class EnumerationReport(NamedTuple):
     unique_classes: int
     diff_vs_catalog: dict | None = None
 
-    def survivor_keys(self) -> list:
-        return [s.key for s in self.survivors]
-
     def to_json(self) -> dict:
         out = {
             "n": self.n,
@@ -376,7 +373,7 @@ class CatalogEntry(NamedTuple):
 
     @property
     def key(self) -> str:
-        return canonical_key(self.diagram).decode()
+        return canonical_key(self.diagram)
 
     def to_json(self) -> dict:
         out = {
@@ -397,11 +394,7 @@ def load_catalog() -> list:
     """The 39 curated diagram entries (31 possible, 8 excluded)."""
     text = resources.files("vortexdiagrams.data").joinpath("catalog.jsonl").read_text()
     entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
+    for data in map(json.loads, text.splitlines()):
         entries.append(
             CatalogEntry(
                 Diagram.from_json(data["diagram"]),

@@ -74,7 +74,7 @@ def _cmd_check(args) -> int:
     j = atlas.judge(d)
     result: dict = {
         "diagram": d.to_json(),
-        "canonical_key": canonical_key(d).decode(),
+        "canonical_key": canonical_key(d),
         "c_class": stroke_count_C(d),
         "valid": j.rules.valid,
         "rule_failures": list(j.rules.failures),
@@ -153,6 +153,14 @@ def _parse_lambda(text: str) -> complex:
     return lam / abs(lam)
 
 
+def _parse_tol(text: str) -> float:
+    """A finite, positive probe tolerance."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError("the tolerance must be finite and positive")
+    return tol
+
+
 def _cmd_solve(args) -> int:
     from . import numeric
 
@@ -189,7 +197,7 @@ def _cmd_probe(args) -> int:
     except (numeric.AmbiguousExponentError, ValueError) as exc:
         print(f"probe failed: {exc}", file=sys.stderr)
         return 1
-    _dump({"diagram": d.to_json(), "canonical_key": canonical_key(d).decode()}, args.out)
+    _dump({"diagram": d.to_json(), "canonical_key": canonical_key(d)}, args.out)
     return 0
 
 
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="classify a singular-sequence sample onto a diagram")
     p.add_argument("samples")
-    p.add_argument("--tol", type=float, default=0.15)
+    p.add_argument("--tol", type=_parse_tol, default=0.15)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_probe)
 

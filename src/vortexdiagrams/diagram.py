@@ -77,19 +77,6 @@ class Diagram(_DiagramFields):
     def circles(self, color: str) -> frozenset:
         return self.z_circles if color == "z" else self.w_circles
 
-    def color_swapped(self) -> "Diagram":
-        return Diagram(self.n, self.w_strokes, self.z_strokes, self.w_circles, self.z_circles)
-
-    def relabeled(self, mapping: dict) -> "Diagram":
-        m = lambda p: (mapping[p[0]], mapping[p[1]])
-        return Diagram(
-            self.n,
-            [m(p) for p in self.z_strokes],
-            [m(p) for p in self.w_strokes],
-            [mapping[v] for v in self.z_circles],
-            [mapping[v] for v in self.w_circles],
-        )
-
     def degree(self, color: str, v: int) -> int:
         return sum(1 for p in self.strokes(color) if v in p)
 
@@ -116,13 +103,6 @@ class Diagram(_DiagramFields):
         ) or not all(_is_ints(c) for c in circles):
             raise ValueError("strokes must be lists of integer pairs, circles lists of integers")
         return cls(data["n"], *([tuple(p) for p in s] for s in strokes), *circles)
-
-    def __repr__(self):
-        j = self.to_json()
-        return (
-            f"Diagram(n={self.n}, z={j['z_strokes']}, w={j['w_strokes']}, "
-            f"zc={j['z_circles']}, wc={j['w_circles']})"
-        )
 
 
 def components(pairs, n: int) -> list[frozenset]:
@@ -304,10 +284,10 @@ def masks_key(n: int, masks) -> str:
     return f"{n}:{zm:x}:{wm:x}:{zc:x}:{wc:x}"
 
 
-def canonical_key(d: Diagram) -> bytes:
-    """Byte key equal for two diagrams iff they agree up to relabeling
-    and the z/w swap."""
-    return masks_key(d.n, canonical_masks(d.n, *_masks(d))).encode()
+def canonical_key(d: Diagram) -> str:
+    """Key text, such as `5:14:22:f:f`, equal for two diagrams iff they
+    agree up to relabeling and the z/w swap."""
+    return masks_key(d.n, canonical_masks(d.n, *_masks(d)))
 
 
 def from_canonical_masks(n: int, masks) -> Diagram:

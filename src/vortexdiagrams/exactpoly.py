@@ -205,9 +205,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=_grevlex_key)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
     def variables(self) -> set[str]:
         used = set()
         for m in self.terms:
@@ -228,9 +225,6 @@ class Polynomial:
             total += term
         return total
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: _grevlex_key(mc[0]), reverse=True)
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -244,7 +238,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         chunks = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda mc: _grevlex_key(mc[0]), reverse=True):
             factors = []
             for i, e in enumerate(m):
                 if e == 1:

@@ -130,10 +130,6 @@ class Configuration(NamedTuple):
         """W[j, k] = 1/(z_k - z_j): antisymmetric, zero diagonal."""
         return _off_diagonal_quotient(1.0, _differences(self.z))
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.allclose(self.z_array(), np.conj(self.w_array()), rtol=0, atol=1e-12))
-
     def to_json(self) -> dict:
         pack = lambda xs: [[x.real, x.imag] for x in xs]
         return {
@@ -157,10 +153,13 @@ class Configuration(NamedTuple):
 def make_configuration(gamma, z, w=None, lam=1.0 + 0.0j) -> Configuration:
     """Build a Configuration, deriving w as the conjugate of z by default.
 
-    Raises CollisionError if two entries of z, or of w, collide.
+    Raises ValueError unless gamma, z and w have one entry per vertex each,
+    and CollisionError if two entries of z, or of w, collide.
     """
     z = [complex(v) for v in z]
     w = [v.conjugate() for v in z] if w is None else [complex(v) for v in w]
+    if not len(gamma) == len(z) == len(w):
+        raise ValueError(f"gamma, z and w differ in length: {len(gamma)}, {len(z)} and {len(w)}")
     _differences(z)
     _differences(w)
     return Configuration(tuple(float(g) for g in gamma), tuple(z), tuple(w), complex(lam))
@@ -591,6 +590,8 @@ class SingularSequenceSample(_Sample):
         eps = [e for e, _ in points]
         if len(eps) < 4:
             raise ValueError("need at least four samples")
+        if len({c.n for _, c in points}) > 1:
+            raise ValueError("every sample needs the same number of vertices")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon must decrease strictly")
         if eps[0] / eps[-1] < 2:
@@ -599,18 +600,33 @@ class SingularSequenceSample(_Sample):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SingularSequenceSample":
+        """One sample per nonblank line: an object with a positive `epsilon`,
+        lists `z` and `w` of [re, im] pairs and optionally a list `gamma`
+        (all 1 by default), every entry a finite number.  Raises ValueError
+        naming a line that is anything else."""
         points = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            unpack = lambda xs: [complex(re, im) for re, im in xs]
-            z = unpack(data["z"])
-            w = unpack(data["w"])
-            gamma = data.get("gamma", [1.0] * len(z))
-            points.append((float(data["epsilon"]), make_configuration(gamma, z, w)))
+        for number, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                try:
+                    points.append(_sample_point(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"sample line {number}: {exc}") from None
         return cls(tuple(points))
+
+
+def _sample_point(data) -> tuple:
+    """(epsilon, Configuration) of one parsed sample line."""
+    real = lambda x: type(x) in (int, float) and abs(x) < math.inf  # a bool is no number
+    pair = lambda p: isinstance(p, list) and len(p) == 2 and all(map(real, p))
+    listed = lambda xs, ok: isinstance(xs, list) and all(map(ok, xs))
+    if not (isinstance(data, dict) and real(data.get("epsilon")) and data["epsilon"] > 0):
+        raise ValueError("not an object with a positive number epsilon")
+    z, w = data.get("z"), data.get("w")
+    gamma = data.get("gamma", [1.0] * len(z) if isinstance(z, list) else None)
+    if not (listed(z, pair) and listed(w, pair) and listed(gamma, real)):
+        raise ValueError("z and w must be lists of [re, im] number pairs, and gamma a list of numbers")
+    unpack = lambda xs: [complex(re, im) for re, im in xs]
+    return float(data["epsilon"]), make_configuration(gamma, unpack(z), unpack(w))
 
 
 def fit_exponent(eps, values) -> OrderExponent:

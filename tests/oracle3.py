@@ -158,7 +158,7 @@ def oracle_enumerate3():
                         zc,
                         wc,
                     )
-                    survivors.add(canonical_key(d).decode())
+                    survivors.add(canonical_key(d))
     return survivors
 
 

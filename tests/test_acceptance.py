@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracle3 import oracle_enumerate3
+from relabel import color_swapped, relabeled
 from synthetic import synthetic_sequence
 from vortexdiagrams import lemmas, numeric
 from vortexdiagrams.atlas import diff_report, enumerate_diagrams, load_catalog
@@ -79,7 +80,7 @@ def test_criterion_1_catalog_reproduction(timed_report, catalog):
     assert len(report_single.survivors) == 31
     assert report_single.histogram == EXPECTED_HISTOGRAM
     assert report_single.candidates_raw == 52 * 52 * 2**10
-    diff = diff_report(report_single.survivor_keys(), catalog)
+    diff = diff_report([s.key for s in report_single.survivors], catalog)
     assert diff == {"missing": [], "extra": []}, f"itemized diff: {diff}"
     assert elapsed < 60
     announce(
@@ -208,16 +209,16 @@ def test_criterion_5_equivariance():
         perm = list(range(1, 6))
         rng.shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(5)}
-        relabeled = d.relabeled(mapping)
-        swapped = d.color_swapped()
-        if validate(d).valid != validate(relabeled).valid:
+        image = relabeled(d, mapping)
+        swapped = color_swapped(d)
+        if validate(d).valid != validate(image).valid:
             violations += 1
         if validate(d).valid != validate(swapped).valid:
             violations += 1
-        if stroke_count_C(d) != stroke_count_C(relabeled) or stroke_count_C(d) != stroke_count_C(swapped):
+        if stroke_count_C(d) != stroke_count_C(image) or stroke_count_C(d) != stroke_count_C(swapped):
             violations += 1
         expect = sorted(finding_signature(f, mapping) for f in lemmas.apply_all(d))
-        got = sorted(finding_signature(f) for f in lemmas.apply_all(relabeled))
+        got = sorted(finding_signature(f) for f in lemmas.apply_all(image))
         if expect != got:
             violations += 1
         expect_sw = sorted(finding_signature(f, swap=True) for f in lemmas.apply_all(d))
@@ -230,7 +231,7 @@ def test_criterion_5_equivariance():
 
 def test_criterion_6_small_n_oracle():
     report = enumerate_diagrams(3)
-    assert set(report.survivor_keys()) == oracle_enumerate3()
+    assert {s.key for s in report.survivors} == oracle_enumerate3()
     announce("ACCEPTANCE 6 PASS: three-vertex enumeration equals the independent oracle")
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from relabel import relabeled
 from vortexdiagrams import atlas, lemmas, vorticity
 from vortexdiagrams.atlas import (
     CatalogEntry,
@@ -119,19 +120,19 @@ from oracle3 import oracle_enumerate3
 class TestSmallN:
     def test_enumerate3_matches_oracle(self):
         report = enumerate_diagrams(3)
-        assert set(report.survivor_keys()) == oracle_enumerate3()
+        assert {s.key for s in report.survivors} == oracle_enumerate3()
         assert report.candidates_raw == 25 * 64
 
     def test_enumerate4_is_deterministic(self):
         a = enumerate_diagrams(4)
         b = enumerate_diagrams(4)
-        assert a.survivor_keys() == b.survivor_keys()
+        assert [s.key for s in a.survivors] == [s.key for s in b.survivors]
         assert a.histogram == b.histogram
 
     def test_pipeline_partitions_classes(self):
         report = enumerate_diagrams(4)
         assert len(report.survivors) + len(report.rejected) == report.unique_classes
-        keys = set(report.survivor_keys())
+        keys = {s.key for s in report.survivors}
         assert not keys & {r["key"] for r in report.rejected}
 
 
@@ -242,14 +243,14 @@ class TestBranchesAnnotateOnly:
 class TestDiff:
     def test_reproduction_diff_is_empty(self, enumerated):
         report5 = enumerated(5)
-        diff = diff_report(report5.survivor_keys(), load_catalog())
+        diff = diff_report([s.key for s in report5.survivors], load_catalog())
         assert diff == {"missing": [], "extra": []}
 
     def test_missing_entry_is_reported(self, enumerated):
         report5 = enumerated(5)
         catalog = load_catalog()
         trimmed = [e for e in catalog if e.figure_ref != "C2 #2"]
-        diff = diff_report(report5.survivor_keys(), trimmed)
+        diff = diff_report([s.key for s in report5.survivors], trimmed)
         assert diff["missing"] == []
         assert len(diff["extra"]) == 1
 
@@ -258,9 +259,9 @@ class TestDiff:
         catalog = load_catalog()
         mapping = {1: 3, 2: 4, 3: 5, 4: 1, 5: 2}
         duplicate = CatalogEntry(
-            ROBERTS.relabeled(mapping), 2, "possible", None, "C2 dup", "", "unknown"
+            relabeled(ROBERTS, mapping), 2, "possible", None, "C2 dup", "", "unknown"
         )
-        diff = diff_report(report5.survivor_keys(), catalog + [duplicate])
+        diff = diff_report([s.key for s in report5.survivors], catalog + [duplicate])
         assert diff == {"missing": [], "extra": []}
 
 
@@ -322,7 +323,7 @@ class TestStageMonotonicity:
         # classes at later stages never reappear among survivors
         lemma_rejected = {r["key"] for r in report5.rejected if r["stage"] == "lemma"}
         ledger_rejected = {r["key"] for r in report5.rejected if r["stage"] == "ledger"}
-        keys = set(report5.survivor_keys())
+        keys = {s.key for s in report5.survivors}
         assert not keys & lemma_rejected
         assert not keys & ledger_rejected
         for s in report5.survivors:

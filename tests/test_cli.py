@@ -1,5 +1,5 @@
 import hashlib
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -283,6 +283,9 @@ class TestSolveProbe:
         assert main(["probe", str(samples), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("probe failed: ")
         assert not out.exists()
+        # 0.25 from -2 is maximal at a tolerance of 0.3
+        assert main(["probe", str(samples), "--tol", "0.3", "--out", str(out)]) == 0
+        assert Diagram.from_json(json.loads(out.read_text())["diagram"]) == d
 
     def test_probe_rejects_bad_sample(self, tmp_path):
         samples = tmp_path / "seq.jsonl"
@@ -299,6 +302,39 @@ class TestSolveProbe:
             )
         samples.write_text("\n".join(lines))
         assert main(["probe", str(samples)]) == 2
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda rows: [[1, 2]] + rows[1:],
+            lambda rows: [dict(rows[0], epsilon=None)] + rows[1:],
+            lambda rows: [dict(rows[0], z=5)] + rows[1:],
+            lambda rows: [dict(rows[0], w=rows[0]["w"][:3])] + rows[1:],
+            lambda rows: [dict(r, gamma=r["gamma"][:3]) for r in rows],
+            lambda rows: [dict(rows[0], gamma="11111")] + rows[1:],
+            lambda rows: [{k: v[:4] if k != "epsilon" else v for k, v in rows[0].items()}] + rows[1:],
+        ],
+        ids=["list-line", "null-epsilon", "number-z", "short-w", "short-gamma", "text-gamma", "mixed-vertex-counts"],
+    )
+    def test_malformed_sample_is_usage_error(self, malform, tmp_path, capsys):
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
+        rows = [json.loads(line) for line in to_jsonl(synthetic_sequence(d)).splitlines()]
+        samples = tmp_path / "seq.jsonl"
+        samples.write_text("".join(json.dumps(row) + "\n" for row in malform(rows)))
+        assert main(["probe", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, tmp_path, capsys):
+        d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
+        samples = tmp_path / "seq.jsonl"
+        samples.write_text(to_jsonl(synthetic_sequence(d)))
+        assert main(["probe", str(samples), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --tol: the tolerance must be finite and positive\n")
 
 
 class TestVerifyGroebner:
@@ -461,17 +497,39 @@ class TestImportFootprint:
         assert {"numpy", "vortexdiagrams.numeric"} <= modules
         assert "vortexdiagrams.exactpoly" not in modules
 
-    def test_package_names_resolve_to_their_modules_objects(self, monkeypatch):
-        import vortexdiagrams
 
-        for name, module in vortexdiagrams._EXPORTS.items():
-            # drop the copy an earlier lookup cached, so the lazy path runs
-            monkeypatch.delattr(vortexdiagrams, name, raising=False)
-            expected = getattr(importlib.import_module(f"vortexdiagrams.{module}"), name)
-            assert getattr(vortexdiagrams, name) is expected
-            assert vortexdiagrams.__dict__[name] is expected
-        with pytest.raises(AttributeError, match="has no attribute 'solve'"):
-            vortexdiagrams.solve
+def _run_script(name, argv, monkeypatch):
+    """`main()` of scripts/<name> run in this process with the given arguments."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    return script.main()
+
+
+class TestExperimentScripts:
+    def test_identity_sweep_prints_a_row_per_solve(self, monkeypatch, capsys):
+        assert _run_script("identity_sweep.py", ["--count", "2", "--seed", "3"], monkeypatch) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["strengths", "lam", "residual", "moments", "angular"]
+        assert set(lines[1]) == {"-"}
+        rows = lines[2:-1]
+        assert len(rows) == 2
+        for row in rows:
+            strengths, lam, *residuals = row.split()
+            assert len(strengths.split(",")) == 5 and lam in ("+1", "-1")
+            assert all(float(r) < 1e-8 for r in residuals)
+        assert lines[-1].startswith("2 solves out of ")
+
+    @pytest.mark.parametrize("only, count", [("all", 39), ("possible", 31)])
+    def test_render_catalog_writes_one_file_per_entry(self, only, count, tmp_path, monkeypatch, capsys):
+        argv = ["--format", "dot", "--out-dir", str(tmp_path), "--only", only]
+        assert _run_script("render_catalog.py", argv, monkeypatch) == 0
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == count
+        assert all(f.suffix == ".dot" and f.read_text().startswith("graph") for f in files)
+        assert capsys.readouterr().out == f"wrote {count} files to {tmp_path}/\n"
 
 
 class TestUsage:

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from relabel import color_swapped, relabeled
 from vortexdiagrams import atlas, exactpoly, lemmas, vorticity
 from vortexdiagrams.atlas import judge
 from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks, validate
@@ -28,7 +29,7 @@ REPORT_N6_SHA256 = "506a9558111931725b98b0b130191fd07a5ab65f0bc06ed4a000cea6ba03
 
 
 def class_masks(rep) -> list:
-    keys = rep.survivor_keys() + [r["key"] for r in rep.rejected]
+    keys = [s.key for s in rep.survivors] + [r["key"] for r in rep.rejected]
     return [tuple(int(x, 16) for x in key.split(":")[1:]) for key in keys]
 
 
@@ -188,9 +189,9 @@ def test_lemma_findings_map_onto_the_representatives(n, enumerated):
         for _ in range(2):
             mapping = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
             swap = rng.random() < 0.5
-            image = d.relabeled(mapping)
+            image = relabeled(d, mapping)
             if swap:
-                image = image.color_swapped()
+                image = color_swapped(image)
             expect = sorted(finding_signature(f, mapping, swap) for f in findings)
             got = sorted(finding_signature(f) for f in lemmas.apply_all(image))
             if expect != got:

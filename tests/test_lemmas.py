@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+from relabel import color_swapped, relabeled
 from vortexdiagrams.atlas import _scan
 from vortexdiagrams.diagram import Diagram, from_canonical_masks
 from vortexdiagrams.exactpoly import Polynomial
@@ -114,7 +115,7 @@ class TestSumT12:
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(5)}
             before = sorted(finding_signature(f, mapping) for f in apply_sum_t12(d))
-            after = sorted(finding_signature(f) for f in apply_sum_t12(d.relabeled(mapping)))
+            after = sorted(finding_signature(f) for f in apply_sum_t12(relabeled(d, mapping)))
             assert before == after
 
 
@@ -312,10 +313,10 @@ class TestEquivariance:
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(5)}
             expect = sorted(finding_signature(f, mapping) for f in apply_all(d))
-            got = sorted(finding_signature(f) for f in apply_all(d.relabeled(mapping)))
+            got = sorted(finding_signature(f) for f in apply_all(relabeled(d, mapping)))
             assert expect == got
             expect_sw = sorted(finding_signature(f, swap=True) for f in apply_all(d))
-            got_sw = sorted(finding_signature(f) for f in apply_all(d.color_swapped()))
+            got_sw = sorted(finding_signature(f) for f in apply_all(color_swapped(d)))
             assert expect_sw == got_sw
 
 

@@ -886,7 +886,7 @@ class TestConfigurationIO:
         again = Configuration.from_json(c.to_json())
         assert np.allclose(again.z_array(), c.z_array())
         assert again.lam == c.lam
-        assert again.is_real
+        assert np.allclose(again.z_array(), np.conj(again.w_array()), rtol=0, atol=1e-12)
 
 
 def _loop_velocities(z, gamma):
