@@ -278,15 +278,16 @@ def judge(d: Diagram, memo: dict | None = None) -> Judgment:
 
 
 def _judge_class(n: int, masks, memo: dict) -> tuple:
-    """Judge one canonical class as a survivor entry or a rejection record."""
+    """Judge one canonical class as a survivor entry or a rejection record.
+
+    `_scan` yields only classes of valid diagrams, so `judge` never
+    returns "invalid" here."""
     d = from_canonical_masks(n, masks)
     key = masks_key(n, masks)
     j = judge(d, memo)
     if j.outcome == "retained":
         ledger = j.analysis.base_ledger
         return ("survivor", SurvivorEntry(key, d, stroke_count_C(d), ledger, j.verdict, j.branches))
-    if j.outcome == "invalid":
-        return ("rejected", {"key": key, "stage": "validate", "reason": "; ".join(j.rules.failures)})
     f = j.analysis.exclusion
     if f is not None:
         return (

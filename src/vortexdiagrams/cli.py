@@ -145,7 +145,10 @@ def _parse_lambda(text: str) -> complex:
     """A unit complex number; a trailing `i` is read as Python's `j`."""
     if text.endswith("i"):
         text = text[:-1] + "j"
-    lam = complex(text)
+    try:
+        lam = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(abs(lam)):
         raise argparse.ArgumentTypeError("the multiplier must be finite")
     if abs(abs(lam) - 1.0) > 1e-9:
@@ -155,7 +158,10 @@ def _parse_lambda(text: str) -> complex:
 
 def _parse_tol(text: str) -> float:
     """A finite, positive probe tolerance."""
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not 0 < tol < math.inf:
         raise argparse.ArgumentTypeError("the tolerance must be finite and positive")
     return tol

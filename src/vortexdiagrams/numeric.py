@@ -592,6 +592,8 @@ class SingularSequenceSample(_Sample):
             raise ValueError("need at least four samples")
         if len({c.n for _, c in points}) > 1:
             raise ValueError("every sample needs the same number of vertices")
+        if points[0][1].n < 2:
+            raise ValueError("every sample needs at least two vertices")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon must decrease strictly")
         if eps[0] / eps[-1] < 2:

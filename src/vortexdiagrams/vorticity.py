@@ -6,16 +6,17 @@ disequalities admits real vortex strengths, producing machine-checkable
 certificates for the infeasible direction and exact rational witnesses
 for the feasible one.
 
-The witness search compiles the ledger's equalities once into integers
-and makes one pass over each equality per point, which gives the
-equality's value and its coefficient in every strength that all
-equalities are linear in, so the point is tested and completed from the
-same numbers.  Only a point that solves every equality reaches
-`satisfies`, which checks it exactly in `Fraction`s; the search itself
-evaluates no nonzero constraint.  The certificate candidates are
-packed monomial keys, screened by their residue against the Groebner
-basis; a `Certificate` is built only for a candidate whose residue is
-zero, and kept only once the exact zero-test confirms it.
+The witness search compiles the ledger's equalities once into integers.
+A pass reads an equality's integer form at a point and returns its value
+and gradient; where every equality is linear in a strength, the gradient
+entry is the coefficient that completes the point, so the point is
+tested and completed from the same numbers.  Only a point that solves
+every equality reaches `satisfies`, which checks it exactly in
+`Fraction`s; the search itself evaluates no nonzero constraint.  The
+certificate candidates are packed monomial keys, screened by their
+residue against the Groebner basis; a `Certificate` is built only for a
+candidate whose residue is zero, and kept only once the exact zero-test
+confirms it.
 """
 
 from __future__ import annotations
@@ -244,41 +245,25 @@ def _integer_form(p: Polynomial, slots: dict) -> tuple:
     )
 
 
-def _linear_form(form: tuple, solvable) -> tuple:
-    """`form` compiled for `_linear_pass`: each term becomes
-    ``(coefficient, factors, splits)``, with one split for each factor
-    whose slot is in `solvable`, that slot with the other factors."""
-    out = []
-    for c, factors in form:
-        splits = tuple(
-            (s, factors[:i] + factors[i + 1:]) for i, s in enumerate(factors) if s in solvable
-        )
-        out.append((c, factors, splits))
-    return tuple(out)
-
-
 def _linear_pass(form: tuple, point: tuple) -> tuple:
-    """``(value, coefficients)`` of a `_linear_form` at ``point / den``.
+    """``(value, gradient)`` of an `_integer_form` at ``point / den``.
 
-    `value` is the form's integer value there, zero exactly when the
-    equality vanishes.  The form is linear in each solvable slot s,
-    a * x + b in the strength x at s, and ``coefficients[s]`` times the
-    denominator is a, while b is `value` less ``coefficients[s] *
-    point[s]``.  One pass over the terms gives the value and every
-    coefficient; it is the search's only integer evaluation.
+    `value` is zero exactly when the equality vanishes.  Each term is
+    multiplied out once, and its product over each factor's numerator
+    (exact: no pool numerator is zero) adds to that slot's gradient.
+    Where the form is a * x + b in the strength x at slot s,
+    ``gradient[s]`` times the denominator is a, and b is `value` less
+    ``gradient[s] * point[s]``.  It is the search's only integer evaluation.
     """
     value = 0
-    coefficients = [0] * len(point)
-    for c, factors, splits in form:
-        for slot, others in splits:
-            part = c
-            for other in others:
-                part *= point[other]
-            coefficients[slot] += part
+    gradient = [0] * len(point)
+    for c, factors in form:
         for slot in factors:
             c *= point[slot]
         value += c
-    return value, coefficients
+        for slot in factors:
+            gradient[slot] += c // point[slot]
+    return value, gradient
 
 
 @lru_cache(maxsize=64)
@@ -309,10 +294,9 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
         for slot in reversed(range(len(gammas)))
         if forms and all(factors.count(slot) < 2 for f in forms for _, factors in f)
     ]
-    eqs = [_linear_form(f, solvable) for f in forms]
     den = _POOL_DENOMINATOR
     for point in _witness_points(seed, attempts, ledger.n):
-        passes = [_linear_pass(f, point) for f in eqs]
+        passes = [_linear_pass(f, point) for f in forms]
         if not any(value for value, _ in passes):
             witness = {g: Fraction(t, den) for g, t in zip(gammas, point)}
             if satisfies(ledger, witness):
@@ -322,9 +306,9 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
             # x the strength at `slot`; none when two disagree or one has
             # a = 0, b != 0.
             root = None
-            for value, coefficients in passes:
-                a = coefficients[slot] * den
-                b = value - coefficients[slot] * point[slot]
+            for value, gradient in passes:
+                a = gradient[slot] * den
+                b = value - gradient[slot] * point[slot]
                 if not a:
                     if b:
                         break

@@ -43,12 +43,10 @@ def atlas_lines(report) -> list:
     for r in report.rejected:
         masks = tuple(int(x, 16) for x in r["key"].split(":")[1:])
         c_class = stroke_count_C(from_canonical_masks(report.n, masks))
-        outcome = "invalid" if r["stage"] == "validate" else "excluded"
         cert = r.get("certificate")
         base = "-" if cert is None else "Infeasible"
-        stage = r["stage"] if r["stage"] == "validate" else f"{r['stage']}:{r['reason']}"
         lines.append(
-            f"{r['key']} {outcome} C={c_class} base={base} branches=- stage={stage} "
+            f"{r['key']} excluded C={c_class} base={base} branches=- stage={r['stage']}:{r['reason']} "
             f"cert={'-' if cert is None else cert['kind']}"
         )
     return sorted(lines)

@@ -313,8 +313,13 @@ class TestSolveProbe:
             lambda rows: [dict(r, gamma=r["gamma"][:3]) for r in rows],
             lambda rows: [dict(rows[0], gamma="11111")] + rows[1:],
             lambda rows: [{k: v[:4] if k != "epsilon" else v for k, v in rows[0].items()}] + rows[1:],
+            lambda rows: [{k: v[:1] if k != "epsilon" else v for k, v in r.items()} for r in rows],
+            lambda rows: [{k: v[:0] if k != "epsilon" else v for k, v in r.items()} for r in rows],
         ],
-        ids=["list-line", "null-epsilon", "number-z", "short-w", "short-gamma", "text-gamma", "mixed-vertex-counts"],
+        ids=[
+            "list-line", "null-epsilon", "number-z", "short-w", "short-gamma", "text-gamma",
+            "mixed-vertex-counts", "one-vertex", "no-vertex",
+        ],
     )
     def test_malformed_sample_is_usage_error(self, malform, tmp_path, capsys):
         d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
@@ -335,6 +340,16 @@ class TestSolveProbe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: argument --tol: the tolerance must be finite and positive\n")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["solve", "--gamma", "1,1", "--lambda", "abc"], "--lambda"), (["probe", "seq.jsonl", "--tol", "abc"], "--tol")],
+    )
+    def test_option_that_is_no_number_is_named(self, argv, option, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: 'abc' is not a number\n")
+        assert "_parse_" not in err
 
 
 class TestVerifyGroebner:
@@ -544,6 +559,20 @@ class TestUsage:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["possible"] == 31
+
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        reports = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-m", "vortexdiagrams", "enumerate", "--n", "4"],
+                env=env,
+                capture_output=True,
+                check=True,
+                timeout=60,
+            )
+            reports.append(done.stdout)
+        assert reports[0].startswith(b"{") and reports[0] == reports[1]
 
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2

@@ -15,12 +15,13 @@ import random
 
 import pytest
 
+from random_diagrams import random_valid_diagrams
 from relabel import color_swapped, relabeled
 from vortexdiagrams import atlas, exactpoly, lemmas, vorticity
 from vortexdiagrams.atlas import judge
 from vortexdiagrams.diagram import canonical_masks, from_canonical_masks, orbit_masks, validate
 from vortexdiagrams.exactpoly import parse_polynomial
-from vortexdiagrams.vorticity import Certificate, ConstraintLedger, decide, verify_certificate
+from vortexdiagrams.vorticity import Certificate, ConstraintLedger, decide, satisfies, verify_certificate
 
 VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 
@@ -46,6 +47,14 @@ def test_orbits_partition_the_valid_labeled_diagrams(n, enumerated):
 def test_every_class_is_its_own_canonical_form(n, enumerated):
     for masks in class_masks(enumerated(n)):
         assert canonical_masks(n, *masks) == masks
+
+
+@pytest.mark.parametrize("n", sorted(VALID_LABELED))
+def test_every_scanned_class_is_valid(n):
+    """`_scan` yields only classes of valid diagrams, so no report
+    records a `validate` rejection."""
+    invalid = [masks for masks in atlas._scan(n) if not validate(from_canonical_masks(n, masks)).valid]
+    assert not invalid, invalid[:5]
 
 
 def certified_ledgers(rep) -> list:
@@ -153,7 +162,7 @@ def class_outcomes(rep) -> dict:
     for s in rep.survivors:
         out[s.key] = ("retained", None)
     for r in rep.rejected:
-        out[r["key"]] = ("invalid", None) if r["stage"] == "validate" else ("excluded", r["reason"])
+        out[r["key"]] = ("excluded", r["reason"])
     return {tuple(int(x, 16) for x in key.split(":")[1:]): v for key, v in out.items()}
 
 
@@ -197,6 +206,34 @@ def test_lemma_findings_map_onto_the_representatives(n, enumerated):
             if expect != got:
                 mismatches.append((masks, mapping, swap))
     assert not mismatches, mismatches[:5]
+
+
+# seeded random valid diagrams judged per n beyond the scan's n <= 6
+SAMPLED = {7: 40, 8: 40}
+
+
+@pytest.mark.parametrize("n", sorted(SAMPLED))
+def test_check_path_beyond_the_scan(n):
+    """At n=7 and n=8, which no enumeration reaches, `judge`'s outcome
+    survives a relabeling plus a color swap, every certificate re-checks
+    without the Groebner kernel, every witness satisfies its ledger, and
+    judging again with a fresh memo gives an equal `Judgment`."""
+    rng = random.Random(n)
+    kinds = set()
+    for d in random_valid_diagrams(n, SAMPLED[n], seed=n):
+        j = judge(d, {})
+        assert judge(d, {}) == j, d
+        mapping = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+        image = judge(color_swapped(relabeled(d, mapping)), {})
+        assert (image.outcome, image.excluded_by) == (j.outcome, j.excluded_by), (d, mapping)
+        decided = [] if j.verdict is None else [(j.analysis.base_ledger, j.verdict)]
+        for ledger, verdict in decided + list(j.branches.values()):
+            kinds.add(verdict.kind)
+            if verdict.infeasible:
+                assert verify_certificate(ledger, verdict.certificate), (d, ledger)
+            elif verdict.witness is not None:
+                assert satisfies(ledger, verdict.witness), (d, ledger)
+    assert {"Feasible", "Infeasible"} <= kinds
 
 
 def test_n6_counts_and_histogram(enumerated):
