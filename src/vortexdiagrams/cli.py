@@ -23,13 +23,17 @@ import math
 import sys
 
 
-def _dump(data, out=None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out=None) -> None:
+    """`text` to the file `out`, or to stdout without one."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(data, out=None) -> None:
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", out)
 
 
 def _load_diagram(path: str) -> Diagram:
@@ -131,13 +135,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_render(args) -> int:
     from .render import render
 
-    d = _load_diagram(args.diagram)
-    text = render(d, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render(_load_diagram(args.diagram), args.format), args.out)
     return 0
 
 
@@ -294,7 +292,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

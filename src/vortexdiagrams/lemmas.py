@@ -1,14 +1,16 @@
-"""Sub-diagram pattern matchers and the constraints they force.
+"""Sub-diagram lemma rules and the constraints they force.
 
-Each matcher inspects one diagram and reports findings: an outright
-exclusion, emitted equalities/disequalities on the vortex strengths, or a
-branch on the rotation multiplier class (unit real vs unit imaginary).
-Matchers fire only on derivable facts: when a semantic precondition such
-as "no other vertex is close" is merely unknown, they stay silent, so
-every finding is sound.  All matchers run in both color orientations.
+Each rule reads one color's view of a diagram and yields findings: an
+outright exclusion, emitted equalities/disequalities on the vortex
+strengths, or a branch on the rotation multiplier class (unit real vs
+unit imaginary).  Rules fire only on derivable facts: when a semantic
+precondition such as "no other vertex is close" is merely unknown, they
+stay silent, so every finding is sound.  `apply_all` is the one driver:
+it builds both views once and runs the rules in `RULES` order, each for
+z and then for w.
 
 The lemmas bind sub-diagrams isolated in one color, that is, components
-of that color's strokes, so the matchers loop over components.  Closeness
+of that color's strokes, so the rules loop over components.  Closeness
 is a component fact too: in one color, two vertices are close when one
 component of the other color's strokes holds both and they share this
 color's circle status, and far when their circle status differs and no
@@ -68,7 +70,7 @@ class LemmaFinding(NamedTuple):
 
 
 class _View:
-    """Per-color facts shared by the matchers, read off stroke components.
+    """Per-color facts shared by the rules, read off stroke components.
 
     `comps` are this color's stroke components; `class_of` maps each vertex
     to its component of the other color's strokes.  A pair that shares
@@ -105,106 +107,81 @@ def _views(d: Diagram):
     return {"z": _View(d, "z", z, w), "w": _View(d, "w", w, z)}
 
 
-def _others(d: Diagram, used) -> list:
-    return [v for v in range(1, d.n + 1) if v not in used]
+def _others(d: Diagram, used) -> tuple:
+    return tuple(v for v in range(1, d.n + 1) if v not in used)
 
 
-def apply_rule_iv(d: Diagram, views=None) -> list:
+def _rule_iv(d: Diagram, color: str, views: dict):
     """Circled vertices of an isolated component that are pairwise close
     have vanishing total vorticity."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for comp in view.comps:
-            circled = sorted(comp & view.circles)
-            if len(circled) >= 2 and view.all_close(circled):
-                findings.append(
-                    LemmaFinding(
-                        "RuleIV-vorticity",
-                        color,
-                        tuple(circled),
-                        "emit",
-                        equalities=(gamma_sum(circled),),
-                    )
-                )
-    return findings
+    view = views[color]
+    for comp in view.comps:
+        circled = sorted(comp & view.circles)
+        if len(circled) >= 2 and view.all_close(circled):
+            yield LemmaFinding(
+                "RuleIV-vorticity",
+                color,
+                tuple(circled),
+                "emit",
+                equalities=(gamma_sum(circled),),
+            )
 
 
-def apply_sum_t12(d: Diagram, views=None) -> list:
+def _sum_t12(d: Diagram, color: str, views: dict):
     """A circled close pair with every other vertex provably far: their
     vorticities cannot cancel, and a stroke between them is impossible."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for k, l in itertools.combinations(sorted(view.circles), 2):
-            if not view.close(k, l) or not view.outside_far((k, l)):
-                continue
-            # A stroke between such a pair is impossible; the matched pair
-            # is then also the component's whole circled set, so the
-            # always-emitted circled-close-pair equality contradicts this
-            # disequality in the ledger.  Emitting (rather than excluding
-            # outright) keeps the provenance of that contradiction visible.
-            notes = ()
-            if (k, l) in view.strokes:
-                notes = (f"{color}-stroke between {k},{l} impossible here",)
-            findings.append(
-                LemmaFinding(
-                    "SumT12",
-                    color,
-                    (k, l),
-                    "emit",
-                    nonzeros=(gamma_sum((k, l)),),
-                    annotations=notes,
-                )
-            )
-    return findings
+    view = views[color]
+    for k, l in itertools.combinations(sorted(view.circles), 2):
+        if not view.close(k, l) or not view.outside_far((k, l)):
+            continue
+        # A stroke between such a pair is impossible; the matched pair
+        # is then also the component's whole circled set, so the
+        # always-emitted circled-close-pair equality contradicts this
+        # disequality in the ledger.  Emitting (rather than excluding
+        # outright) keeps the provenance of that contradiction visible.
+        notes = ()
+        if (k, l) in view.strokes:
+            notes = (f"{color}-stroke between {k},{l} impossible here",)
+        yield LemmaFinding(
+            "SumT12",
+            color,
+            (k, l),
+            "emit",
+            nonzeros=(gamma_sum((k, l)),),
+            annotations=notes,
+        )
 
 
-def apply_cor_sum_t12(d: Diagram, views=None) -> list:
+def _cor_sum_t12(d: Diagram, color: str, views: dict):
     """A circled stroke pair with every other vertex provably far: the
     pair's total vorticity is nonzero and the stroke is maximal."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for k, l in sorted(view.strokes):
-            if k not in view.circles or l not in view.circles or not view.outside_far((k, l)):
-                continue
-            findings.append(
-                LemmaFinding(
-                    "CorSumT12",
-                    color,
-                    (k, l),
-                    "emit",
-                    nonzeros=(gamma_sum((k, l)),),
-                    annotations=(f"{color}_{{{k}{l}}} maximal",),
-                )
+    view = views[color]
+    for k, l in sorted(view.strokes):
+        if k in view.circles and l in view.circles and view.outside_far((k, l)):
+            yield LemmaFinding(
+                "CorSumT12",
+                color,
+                (k, l),
+                "emit",
+                nonzeros=(gamma_sum((k, l)),),
+                annotations=(f"{color}_{{{k}{l}}} maximal",),
             )
-    return findings
 
 
-def apply_l_identity(d: Diagram, views=None) -> list:
+def _l_identity(d: Diagram, color: str, views: dict):
     """An isolated fully-stroked component of size >= 3 with no circle has
     vanishing angular momentum."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for comp in view.comps:
-            if len(comp) >= 3 and not (comp & view.circles):
-                vertices = sorted(comp)
-                findings.append(
-                    LemmaFinding(
-                        "LIdentity",
-                        color,
-                        tuple(vertices),
-                        "emit",
-                        equalities=(angular_momentum(vertices),),
-                    )
-                )
-    return findings
+    view = views[color]
+    for comp in view.comps:
+        if len(comp) >= 3 and not (comp & view.circles):
+            vertices = sorted(comp)
+            yield LemmaFinding(
+                "LIdentity",
+                color,
+                tuple(vertices),
+                "emit",
+                equalities=(angular_momentum(vertices),),
+            )
 
 
 @polynomial_cache
@@ -232,44 +209,34 @@ def _lambda_branches(n: int, comp: tuple, outside: tuple, bare: int | None = Non
     )
 
 
-def apply_lambda_lemmas(d: Diagram, views=None) -> list:
+def _lambda_lemmas(d: Diagram, color: str, views: dict):
     """Isolated circled stroke, or isolated stroke triangle with exactly two
     circled vertices, when no other same-color circle exists: the rotation
     multiplier is forced to a unit real or unit imaginary, each with its own
     vorticity constraints."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for comp in view.comps:
-            circled = sorted(comp & view.circles)
-            if len(comp) == 2 and len(circled) == 2 and view.circles == comp:
-                k, l = sorted(comp)
-                branches = _lambda_branches(d.n, (k, l), tuple(_others(d, comp)))
-                findings.append(
-                    LemmaFinding(
-                        "IsolatedStroke-Lambda",
-                        color,
-                        (k, l),
-                        "branch",
-                        branches=branches,
-                        annotations=(f"{color}_{{{k}{l}}} maximal",),
-                    )
-                )
-            elif len(comp) == 3 and len(circled) == 2 and view.circles == frozenset(circled):
-                (bare,) = sorted(comp - set(circled))
-                branches = _lambda_branches(d.n, tuple(sorted(comp)), tuple(_others(d, comp)), bare)
-                findings.append(
-                    LemmaFinding(
-                        "IsolatedTriangle-Lambda",
-                        color,
-                        (bare,) + tuple(circled),
-                        "branch",
-                        branches=branches,
-                        annotations=(f"{color}_{{{circled[0]}{circled[1]}}} maximal",),
-                    )
-                )
-    return findings
+    view = views[color]
+    for comp in view.comps:
+        circled = sorted(comp & view.circles)
+        if len(comp) == 2 and len(circled) == 2 and view.circles == comp:
+            k, l = circled
+            yield LemmaFinding(
+                "IsolatedStroke-Lambda",
+                color,
+                (k, l),
+                "branch",
+                branches=_lambda_branches(d.n, (k, l), _others(d, comp)),
+                annotations=(f"{color}_{{{k}{l}}} maximal",),
+            )
+        elif len(comp) == 3 and len(circled) == 2 and view.circles == frozenset(circled):
+            (bare,) = comp - view.circles
+            yield LemmaFinding(
+                "IsolatedTriangle-Lambda",
+                color,
+                (bare,) + tuple(circled),
+                "branch",
+                branches=_lambda_branches(d.n, tuple(sorted(comp)), _others(d, comp), bare),
+                annotations=(f"{color}_{{{circled[0]}{circled[1]}}} maximal",),
+            )
 
 
 def _is_zw_pair(d: Diagram, pair) -> bool:
@@ -285,102 +252,89 @@ def _sized(comps, size: int) -> list:
     return [tuple(sorted(c)) for c in comps if len(c) == size]
 
 
-def apply_structural_exclusions(d: Diagram, views=None) -> list:
+def _structural_exclusions(d: Diagram, color: str, views: dict):
     """Shapes whose required bounded outside companion provably cannot
     exist: fully stroked, fully circled triangles and quadrilaterals
     isolated in one color, and twin circled mutual-stroke pairs."""
-    views = views or _views(d)
-    findings = []
-    for color in COLORS:
-        view = views[color]
-        for tri in _sized(view.comps, 3):
-            pairs = list(itertools.combinations(tri, 2))
-            # Fully mutual-stroked, fully circled in both colors, isolated
-            # in this color, with all outside vertices provably far.
-            if (
-                all(_is_zw_pair(d, p) for p in pairs)
-                and _fully_bicircled(d, tri)
-                and view.outside_far(tri)
-            ):
-                findings.append(
-                    LemmaFinding(
-                        "Triangle",
-                        color,
-                        tri,
-                        "exclude",
-                        reason=f"isolated bicircled mutual-stroke triangle {tri} with all outside vertices {color}-far",
-                    )
-                )
-            # Same-color stroke triangle, all three circled and pairwise
-            # close, all outside vertices far.
-            if (
-                all(p in view.strokes for p in pairs)
-                and set(tri) <= view.circles
-                and view.all_close(tri)
-                and view.outside_far(tri)
-            ):
-                findings.append(
-                    LemmaFinding(
-                        "Triangle2",
-                        color,
-                        tri,
-                        "exclude",
-                        reason=f"isolated circled close {color}-stroke triangle {tri} with all outside vertices {color}-far",
-                    )
-                )
-        for quad in _sized(view.comps, 4):
-            if (
-                all(_is_zw_pair(d, p) for p in itertools.combinations(quad, 2))
-                and set(quad) <= view.circles
-                and view.outside_far(quad)
-            ):
-                findings.append(
-                    LemmaFinding(
-                        "Quadrilateral",
-                        color,
-                        quad,
-                        "exclude",
-                        reason=f"isolated fully {color}-circled mutual-stroke quadrilateral {quad} with all outside vertices {color}-far",
-                    )
-                )
-        for p1, p2 in itertools.combinations(_sized(view.comps, 2), 2):
-            used = p1 + p2
-            if (
-                _is_zw_pair(d, p1)
-                and _is_zw_pair(d, p2)
-                and _fully_bicircled(d, used)
-                and views["z"].outside_far(used)
-                and views["w"].outside_far(used)
-            ):
-                findings.append(
-                    LemmaFinding(
-                        "Dumbbell",
-                        color,
-                        used,
-                        "exclude",
-                        reason=f"twin isolated bicircled mutual-stroke pairs {p1},{p2} with all outside vertices far in both colors",
-                    )
-                )
-    return findings
+    view = views[color]
+    for tri in _sized(view.comps, 3):
+        pairs = list(itertools.combinations(tri, 2))
+        # Fully mutual-stroked, fully circled in both colors, isolated
+        # in this color, with all outside vertices provably far.
+        if (
+            all(_is_zw_pair(d, p) for p in pairs)
+            and _fully_bicircled(d, tri)
+            and view.outside_far(tri)
+        ):
+            yield LemmaFinding(
+                "Triangle",
+                color,
+                tri,
+                "exclude",
+                reason=f"isolated bicircled mutual-stroke triangle {tri} with all outside vertices {color}-far",
+            )
+        # Same-color stroke triangle, all three circled and pairwise
+        # close, all outside vertices far.
+        if (
+            all(p in view.strokes for p in pairs)
+            and set(tri) <= view.circles
+            and view.all_close(tri)
+            and view.outside_far(tri)
+        ):
+            yield LemmaFinding(
+                "Triangle2",
+                color,
+                tri,
+                "exclude",
+                reason=f"isolated circled close {color}-stroke triangle {tri} with all outside vertices {color}-far",
+            )
+    for quad in _sized(view.comps, 4):
+        if (
+            all(_is_zw_pair(d, p) for p in itertools.combinations(quad, 2))
+            and set(quad) <= view.circles
+            and view.outside_far(quad)
+        ):
+            yield LemmaFinding(
+                "Quadrilateral",
+                color,
+                quad,
+                "exclude",
+                reason=f"isolated fully {color}-circled mutual-stroke quadrilateral {quad} with all outside vertices {color}-far",
+            )
+    for p1, p2 in itertools.combinations(_sized(view.comps, 2), 2):
+        used = p1 + p2
+        if (
+            _is_zw_pair(d, p1)
+            and _is_zw_pair(d, p2)
+            and _fully_bicircled(d, used)
+            and views["z"].outside_far(used)
+            and views["w"].outside_far(used)
+        ):
+            yield LemmaFinding(
+                "Dumbbell",
+                color,
+                used,
+                "exclude",
+                reason=f"twin isolated bicircled mutual-stroke pairs {p1},{p2} with all outside vertices far in both colors",
+            )
 
 
-ALL_MATCHERS = (
-    apply_rule_iv,
-    apply_sum_t12,
-    apply_cor_sum_t12,
-    apply_l_identity,
-    apply_lambda_lemmas,
-    apply_structural_exclusions,
+# Each rule reads one color's view and yields that color's findings.
+RULES = (
+    _rule_iv,
+    _sum_t12,
+    _cor_sum_t12,
+    _l_identity,
+    _lambda_lemmas,
+    _structural_exclusions,
 )
 
 
 def apply_all(d: Diagram) -> list:
-    """Every finding from every matcher, in a deterministic order."""
+    """Every finding of every rule, rule by rule and z before w within
+    each rule: the order the findings pin and both reports record."""
     views = _views(d)
-    findings = []
-    for matcher in ALL_MATCHERS:
-        findings.extend(matcher(d, views))
-    return findings
+    return [f for rule in RULES for color in COLORS for f in rule(d, color, views)]
 
 
 EXCLUDE_PRIORITY = {
@@ -415,7 +369,7 @@ class DiagramAnalysis(NamedTuple):
 
 
 def analyze(d: Diagram) -> DiagramAnalysis:
-    """Run all matchers and assemble the diagram's constraint ledgers.
+    """Run every rule and assemble the diagram's constraint ledgers.
 
     Branch constraints are kept per multiplier class, separate from the
     base ledger: they annotate the diagram for later finiteness work and
@@ -433,23 +387,17 @@ def analyze(d: Diagram) -> DiagramAnalysis:
     """
     findings = tuple(apply_all(d))
     excludes = [f for f in findings if f.effect == "exclude"]
-    exclusion = None
-    if excludes:
-        exclusion = min(
-            excludes, key=lambda f: (EXCLUDE_PRIORITY.get(f.lemma, 9), f.color, f.binding)
-        )
+    exclusion = min(
+        excludes, key=lambda f: (EXCLUDE_PRIORITY[f.lemma], f.color, f.binding), default=None
+    )
     emitted = [f for f in findings if f.effect == "emit"]
     equalities = tuple(p for f in emitted for p in f.equalities)
     nonzeros = tuple(p for f in emitted for p in f.nonzeros)
     base = ConstraintLedger(equalities, nonzeros, d.n)
+    alternatives = [alt for f in findings if f.effect == "branch" for alt in f.branches]
     branch_ledgers: dict = {}
-    branch_findings = [f for f in findings if f.effect == "branch"]
-    if branch_findings:
+    if alternatives:
         for cls in (LAMBDA_REAL, LAMBDA_IMAGINARY):
-            eqs: list = []
-            for f in branch_findings:
-                for alt in f.branches:
-                    if alt.lambda_class == cls:
-                        eqs.extend(alt.equalities)
-            branch_ledgers[cls] = ConstraintLedger(tuple(eqs), (), d.n)
+            eqs = tuple(p for alt in alternatives if alt.lambda_class == cls for p in alt.equalities)
+            branch_ledgers[cls] = ConstraintLedger(eqs, (), d.n)
     return DiagramAnalysis(findings, exclusion, base, branch_ledgers)

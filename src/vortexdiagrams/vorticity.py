@@ -143,11 +143,13 @@ class ConstraintLedger(_LedgerFields):
 
     @classmethod
     def from_json(cls, data: dict, n: int = N_VORTICES) -> "ConstraintLedger":
-        return cls(
-            tuple(parse_polynomial(t) for t in data.get("equalities", ())),
-            tuple(parse_polynomial(t) for t in data.get("nonzeros", ())),
-            n,
-        )
+        """The ledger `to_json` wrote; a strength past G_n is a `ValueError`."""
+        equalities = tuple(parse_polynomial(t) for t in data.get("equalities", ()))
+        nonzeros = tuple(parse_polynomial(t) for t in data.get("nonzeros", ()))
+        past = set().union(*(p.variables() for p in equalities + nonzeros)) - set(DEFAULT_VARS[:n])
+        if past:
+            raise ValueError(f"a ledger for n={n} names strengths past G{n}: {', '.join(sorted(past))}")
+        return cls(equalities, nonzeros, n)
 
 
 class Certificate(NamedTuple):

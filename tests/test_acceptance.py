@@ -292,7 +292,7 @@ def test_criterion_8_probe_round_trip(catalog):
     announce("ACCEPTANCE 8 PASS: 31/31 synthetic sequences probe back to their diagrams")
 
 
-def test_criterion_9_worker_determinism(report_single):
+def test_criterion_9_run_determinism(report_single):
     first = json.dumps(report_single.to_json(), sort_keys=True).encode()
     second = json.dumps(enumerate_diagrams(5).to_json(), sort_keys=True).encode()
     assert first == second

@@ -561,18 +561,19 @@ class TestUsage:
         assert json.loads(done.stdout)["possible"] == 31
 
     def test_report_does_not_depend_on_the_hash_seed(self):
+        # nor on `python -O`, which strips every assert statement
         reports = []
-        for seed in ("0", "1"):
+        for seed, flags in (("0", []), ("1", []), ("0", ["-O"])):
             env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
             done = subprocess.run(
-                [sys.executable, "-m", "vortexdiagrams", "enumerate", "--n", "4"],
+                [sys.executable, *flags, "-m", "vortexdiagrams", "enumerate", "--n", "4"],
                 env=env,
                 capture_output=True,
                 check=True,
                 timeout=60,
             )
             reports.append(done.stdout)
-        assert reports[0].startswith(b"{") and reports[0] == reports[1]
+        assert reports[0].startswith(b"{") and reports[0] == reports[1] == reports[2]
 
     def test_unit_modulus_enforced(self):
         assert main(["solve", "--gamma", "1,1", "--lambda", "3"]) == 2

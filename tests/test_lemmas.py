@@ -2,28 +2,60 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+
+import pytest
 
 from relabel import color_swapped, relabeled
 from vortexdiagrams.atlas import _scan
 from vortexdiagrams.diagram import Diagram, from_canonical_masks
 from vortexdiagrams.exactpoly import Polynomial
-from vortexdiagrams.lemmas import (
-    LAMBDA_IMAGINARY,
-    LAMBDA_REAL,
-    analyze,
-    apply_all,
-    apply_cor_sum_t12,
-    apply_l_identity,
-    apply_lambda_lemmas,
-    apply_rule_iv,
-    apply_structural_exclusions,
-    apply_sum_t12,
-)
+from vortexdiagrams.lemmas import LAMBDA_IMAGINARY, LAMBDA_REAL, analyze, apply_all
 from vortexdiagrams.vorticity import angular_momentum, decide, gamma_sum, gamma_var
 
 
 def K(*vs):
     return list(itertools.combinations(vs, 2))
+
+
+# Findings per lemma over every class representative at n=3..6.
+LEMMA_COUNTS = {
+    "RuleIV-vorticity": 440,
+    "LIdentity": 299,
+    "CorSumT12": 138,
+    "SumT12": 74,
+    "IsolatedStroke-Lambda": 72,
+    "IsolatedTriangle-Lambda": 33,
+    "Triangle2": 30,
+    "Triangle": 17,
+    "Quadrilateral": 11,
+    "Dumbbell": 9,
+}
+LAMBDA_LEMMAS = ("IsolatedStroke-Lambda", "IsolatedTriangle-Lambda")
+
+
+def findings(d, *lemmas):
+    """`apply_all`'s findings from the named lemmas, in order.  A name no
+    rule emits fails here, so a typo cannot empty an `assert not`."""
+    unknown = set(lemmas) - set(LEMMA_COUNTS)
+    assert not unknown, f"unknown lemma names: {sorted(unknown)}"
+    return [f for f in apply_all(d) if f.lemma in lemmas]
+
+
+def test_every_lemma_fires_on_the_class_representatives():
+    counts = Counter(
+        f.lemma
+        for n in range(3, 7)
+        for masks in _scan(n)
+        for f in apply_all(from_canonical_masks(n, masks))
+    )
+    assert counts == LEMMA_COUNTS
+
+
+def test_an_unknown_lemma_name_is_refused():
+    d = Diagram(5, K(1, 2, 3), K(1, 2, 3), [1, 2, 3], [1, 2, 3])
+    with pytest.raises(AssertionError, match="unknown lemma names"):
+        findings(d, "Triangle", "Traingle")
 
 
 def relabel_poly(p, mapping):
@@ -69,25 +101,25 @@ def finding_signature(f, mapping=None, swap=False):
 class TestRuleIV:
     def test_mutual_triangle_all_circled(self):
         d = Diagram(5, K(1, 2, 3), K(1, 2, 3), [1, 2, 3], [1, 2, 3])
-        emitted = [f for f in apply_rule_iv(d) if f.color == "z"]
+        emitted = [f for f in findings(d, "RuleIV-vorticity") if f.color == "z"]
         assert len(emitted) == 1
         assert emitted[0].equalities == (gamma_sum([1, 2, 3]),)
 
     def test_mutual_pair(self):
         d = Diagram(5, [(1, 2), (3, 4)], [(1, 2), (3, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
-        sums = {f.equalities[0].to_text() for f in apply_rule_iv(d)}
+        sums = {f.equalities[0].to_text() for f in findings(d, "RuleIV-vorticity")}
         assert sums == {"G1 + G2", "G3 + G4"}
 
     def test_requires_positive_closeness(self):
         # circled stroke pair with no opposite-color stroke: not close
         d = Diagram(5, K(1, 2, 3) + [(4, 5)], K(1, 2, 3), [4, 5], [])
-        assert not [f for f in apply_rule_iv(d) if set(f.binding) == {4, 5}]
+        assert not [f for f in findings(d, "RuleIV-vorticity") if set(f.binding) == {4, 5}]
 
 
 class TestSumT12:
     def test_mutual_pair_with_bare_triangle(self):
         d = Diagram(5, K(1, 2, 3) + [(4, 5)], K(1, 2, 3) + [(4, 5)], [4, 5], [4, 5])
-        found = apply_sum_t12(d)
+        found = findings(d, "SumT12")
         assert {f.color for f in found} == {"z", "w"}
         assert all(f.binding == (4, 5) for f in found)
         assert all(f.nonzeros == (gamma_sum([4, 5]),) for f in found)
@@ -98,7 +130,7 @@ class TestSumT12:
     def test_third_circled_vertex_blocks(self):
         # all five circled: no far facts at all
         d = Diagram(5, K(1, 2, 3, 4, 5), K(1, 2, 3), [1, 2, 3, 4, 5], [])
-        assert not [f for f in apply_sum_t12(d) if f.color == "z"]
+        assert not [f for f in findings(d, "SumT12") if f.color == "z"]
 
     def test_relabel_equivariance_random(self):
         rng = random.Random(11)
@@ -114,50 +146,50 @@ class TestSumT12:
             perm = list(range(1, 6))
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(5)}
-            before = sorted(finding_signature(f, mapping) for f in apply_sum_t12(d))
-            after = sorted(finding_signature(f) for f in apply_sum_t12(relabeled(d, mapping)))
+            before = sorted(finding_signature(f, mapping) for f in findings(d, "SumT12"))
+            after = sorted(finding_signature(f) for f in findings(relabeled(d, mapping), "SumT12"))
             assert before == after
 
 
 class TestCorSumT12:
     def test_isolated_circled_stroke(self):
         d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
-        found = [f for f in apply_cor_sum_t12(d) if f.color == "z"]
+        found = [f for f in findings(d, "CorSumT12") if f.color == "z"]
         assert len(found) == 1
         assert found[0].nonzeros == (gamma_sum([1, 2]),)
         assert "z_{12} maximal" in found[0].annotations
 
     def test_circled_pair_inside_stroke_triangle(self):
         d = Diagram(5, K(1, 2, 3), [(1, 4), (2, 3)], [2, 3], [1, 2, 3, 4])
-        found = [f for f in apply_cor_sum_t12(d) if f.color == "z"]
+        found = [f for f in findings(d, "CorSumT12") if f.color == "z"]
         assert [f.binding for f in found] == [(2, 3)]
 
     def test_everything_circled_blocks(self):
         d = Diagram(5, K(1, 2, 3, 4, 5), K(1, 2, 3, 4, 5), list(range(1, 6)), list(range(1, 6)))
-        assert not apply_cor_sum_t12(d)
+        assert not findings(d, "CorSumT12")
 
 
 class TestLIdentity:
     def test_bare_triangle(self):
         d = Diagram(5, K(1, 2, 3), K(1, 2, 3), [], [])
-        found = apply_l_identity(d)
+        found = findings(d, "LIdentity")
         assert {f.color for f in found} == {"z", "w"}
         assert all(f.equalities == (angular_momentum([1, 2, 3]),) for f in found)
 
     def test_bare_four_clique(self):
         d = Diagram(5, K(1, 2, 3, 4), K(1, 2), [], [1, 2])
-        found = [f for f in apply_l_identity(d) if f.color == "z"]
+        found = [f for f in findings(d, "LIdentity") if f.color == "z"]
         assert found[0].equalities == (angular_momentum([1, 2, 3, 4]),)
 
     def test_circled_component_blocks(self):
         d = Diagram(5, K(1, 2, 3), K(1, 2, 3), [1, 2, 3], [1, 2, 3])
-        assert not apply_l_identity(d)
+        assert not findings(d, "LIdentity")
 
 
 class TestLambdaLemmas:
     def test_isolated_circled_stroke_branches(self):
         d = Diagram(5, [(1, 2)], [(3, 4)], [1, 2], [3, 4])
-        z_findings = [f for f in apply_lambda_lemmas(d) if f.color == "z"]
+        z_findings = [f for f in findings(d, *LAMBDA_LEMMAS) if f.color == "z"]
         assert len(z_findings) == 1
         branches = {b.lambda_class: b.equalities for b in z_findings[0].branches}
         assert branches[LAMBDA_REAL] == (gamma_sum([3, 4, 5]),)
@@ -167,7 +199,7 @@ class TestLambdaLemmas:
 
     def test_triangle_two_circled(self):
         d = Diagram(5, [(1, 2)], K(3, 4, 5), [1, 2], [4, 5])
-        found = [f for f in apply_lambda_lemmas(d) if f.color == "w"]
+        found = [f for f in findings(d, *LAMBDA_LEMMAS) if f.color == "w"]
         assert len(found) == 1
         assert found[0].lemma == "IsolatedTriangle-Lambda"
         assert found[0].binding == (3, 4, 5)  # bare vertex first
@@ -180,7 +212,7 @@ class TestLambdaLemmas:
 
     def test_extra_circle_blocks(self):
         d = Diagram(5, [(1, 2), (3, 4)], [(1, 2), (3, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
-        assert not [f for f in apply_lambda_lemmas(d) if f.color == "z"]
+        assert not [f for f in findings(d, *LAMBDA_LEMMAS) if f.color == "z"]
 
     def test_branch_ledgers_standalone_in_analysis(self):
         # bare mutual triangle + circled stroke pair: the momentum identity
@@ -198,13 +230,13 @@ class TestLambdaLemmas:
 class TestStructural:
     def test_dumbbell_on_twin_mutual_pairs(self):
         d = Diagram(5, [(1, 2), (3, 4)], [(1, 2), (3, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
-        found = [f for f in apply_structural_exclusions(d) if f.lemma == "Dumbbell"]
+        found = findings(d, "Dumbbell")
         assert found
         assert analyze(d).exclusion.lemma == "Dumbbell"
 
     def test_dumbbell_one_color_isolation_suffices(self):
         d = Diagram(5, K(1, 2, 3, 4), [(1, 2), (3, 4)], [1, 2, 3, 4], [1, 2, 3, 4])
-        found = [f for f in apply_structural_exclusions(d) if f.lemma == "Dumbbell"]
+        found = findings(d, "Dumbbell")
         assert {f.color for f in found} == {"w"}
 
     def test_triangle_exclusion(self):
@@ -213,7 +245,7 @@ class TestStructural:
 
     def test_triangle_blocked_by_circled_outside(self):
         d = Diagram(5, K(1, 2, 3) + [(4, 5)], K(1, 2, 3) + [(4, 5)], list(range(1, 6)), list(range(1, 6)))
-        assert not [f for f in apply_structural_exclusions(d) if f.lemma == "Triangle"]
+        assert not findings(d, "Triangle")
 
     def test_quadrilateral_exclusion(self):
         d = Diagram(5, K(1, 2, 3, 4), K(1, 2, 3, 4), [1, 2, 3, 4], [1, 2, 3, 4])
@@ -227,11 +259,7 @@ class TestStructural:
 
         hits = []
         for entry in load_catalog():
-            found = [
-                f
-                for f in apply_structural_exclusions(entry.diagram)
-                if f.lemma == "Triangle2"
-            ]
+            found = findings(entry.diagram, "Triangle2")
             if found:
                 hits.append(entry)
         assert all(e.status == "excluded" for e in hits)

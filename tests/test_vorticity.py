@@ -131,6 +131,21 @@ class TestLedger:
             ConstraintLedger.from_json({field: [""]})
         assert ConstraintLedger.from_json({"equalities": ["0"]}).equalities == ()
 
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            # decided Unknown: the witness search read G7 as 0, the basis as free
+            ({"equalities": ["G1 + G7"]}, "G7"),
+            # decided Feasible, with a witness that left G6 out
+            ({"equalities": ["G1 - G2 + G6"]}, "G6"),
+            ({"nonzeros": ["G2*G8"]}, "G8"),
+        ],
+    )
+    def test_json_with_a_strength_past_n_is_refused(self, data, named):
+        with pytest.raises(ValueError, match=f"a ledger for n=5 names strengths past G5: {named}"):
+            ConstraintLedger.from_json(data, 5)
+        assert ConstraintLedger.from_json(data, 8).n == 8
+
     def test_deduplication(self):
         led = ConstraintLedger((gamma_sum([1, 2]), gamma_sum([1, 2])), (G[1],))
         assert len(led.equalities) == 1
