@@ -604,7 +604,10 @@ class Basis:
     def _residue_walk(self, key: int) -> int:
         """Fill the memo down from `key` with an explicit stack, so a chain
         of reductions thousands of steps deep needs no recursion; return
-        the value of `key`."""
+        the value of `key`.  No key is pushed twice: every tail runs in
+        descending key order, as `_int_reduce` emits it, so a step pushes
+        only keys below the one it expands and every key still pending, and
+        a push skips a valued key."""
         values, reducers, point = self._values, self._reducers, self._point
         guards = self._packing.guards
         unpack = self._packing.unpack
@@ -614,8 +617,6 @@ class Basis:
             if rule is not None:  # every shifted tail term has its value now
                 shift, inv, tail = rule
                 values[m] = -inv * sum(c * values[k + shift] for k, c in tail) % LIFT_PRIME
-                continue
-            if m in values:
                 continue
             for top, lm, inv, tail in reducers:
                 if (top - m) & guards == guards:

@@ -123,16 +123,27 @@ class _LedgerFields(NamedTuple):
 class ConstraintLedger(_LedgerFields):
     """Equalities (= 0) and disequalities (!= 0) on the vortex strengths.
 
-    Every single vorticity variable is always required nonzero; the
-    constructor inserts them if missing.
+    The constructor always requires G1..G_n nonzero, and it is the one gate
+    for what a ledger holds: a polynomial not over `DEFAULT_VARS` or naming
+    a strength past G_n, or a zero nonzero (0 != 0 never holds), is a
+    `ValueError`.  A zero equality is dropped; a constant one makes the
+    ledger infeasible.
     """
 
     __slots__ = ()
 
     def __new__(cls, equalities=(), nonzeros=(), n: int = N_VORTICES):
         base = _gamma_vars(n)
-        extra = tuple(dict.fromkeys(p for p in nonzeros if p and p not in base))
+        extra = tuple(dict.fromkeys(p for p in nonzeros if p not in base))
         equalities = tuple(dict.fromkeys(p for p in equalities if p))
+        named = equalities + extra
+        if any(p.ring != DEFAULT_VARS for p in named):
+            raise ValueError(f"a ledger holds polynomials over G1..G{len(DEFAULT_VARS)} only")
+        if any(any(m[n:]) for p in named for m in p.terms):
+            past = set().union(*(p.variables() for p in named)) - set(DEFAULT_VARS[:n])
+            raise ValueError(f"a ledger for n={n} names strengths past G{n}: {', '.join(sorted(past))}")
+        if not all(extra):
+            raise ValueError("a ledger cannot require the zero polynomial nonzero")
         return super().__new__(cls, equalities, base + extra, n)
 
     def to_json(self) -> dict:
@@ -143,12 +154,9 @@ class ConstraintLedger(_LedgerFields):
 
     @classmethod
     def from_json(cls, data: dict, n: int = N_VORTICES) -> "ConstraintLedger":
-        """The ledger `to_json` wrote; a strength past G_n is a `ValueError`."""
+        """The ledger `to_json` wrote, through the constructor's gate."""
         equalities = tuple(parse_polynomial(t) for t in data.get("equalities", ()))
         nonzeros = tuple(parse_polynomial(t) for t in data.get("nonzeros", ()))
-        past = set().union(*(p.variables() for p in equalities + nonzeros)) - set(DEFAULT_VARS[:n])
-        if past:
-            raise ValueError(f"a ledger for n={n} names strengths past G{n}: {', '.join(sorted(past))}")
         return cls(equalities, nonzeros, n)
 
 
@@ -213,37 +221,25 @@ _POOL_DENOMINATOR = lcm(*(v.denominator for v in WITNESS_POOL))
 _POOL_NUMERATORS = tuple(int(v * _POOL_DENOMINATOR) for v in WITNESS_POOL)
 
 
-def _integer_form(p: Polynomial, slots: dict) -> tuple:
-    """`p` as integer terms over the strengths named in `slots`, for points
-    over `_POOL_DENOMINATOR`.
+def _integer_form(p: Polynomial) -> tuple:
+    """`p` as integer terms over the strengths, for points over
+    `_POOL_DENOMINATOR`.
 
     Each term is ``(coefficient, factors)``: the slot of each variable
     factor, repeated by exponent, and the term's coefficient times the lcm
-    of p's denominators and times den to the term's degree below p's.  At
-    a point x = t / den, the sum of the terms with each factor read as its
-    numerator in t is p(x) times a nonzero constant, so it vanishes exactly
-    when p(x) does.  A term in a variable outside `slots` is dropped:
-    `satisfies` reads such a variable as 0.
+    of p's denominators and times den to the term's degree below p's.  The
+    slot of G_i is i - 1, inside a point of n numerators: the ledger admits
+    no strength past G_n.  At a point x = t / den, the sum of the terms with
+    each factor read as its numerator in t is p(x) times a nonzero constant,
+    so it vanishes exactly when p(x) does.
     """
-    kept = []
-    for m, c in p.terms.items():
-        factors = []
-        for i, e in enumerate(m):
-            if e:
-                slot = slots.get(p.ring[i])
-                if slot is None:
-                    break
-                factors += [slot] * e
-        else:
-            kept.append((c, factors))
-    if not kept:
-        return ()
-    scale = lcm(*(c.denominator for c, _ in kept))
-    degree = max(len(f) for _, f in kept)
+    terms = [(c, [i for i, e in enumerate(m) for _ in range(e)]) for m, c in p.terms.items()]
+    scale = lcm(*(c.denominator for c, _ in terms))
+    degree = max(len(f) for _, f in terms)
     den = _POOL_DENOMINATOR
     return tuple(
         (c.numerator * (scale // c.denominator) * den ** (degree - len(f)), tuple(f))
-        for c, f in kept
+        for c, f in terms
     )
 
 
@@ -287,9 +283,8 @@ def _search_witness(ledger: ConstraintLedger, attempts: int, seed: int):
     solves them all by construction, goes to `satisfies`: the one check of
     the nonzero constraints, made exactly in `Fraction`s.
     """
-    gammas = [f"G{i}" for i in range(1, ledger.n + 1)]
-    slots = {g: i for i, g in enumerate(gammas)}
-    forms = [_integer_form(p, slots) for p in ledger.equalities]
+    gammas = DEFAULT_VARS[: ledger.n]
+    forms = [_integer_form(p) for p in ledger.equalities]
     # the slots every equality is linear in, last first
     solvable = [
         slot
@@ -368,9 +363,10 @@ def _certificate_candidates(n: int) -> tuple:
     n builds them once, from exponent arithmetic alone.
     """
     out = {}
-    # (b) a squarefree monomial in the (nonzero) vorticities lies in the
-    # ideal: some vorticity would vanish.
-    for size in (1, 2, 3):
+    # (b) a squarefree monomial in two or three (nonzero) vorticities lies
+    # in the ideal: some vorticity would vanish.  A lone G_i in the ideal is
+    # found first, as a direct disequality: every ledger requires it nonzero.
+    for size in (2, 3):
         for S in itertools.combinations(range(1, n + 1), size):
             terms = {packed_key(_squarefree(S)): 1}
             out[frozenset(terms)] = (terms, "vanishing-monomial", S, None)

@@ -404,6 +404,13 @@ class TestSerialization:
         p = G2 + G1 + G3**2
         assert p.to_text() == "G3^2 + G1 + G2"
 
+    def test_repr_shows_the_text(self):
+        assert repr(G1 - Fraction(1, 2) * G2**2) == "Polynomial(-1/2*G2^2 + G1)"
+
+    def test_equality_with_a_non_number_is_not_implemented(self):
+        assert G1.__eq__("G1") is NotImplemented
+        assert G1 != "G1" and Polynomial.constant(1) == 1
+
 
 class TestRefusals:
     """Refusals of the exact layer that no command input reaches."""

@@ -97,6 +97,10 @@ class TestResidual:
         with pytest.raises(CollisionError):
             make_configuration([1, 1], [0.5, 0.5 + 1e-15], None, 1.0)
 
+    def test_a_colliding_converged_point_is_no_configuration(self):
+        # every vortex at the origin: `_finish` returns None, it does not raise
+        assert numeric._finish([1, 1, 1], 1, np.zeros(6)) is None
+
     def test_wrong_multiplier_fails(self):
         c = make_configuration([1.0, 1.0], two_vortex().z, None, 2.0)
         assert residual(c) > 0.5

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -7,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from vortexdiagrams import atlas, exactpoly, vorticity
+from vortexdiagrams import atlas, exactpoly, quadrilateral, vorticity
 from vortexdiagrams.exactcheck import lift
 from vortexdiagrams.exactpoly import (
     DEFAULT_VARS,
@@ -145,6 +146,43 @@ class TestLedger:
         with pytest.raises(ValueError, match=f"a ledger for n=5 names strengths past G5: {named}"):
             ConstraintLedger.from_json(data, 5)
         assert ConstraintLedger.from_json(data, 8).n == 8
+
+    @pytest.mark.parametrize(
+        "equalities, nonzeros, named",
+        [
+            # decided Unknown before the gate: the witness search read G7 as
+            # 0, the basis as free
+            ((G[1] + gamma_var(7),), (), "G7"),
+            # decided Feasible, with a witness that left G6 out
+            ((G[1] - G[2] + gamma_var(6),), (), "G6"),
+            ((), (G[2] * gamma_var(8),), "G8"),
+        ],
+    )
+    def test_a_strength_past_n_is_refused(self, equalities, nonzeros, named):
+        with pytest.raises(ValueError, match=f"a ledger for n=5 names strengths past G5: {named}"):
+            ConstraintLedger(equalities, nonzeros, n=5)
+        assert ConstraintLedger(equalities, nonzeros, n=8).n == 8
+
+    @pytest.mark.parametrize(
+        "data", [{"equalities": ["G1 - G2"], "nonzeros": ["0"]}, {"nonzeros": ["0"]}]
+    )
+    def test_a_zero_nonzero_is_refused(self, data):
+        # 0 != 0 never holds: dropping it decided G1 = G2 Feasible
+        with pytest.raises(ValueError, match="zero polynomial nonzero"):
+            ConstraintLedger.from_json(data, 5)
+        with pytest.raises(ValueError, match="zero polynomial nonzero"):
+            ConstraintLedger((), (G[3], Polynomial.zero()))
+
+    @pytest.mark.parametrize("field", ["equalities", "nonzeros"])
+    def test_another_ring_is_refused(self, field):
+        g1 = Polynomial.variable("G1", quadrilateral.RING)
+        with pytest.raises(ValueError, match="over G1..G8 only"):
+            ConstraintLedger(**{field: (g1 + 1,)})
+
+    def test_a_constant_equality_is_an_infeasible_ledger(self):
+        led = ConstraintLedger((Polynomial.constant(1),))
+        assert led.equalities == (Polynomial.constant(1),)
+        assert decide(led).certificate == vorticity.Certificate("direct-disequality", G[1])
 
     def test_deduplication(self):
         led = ConstraintLedger((gamma_sum([1, 2]), gamma_sum([1, 2])), (G[1],))
@@ -416,23 +454,25 @@ class TestVerifyCertificate:
             assert not verify_certificate(led, cert), cert
 
     def test_rejects_a_subset_label_past_n(self):
-        # G1^2 + G6^2 is the n=5 ledger's own equality, and it is the sum of
-        # squares its subset (1, 6) prints, but 6 names no strength of the
-        # ledger: the subset must lie in 1..n.  Likewise for the monomial
-        # G1*G6.
-        g6 = vorticity.gamma_var(6)
-        squares = G[1] * G[1] + g6 * g6
-        led = ConstraintLedger((squares,), n=5)
+        # The n=5 ledger whose one equality is 1 generates the whole ring, so
+        # `lift` proves every polynomial a member and only the shape check
+        # can reject.  G1^2 + G6^2 is the sum of squares its subset (1, 6)
+        # prints, and G1*G6 the monomial, but 6 names no strength of the
+        # ledger: the subset must lie in 1..n.  The same shapes on (1, 2)
+        # pass.
+        led = ConstraintLedger((Polynomial.constant(1),), n=5)
         one = Polynomial.constant(1)
-        assert vorticity._sum_of_squares((1, 6), one) == squares
-        assert lift(squares, led.equalities) is not None
-        cert = vorticity.Certificate("sum-of-squares", squares, subset=(1, 6), multiplier=one)
-        assert not verify_certificate(led, cert)
-        monomial = G[1] * g6
-        led = ConstraintLedger((monomial,), n=5)
-        assert lift(monomial, led.equalities) is not None
-        cert = vorticity.Certificate("vanishing-monomial", monomial, subset=(1, 6))
-        assert not verify_certificate(led, cert)
+        for k, passes in ((6, False), (2, True)):
+            gk = vorticity.gamma_var(k)
+            squares = G[1] * G[1] + gk * gk
+            assert vorticity._sum_of_squares((1, k), one) == squares
+            assert lift(squares, led.equalities) is not None
+            cert = vorticity.Certificate("sum-of-squares", squares, subset=(1, k), multiplier=one)
+            assert verify_certificate(led, cert) == passes
+            monomial = G[1] * gk
+            assert lift(monomial, led.equalities) is not None
+            cert = vorticity.Certificate("vanishing-monomial", monomial, subset=(1, k))
+            assert verify_certificate(led, cert) == passes
 
     def test_rejects_a_sum_of_squares_of_another_subset(self):
         # G1^2 + G2^2 + G3^2 lies in the ideal and is the certificate `decide`
@@ -467,11 +507,11 @@ def _monomial(exps: dict) -> Polynomial:
 @functools.lru_cache(maxsize=None)
 def reference_candidates(n):
     """The certificate candidates in search order, built as `Polynomial`s:
-    each polynomial once, with the first subset and multiplier that build
-    it."""
+    the monomials of two or three strengths, then the sums of squares, each
+    polynomial once, with the first subset and multiplier that build it."""
     gammas = [f"G{i}" for i in range(1, n + 1)]
     out = {}
-    for size in (1, 2, 3):
+    for size in (2, 3):
         for S in itertools.combinations(range(1, n + 1), size):
             m = _monomial({f"G{i}": 1 for i in S})
             out[m] = vorticity.Certificate("vanishing-monomial", m, subset=S)
@@ -512,7 +552,7 @@ class TestCertificateCandidates:
         for (terms, *_), cert in zip(candidates, certificates):
             assert terms == exactpoly._int_terms(cert.polynomial, packing)
 
-    @pytest.mark.parametrize("n, count", [(3, 66), (4, 213), (5, 626), (6, 1720)])
+    @pytest.mark.parametrize("n, count", [(3, 63), (4, 209), (5, 621), (6, 1714)])
     def test_sums_of_squares_match_the_product_reference(self, n, count):
         candidates = candidate_certificates(n)
         assert len(candidates) == count
@@ -562,6 +602,34 @@ def decided(n):
     ):
         atlas.enumerate_diagrams(n)
     return tuple(calls), zero_tests
+
+
+class TestDecisionStages:
+    @pytest.mark.parametrize(
+        "n, stages, kinds",
+        [
+            (3, (1, 1, 0, 0), (1, 0, 0)),
+            (4, (6, 7, 0, 1), (3, 1, 3)),
+            (5, (27, 21, 0, 2), (9, 2, 10)),
+            (6, (67, 57, 8, 11), (24, 5, 28)),
+        ],
+    )
+    def test_which_stage_decides_each_distinct_ledger(self, n, stages, kinds):
+        # (quick search, certificate, late search, Unknown), and the
+        # certificates by kind; a change to any count has to be deliberate
+        stage = collections.Counter()
+        kind = collections.Counter()
+        for ledger, verdict in dict(decided(n)[0]).items():
+            if verdict.infeasible:
+                stage["certificate"] += 1
+                kind[verdict.certificate.kind] += 1
+            elif verdict.kind == "Feasible":
+                quick = vorticity._search_witness(ledger, 40, LEDGER_SEED) == verdict.witness
+                stage["quick" if quick else "late"] += 1
+            else:
+                stage[verdict.kind] += 1
+        assert tuple(stage[s] for s in ("quick", "certificate", "late", "Unknown")) == stages
+        assert tuple(kind[k] for k in ("direct-disequality", "vanishing-monomial", "sum-of-squares")) == kinds
 
 
 class TestResidueScreen:
