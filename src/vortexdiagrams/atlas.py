@@ -3,11 +3,12 @@
 The enumeration walks pairs of set partitions of the vertices (clique
 components per color, honoring the triangle-closure rule by construction),
 one z-partition per block-size type against every w-partition, crossed
-with every circle subset per color, in one loop in the calling process;
-it validates the structural rules, deduplicates up to relabeling and
-color swap, then pushes each distinct class through the lemma matchers
-and the constraint decision procedure.  Survivors are compared against
-the curated catalog.
+with the circle sets each color may carry, in one loop in the calling
+process.  It builds only diagrams that satisfy the structural rules, so
+it never validates them; it deduplicates up to relabeling and color
+swap, then pushes each distinct class through the lemma matchers and the
+constraint decision procedure.  Survivors are compared against the
+curated catalog.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from typing import NamedTuple
 from . import lemmas
 from .diagram import (
     Diagram,
-    RuleReport,
     canonical_key,
     canonical_masks,  # unused here; perfbench/tracer.py wraps atlas.canonical_masks
     from_canonical_masks,
     masks_key,
     orbit_masks,
     stroke_count_C,
-    validate,
+    validate,  # `check` calls atlas.validate; perfbench/tracer.py wraps it here
     _pair_index,
 )
 from .vorticity import LEDGER_SEED, ConstraintLedger, Verdict, decide
@@ -91,32 +91,29 @@ def _partition_data(n: int):
 def _valid_circle_masks(self_data, other_parts, n: int) -> list:
     """Circle masks consistent with the structural rules for one color.
 
-    Rules enforced: circles only on stroked vertices, both ends of a lone
-    stroke circled, circle status constant on each component of the other
-    color's strokes (R2), and no component with exactly one circle.
+    R2 makes circle status constant on each block of the other color's
+    partition (`other_parts`, which cover 1..n, so `n` is not read), and so
+    every circle set is a union of those blocks.  A block with a vertex
+    this color leaves unstroked is never circled (circles sit on stroked
+    vertices); a block holding an end of a lone stroke always is (both
+    ends are circled).  Each union of the remaining blocks is kept unless
+    a component of this color holds exactly one circle (R4).
     """
     _, _, support, forced, r4_parts = self_data
-    classes = [p for p in other_parts if p.bit_count() >= 2]
-    out = []
-    for mask in range(1 << n):
-        if mask & ~support:
-            continue
-        if mask & forced != forced:
-            continue
-        ok = True
-        for cl in classes:
-            x = mask & cl
-            if x and x != cl:
-                ok = False
-                break
-        if ok:
-            for p in r4_parts:
-                if (mask & p).bit_count() == 1:
-                    ok = False
-                    break
-        if ok:
-            out.append(mask)
-    return out
+    base = 0
+    free = []
+    for block in other_parts:
+        if block & ~support:
+            if block & forced:
+                return []
+        elif block & forced:
+            base |= block
+        else:
+            free.append(block)
+    masks = [base]
+    for block in free:
+        masks += [m | block for m in masks]
+    return [m for m in masks if all((m & p).bit_count() != 1 for p in r4_parts)]
 
 
 def _type_representatives(partitions) -> list:
@@ -232,19 +229,19 @@ def _decide_memo(ledger: ConstraintLedger, memo: dict) -> Verdict:
 
 
 class Judgment(NamedTuple):
-    """The verdict on one diagram and everything that led to it.
+    """The verdict on one valid diagram and everything that led to it.
 
-    `outcome` is "invalid", "excluded" or "retained".  An excluded diagram
-    names what excluded it in `excluded_by`: a lemma, or
-    "constraint-infeasibility" (the base ledger).  The multiplier branches
-    of a retained diagram annotate it and exclude nothing.  Later stages
-    are None or empty when an earlier one already settled the outcome.
+    `outcome` is "excluded" or "retained".  An excluded diagram names what
+    excluded it in `excluded_by`: a lemma, or "constraint-infeasibility"
+    (the base ledger).  `analysis` holds the lemma findings and the
+    ledgers.  The multiplier branches of a retained diagram annotate it
+    and exclude nothing.  `verdict` is None when a lemma settled the
+    outcome, and `branches` is empty unless the diagram is retained.
     """
 
     outcome: str
-    rules: RuleReport
+    analysis: lemmas.DiagramAnalysis
     excluded_by: str | None = None
-    analysis: lemmas.DiagramAnalysis | None = None
     verdict: Verdict | None = None  # of the base ledger
     # lambda class -> (ConstraintLedger, Verdict); the default is read-only
     # so that no two judgments share one mutable dict
@@ -252,36 +249,33 @@ class Judgment(NamedTuple):
 
 
 def judge(d: Diagram, memo: dict | None = None) -> Judgment:
-    """Validate `d`, apply the lemmas, then decide its base and branch ledgers.
+    """Apply the lemmas to `d`, then decide its base and branch ledgers.
 
-    The one decision path behind both `enumerate` and `check`.  `memo`
-    maps ledgers to verdicts already decided in this run; without one,
-    every ledger is decided afresh.  The ledgers have strengths G1..G8,
-    so a diagram on more than 8 vertices is refused with `ValueError`.
+    The one decision path behind both `enumerate` and `check`.  `d` must
+    satisfy the structural rules and have n <= 8, since a ledger names only
+    the strengths G1..G8: the scan builds only such diagrams, and `check`
+    refuses any other before it judges.  `memo` maps ledgers to verdicts
+    already decided in this run; without one, every ledger is decided
+    afresh.
     """
-    if d.n > 8:
-        raise ValueError(f"judging supported for n <= 8 (strengths G1..G8), got n={d.n}")
     memo = {} if memo is None else memo
-    rules = validate(d)
-    if not rules.valid:
-        return Judgment("invalid", rules)
     analysis = lemmas.analyze(d)
     if analysis.exclusion is not None:
-        return Judgment("excluded", rules, analysis.exclusion.lemma, analysis)
+        return Judgment("excluded", analysis, analysis.exclusion.lemma)
     verdict = _decide_memo(analysis.base_ledger, memo)
     if verdict.infeasible:
-        return Judgment("excluded", rules, "constraint-infeasibility", analysis, verdict)
+        return Judgment("excluded", analysis, "constraint-infeasibility", verdict)
     branches = {
         cls: (led, _decide_memo(led, memo)) for cls, led in sorted(analysis.branch_ledgers.items())
     }
-    return Judgment("retained", rules, None, analysis, verdict, branches)
+    return Judgment("retained", analysis, None, verdict, branches)
 
 
 def _judge_class(n: int, masks, memo: dict) -> tuple:
     """Judge one canonical class as a survivor entry or a rejection record.
 
-    `_scan` yields only classes of valid diagrams, so `judge` never
-    returns "invalid" here."""
+    `_scan` builds only diagrams that satisfy the structural rules, which
+    is what `judge` asks of the diagrams it receives."""
     d = from_canonical_masks(n, masks)
     key = masks_key(n, masks)
     j = judge(d, memo)

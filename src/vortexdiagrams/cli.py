@@ -75,25 +75,31 @@ def _cmd_check(args) -> int:
     from .diagram import canonical_key, stroke_count_C
 
     d = _load_diagram(args.diagram)
-    j = atlas.judge(d)
+    if d.n > 8:
+        raise ValueError(f"judging supported for n <= 8 (strengths G1..G8), got n={d.n}")
+    rules = atlas.validate(d)
     result: dict = {
         "diagram": d.to_json(),
         "canonical_key": canonical_key(d),
         "c_class": stroke_count_C(d),
-        "valid": j.rules.valid,
-        "rule_failures": list(j.rules.failures),
-        "outcome": j.outcome,
+        "valid": rules.valid,
+        "rule_failures": list(rules.failures),
     }
-    if j.analysis is not None:
-        result["findings"] = [f.to_json() for f in j.analysis.findings]
-        result["ledger"] = j.analysis.base_ledger.to_json()
+    if not rules.valid:
+        result["outcome"] = "invalid"
+        _dump(result, args.out)
+        return 1
+    j = atlas.judge(d)
+    result["outcome"] = j.outcome
+    result["findings"] = [f.to_json() for f in j.analysis.findings]
+    result["ledger"] = j.analysis.base_ledger.to_json()
     if j.verdict is not None:
         result["verdict"] = j.verdict.to_json()
     if j.branches:
         result["branches"] = atlas.branches_to_json(j.branches)
     if j.excluded_by is not None:
         result["excluded_by"] = j.excluded_by
-    if j.analysis is not None and j.analysis.exclusion is not None:
+    if j.analysis.exclusion is not None:
         result["reason"] = j.analysis.exclusion.reason
     elif j.excluded_by == "constraint-infeasibility":
         result["reason"] = _infeasibility_reason(j.analysis, j.verdict)

@@ -124,15 +124,17 @@ class ConstraintLedger(_LedgerFields):
     """Equalities (= 0) and disequalities (!= 0) on the vortex strengths.
 
     The constructor always requires G1..G_n nonzero, and it is the one gate
-    for what a ledger holds: a polynomial not over `DEFAULT_VARS` or naming
-    a strength past G_n, or a zero nonzero (0 != 0 never holds), is a
-    `ValueError`.  A zero equality is dropped; a constant one makes the
-    ledger infeasible.
+    for what a ledger holds: an n outside 1..8, a polynomial not over
+    `DEFAULT_VARS` or naming a strength past G_n, or a zero nonzero
+    (0 != 0 never holds), is a `ValueError`.  A zero equality is dropped; a
+    constant one makes the ledger infeasible.
     """
 
     __slots__ = ()
 
     def __new__(cls, equalities=(), nonzeros=(), n: int = N_VORTICES):
+        if not 1 <= n <= len(DEFAULT_VARS):
+            raise ValueError(f"a ledger needs n in 1..{len(DEFAULT_VARS)}, got n={n}")
         base = _gamma_vars(n)
         extra = tuple(dict.fromkeys(p for p in nonzeros if p not in base))
         equalities = tuple(dict.fromkeys(p for p in equalities if p))
@@ -154,10 +156,15 @@ class ConstraintLedger(_LedgerFields):
 
     @classmethod
     def from_json(cls, data: dict, n: int = N_VORTICES) -> "ConstraintLedger":
-        """The ledger `to_json` wrote, through the constructor's gate."""
-        equalities = tuple(parse_polynomial(t) for t in data.get("equalities", ()))
-        nonzeros = tuple(parse_polynomial(t) for t in data.get("nonzeros", ()))
-        return cls(equalities, nonzeros, n)
+        """The ledger `to_json` wrote, through the constructor's gate; a
+        field that is not a list of strings is a `ValueError` naming it."""
+        fields = []
+        for name in ("equalities", "nonzeros"):
+            texts = data.get(name, [])
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                raise ValueError(f"ledger field {name!r} must be a list of polynomial strings")
+            fields.append(tuple(map(parse_polynomial, texts)))
+        return cls(*fields, n)
 
 
 class Certificate(NamedTuple):

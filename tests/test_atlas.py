@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from relabel import relabeled
-from vortexdiagrams import atlas, lemmas, vorticity
+from vortexdiagrams import atlas, diagram, lemmas, vorticity
 from vortexdiagrams.atlas import (
     CatalogEntry,
     diff_report,
@@ -97,6 +97,56 @@ class TestOrderlyScan:
         for i, parts in enumerate(partitions):
             shape = tuple(sorted(bin(p).count("1") for p in parts))
             assert i >= reps[shapes.index(shape)]
+
+
+def rule_filter_circle_masks(self_data, other_parts, n: int) -> list:
+    """The masks out of all 2^n, in increasing order, that pass the four
+    rules, kept as the reference for `atlas._valid_circle_masks`: circles
+    only on stroked vertices, both ends of a lone stroke circled, circle
+    status constant on each block of the other color's partition (R2), and
+    no component with exactly one circle (R4)."""
+    _, _, support, forced, r4_parts = self_data
+    classes = [p for p in other_parts if p.bit_count() >= 2]
+    return [
+        mask
+        for mask in range(1 << n)
+        if not mask & ~support
+        and mask & forced == forced
+        and all(mask & cl in (0, cl) for cl in classes)
+        and all((mask & p).bit_count() != 1 for p in r4_parts)
+    ]
+
+
+class TestCircleMasks:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_match_the_rule_filter_on_every_partition_pair(self, n):
+        data = atlas._partition_data(n)
+        for own in data:
+            for other in data:
+                expect = rule_filter_circle_masks(own, other[1], n)
+                assert sorted(atlas._valid_circle_masks(own, other[1], n)) == expect, (own, other[1])
+
+    def test_match_the_rule_filter_on_every_pair_the_n6_scan_asks_for(self):
+        data = atlas._partition_data(6)
+        for i in atlas._type_representatives(d[1] for d in data):
+            for other in data:
+                for a, b in ((data[i], other), (other, data[i])):
+                    expect = rule_filter_circle_masks(a, b[1], 6)
+                    assert sorted(atlas._valid_circle_masks(a, b[1], 6)) == expect, (a, b[1])
+
+
+class TestScanBuildsValidDiagrams:
+    def test_enumeration_validates_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return validate(d)
+
+        monkeypatch.setattr(diagram, "validate", counting)
+        monkeypatch.setattr(atlas, "validate", counting)
+        report = enumerate_diagrams(5)
+        assert (len(report.survivors), len(calls)) == (31, 0)
 
 
 class TestPartitions:

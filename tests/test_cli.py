@@ -12,7 +12,7 @@ from synthetic import synthetic_sequence, to_jsonl
 from vortexdiagrams import atlas, exactcheck, exactpoly, quadrilateral
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import _join_signed_values, build_parser, main
-from vortexdiagrams.diagram import Diagram
+from vortexdiagrams.diagram import Diagram, canonical_key
 from vortexdiagrams.exactcheck import normal_form
 from vortexdiagrams.exactpoly import groebner_basis
 from vortexdiagrams.numeric import SingularSequenceSample, make_configuration
@@ -82,6 +82,31 @@ class TestCheck:
         path.write_text(json.dumps(Diagram(9, [(1, 2)], [(3, 4)], [1, 2], [3, 4]).to_json()))
         assert main(["check", str(path)]) == 2
         assert "n <= 8 (strengths G1..G8)" in capsys.readouterr().err
+
+    def test_invalid_diagram_prints_only_its_rule_report(self, tmp_path, capsys):
+        d = Diagram(5, [(1, 2)], [(1, 2)], [1], [1, 2])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d.to_json()))
+        assert main(["check", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "diagram": d.to_json(),
+            "canonical_key": canonical_key(d),
+            "c_class": 2,
+            "valid": False,
+            "rule_failures": [
+                "R1a: bare end 2 of z-stroke 12",
+                "R4: lone z-circle in component [1, 2]",
+                "R2: pair (1, 2) both z-close and z-far",
+            ],
+            "outcome": "invalid",
+        }
+
+    def test_more_than_eight_vertices_is_refused_before_the_rules(self, tmp_path, capsys):
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(Diagram(9, [(1, 2)], [(1, 2)], [1], []).to_json()))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: judging supported for n <= 8 (strengths G1..G8), got n=9\n")
 
     @pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.figure_ref)
     def test_catalog_entry_outcome(self, entry, tmp_path):

@@ -173,6 +173,21 @@ class TestLedger:
         with pytest.raises(ValueError, match="zero polynomial nonzero"):
             ConstraintLedger((), (G[3], Polynomial.zero()))
 
+    @pytest.mark.parametrize("n", [-1, 0, 9, 12])
+    def test_a_vertex_count_outside_one_to_eight_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"a ledger needs n in 1..8, got n={n}$"):
+            ConstraintLedger((), (), n)
+        with pytest.raises(ValueError, match=f"a ledger needs n in 1..8, got n={n}$"):
+            ConstraintLedger.from_json({"equalities": ["G1 - G2"]}, n)
+        assert ConstraintLedger((), (), 1).nonzeros == (G[1],)
+
+    @pytest.mark.parametrize(
+        "field, value", [("equalities", "G1 - G2"), ("nonzeros", "G3"), ("nonzeros", [1]), ("equalities", {})]
+    )
+    def test_json_field_that_is_not_a_list_of_strings_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"ledger field '{field}' must be a list"):
+            ConstraintLedger.from_json({field: value}, 5)
+
     @pytest.mark.parametrize("field", ["equalities", "nonzeros"])
     def test_another_ring_is_refused(self, field):
         g1 = Polynomial.variable("G1", quadrilateral.RING)
