@@ -12,11 +12,12 @@ and gradient; where every equality is linear in a strength, the gradient
 entry is the coefficient that completes the point, so the point is
 tested and completed from the same numbers.  Only a point that solves
 every equality reaches `satisfies`, which checks it exactly in
-`Fraction`s; the search itself evaluates no nonzero constraint.  The
-certificate candidates are packed monomial keys, screened by their
-residue against the Groebner basis; a `Certificate` is built only for a
-candidate whose residue is zero, and kept only once the exact zero-test
-confirms it.
+`Fraction`s; the search itself evaluates no nonzero constraint.  Each
+certificate kind is declared once, in `KINDS`, by its candidate generator
+and its shape check.  A generator screens its candidates by their residue
+against the Groebner basis (the per-n ones as packed monomial keys) and
+builds a `Certificate` only for a candidate whose residue is zero; the
+search keeps it only once the exact zero-test confirms it.
 """
 
 from __future__ import annotations
@@ -156,8 +157,11 @@ class ConstraintLedger(_LedgerFields):
 
     @classmethod
     def from_json(cls, data: dict, n: int = N_VORTICES) -> "ConstraintLedger":
-        """The ledger `to_json` wrote, through the constructor's gate; a
-        field that is not a list of strings is a `ValueError` naming it."""
+        """The ledger `to_json` wrote, through the constructor's gate; data
+        that is not an object, or a field that is not a list of strings, is
+        a `ValueError` naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a ledger must be a JSON object, got {type(data).__name__}")
         fields = []
         for name in ("equalities", "nonzeros"):
             texts = data.get(name, [])
@@ -177,7 +181,7 @@ class Certificate(NamedTuple):
     its vanishing contradict the nonzero constraints.
     """
 
-    kind: str  # direct-disequality | vanishing-monomial | sum-of-squares
+    kind: str  # direct-disequality | vanishing-monomial | sum-of-squares | product
     polynomial: Polynomial
     subset: tuple[int, ...] = ()
     multiplier: Polynomial | None = None
@@ -351,75 +355,153 @@ def _sum_of_squares(subset, mult: Polynomial) -> Polynomial:
     return total
 
 
+def _direct_disequalities(ledger: ConstraintLedger, basis):
+    """(a) a polynomial required nonzero lies in the equality ideal."""
+    return (Certificate("direct-disequality", q) for q in ledger.nonzeros if not basis.residue(q))
+
+
+def _direct_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    return certificate.polynomial in ledger.nonzeros and not certificate.subset and certificate.multiplier is None
+
+
 @lru_cache(maxsize=None)
-def _certificate_candidates(n: int) -> tuple:
-    """Monomial and sum-of-squares certificates, in search order.
+def _packed_monomials(n: int) -> tuple:
+    """``(terms, subset)`` for each squarefree monomial in two or three of
+    G1..Gn, in search order, built once per n from exponent arithmetic
+    alone: `terms` maps its packed key to 1, as `Basis.packed_residue`
+    reads them.  A lone G_i in the ideal is found first, as a direct
+    disequality: every ledger requires it nonzero.
 
-    Each candidate is ``(terms, kind, subset, multiplier)``: `terms` maps
-    the packed key of each monomial to its coefficient, always 1, as
-    `Basis.packed_residue` reads them, and `multiplier` is the exponent
-    tuple of a sum of squares' multiplier (None for a monomial).
-    `_candidate_certificate` turns one into its `Certificate`.
-
-    Each polynomial appears once, with the first subset and multiplier
-    that build it.  The monomials are squarefree: if a monomial of degree
-    at most 4 with a square in it lies in the ideal, so does M^2, M the
-    product of its (at most three) variables, and M^2 is already here as
-    the sum of squares with subset (i,), i the least of them, and the
-    product of the others as multiplier.  They depend on n only, so each
-    n builds them once, from exponent arithmetic alone.
+    The monomials are squarefree: if a monomial of degree at most 4 with a
+    square in it lies in the ideal, so does M^2, M the product of its (at
+    most three) variables, and M^2 is already a sum of squares with subset
+    (i,), i the least of them, and the product of the others as multiplier.
     """
-    out = {}
-    # (b) a squarefree monomial in two or three (nonzero) vorticities lies
-    # in the ideal: some vorticity would vanish.  A lone G_i in the ideal is
-    # found first, as a direct disequality: every ledger requires it nonzero.
-    for size in (2, 3):
-        for S in itertools.combinations(range(1, n + 1), size):
-            terms = {packed_key(_squarefree(S)): 1}
-            out[frozenset(terms)] = (terms, "vanishing-monomial", S, None)
-    # (c) a sum of squares of monomials lies in the ideal: over the reals
-    # each part vanishes, forcing some vorticity to zero.  The multipliers
-    # are 1, G_j, G_j*G_k (j < k) and G_j^2.
+    return tuple(
+        ({packed_key(_squarefree(S)): 1}, S)
+        for size in (2, 3)
+        for S in itertools.combinations(range(1, n + 1), size)
+    )
+
+
+def _vanishing_monomials(ledger: ConstraintLedger, basis):
+    """(b) a squarefree monomial in (nonzero) vorticities lies in the ideal:
+    some vorticity would vanish."""
+    for terms, S in _packed_monomials(ledger.n):
+        if not basis.packed_residue(terms):
+            yield Certificate("vanishing-monomial", _unit_polynomial((_squarefree(S),)), S)
+
+
+def _monomial_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    # The subset printed with it names the strengths that would vanish.
+    poly = certificate.polynomial
+    labels = tuple(sorted(int(v[1:]) for v in poly.variables()))
+    return len(poly.terms) == 1 and certificate.multiplier is None and certificate.subset == labels
+
+
+@lru_cache(maxsize=None)
+def _packed_squares(n: int) -> tuple:
+    """``(terms, subset, multiplier)`` for each sum over the subset of
+    (G_i * multiplier)^2, in search order, packed as in `_packed_monomials`;
+    `multiplier` is an exponent tuple.  The multipliers are 1, G_j,
+    G_j*G_k (j < k) and G_j^2.  Each polynomial appears once, with the first
+    subset and multiplier that build it.  (G_i * mult)^2 is one monomial,
+    and distinct i give distinct monomials, so each sum has coefficient 1
+    on each of its terms.
+    """
     multipliers = [_squarefree(())] + [_squarefree((i,)) for i in range(1, n + 1)]
     multipliers += [_squarefree(jk) for jk in itertools.combinations(range(1, n + 1), 2)]
     multipliers += [_square(i, _squarefree(())) for i in range(1, n + 1)]
-    # (G_i * mult)^2 is one monomial, and distinct i give distinct
-    # monomials, so each sum has coefficient 1 on each of its terms.
-    # `verify_certificate` re-derives it with `_sum_of_squares`.
+    out = {}
     for mult in multipliers:
         square = {i: packed_key(_square(i, mult)) for i in range(1, n + 1)}
         for size in range(1, n + 1):
             for S in itertools.combinations(range(1, n + 1), size):
                 terms = {square[i]: 1 for i in S}
-                out.setdefault(frozenset(terms), (terms, "sum-of-squares", S, mult))
+                out.setdefault(frozenset(terms), (terms, S, mult))
     return tuple(out.values())
 
 
-def _candidate_certificate(candidate: tuple) -> Certificate:
-    """The `Certificate` that a packed candidate stands for."""
-    _, kind, subset, mult = candidate
-    if mult is None:
-        return Certificate(kind, _unit_polynomial((_squarefree(subset),)), subset)
-    poly = _unit_polynomial(tuple(_square(i, mult) for i in subset))
-    return Certificate(kind, poly, subset, _unit_polynomial((mult,)))
+def _sums_of_squares(ledger: ConstraintLedger, basis):
+    """(c) a sum of squares of monomials lies in the ideal: over the reals
+    each part vanishes, forcing some vorticity to zero."""
+    for terms, S, mult in _packed_squares(ledger.n):
+        if not basis.packed_residue(terms):
+            poly = _unit_polynomial(tuple(_square(i, mult) for i in S))
+            yield Certificate("sum-of-squares", poly, S, _unit_polynomial((mult,)))
+
+
+def _squares_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    # Only a nonzero monomial multiplier in G1..Gn and a nonempty subset
+    # make every square vanish and force some vorticity to zero; the
+    # polynomial is rebuilt here by `Polynomial` arithmetic.
+    mult = certificate.multiplier if certificate.multiplier is not None else Polynomial.constant(1)
+    allowed = set(DEFAULT_VARS[: ledger.n])
+    if len(mult.terms) != 1 or not mult.variables() <= allowed or not certificate.subset:
+        return False
+    return _sum_of_squares(certificate.subset, mult) == certificate.polynomial
+
+
+@polynomial_cache
+def _pair_quadric(a: int, b: int) -> Polynomial:
+    """Q_ab = Ga^2 + Ga*Gb + Gb^2 = (Ga + Gb/2)^2 + 3/4*Gb^2: positive
+    wherever Gb is nonzero."""
+    ga, gb = gamma_var(a), gamma_var(b)
+    return ga * ga + ga * gb + gb * gb
+
+
+def _products(ledger: ConstraintLedger, basis):
+    """(d) Q_ab * Q_cd lies in the ideal, (a, b) in a triple T1 and (c, d)
+    in a triple T2 != T1 with e2(T1) and e2(T2) equalities of the ledger:
+    each factor is positive where the strengths are nonzero.
+
+    Q_ab lies in the ideal of sum(T1) and e2(T1), so the product is a
+    member wherever sum(T1) * sum(T2) is: as when T1 and T2 are disjoint
+    and e2 of their union, e2(T1) + e2(T2) + sum(T1) * sum(T2), is an
+    equality too.  Triples, pairs of triples and pairs go in
+    `itertools.combinations` order, each product once.
+    """
+    triples = [
+        T for T in itertools.combinations(range(1, ledger.n + 1), 3) if angular_momentum(T) in ledger.equalities
+    ]
+    subsets = {}
+    for T1, T2 in itertools.combinations(triples, 2):
+        for ab, cd in itertools.product(itertools.combinations(T1, 2), itertools.combinations(T2, 2)):
+            subsets.setdefault(frozenset((ab, cd)), ab + cd)
+    for S in subsets.values():
+        poly = _pair_quadric(*S[:2]) * _pair_quadric(*S[2:])
+        if not basis.residue(poly):
+            yield Certificate("product", poly, S)
+
+
+def _product_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    # Two pairs of distinct labels, whose Q's the polynomial is the product of.
+    S = certificate.subset
+    if len(S) != 4 or S[0] == S[1] or S[2] == S[3] or certificate.multiplier is not None:
+        return False
+    return _pair_quadric(*S[:2]) * _pair_quadric(*S[2:]) == certificate.polynomial
+
+
+# The certificate kinds, in search order.  Each maps to its candidate
+# generator, ``(ledger, basis) -> Certificates`` whose residue against the
+# basis is zero, and its shape check, ``(ledger, certificate) -> bool``:
+# whether the certificate carries the kind's real-arithmetic contradiction
+# once its polynomial is known to lie in the equality ideal.  The shape
+# checks see only certificates `_well_formed` has passed.
+KINDS = {
+    "direct-disequality": (_direct_disequalities, _direct_shape),
+    "vanishing-monomial": (_vanishing_monomials, _monomial_shape),
+    "sum-of-squares": (_sums_of_squares, _squares_shape),
+    "product": (_products, _product_shape),
+}
 
 
 def _certificate_search(ledger: ConstraintLedger, basis):
-    """The first member of the equality ideal among the candidates.
-
-    A candidate whose residue is nonzero is no member; only a zero residue
-    is confirmed by the exact zero-test.  A packed candidate becomes a
-    `Certificate` only then.
-    """
-    residue = basis.residue
-    # (a) a polynomial required nonzero lies in the equality ideal.
-    for q in ledger.nonzeros:
-        if not residue(q) and reduces_to_zero(q, basis):
-            return Certificate("direct-disequality", q)
-    packed_residue = basis.packed_residue
-    for candidate in _certificate_candidates(ledger.n):
-        if not packed_residue(candidate[0]):
-            cert = _candidate_certificate(candidate)
+    """The first member of the equality ideal among the candidates of
+    `KINDS`: only a candidate the residue screen passes is confirmed by
+    the exact zero-test."""
+    for candidates, _ in KINDS.values():
+        for cert in candidates(ledger, basis):
             if reduces_to_zero(cert.polynomial, basis):
                 return cert
     return None
@@ -452,46 +534,33 @@ def decide(ledger: ConstraintLedger, seed: int = LEDGER_SEED) -> Verdict:
     return Verdict("Unknown")
 
 
+def _well_formed(ledger: ConstraintLedger, certificate: Certificate) -> bool:
+    """A tuple of subset labels, each an int (not a bool) in 1..n, and the
+    polynomial and any multiplier polynomials over G1..G8."""
+    subset, mult = certificate.subset, certificate.multiplier
+    polys = (certificate.polynomial,) if mult is None else (certificate.polynomial, mult)
+    labels = isinstance(subset, tuple) and all(type(j) is int and 1 <= j <= ledger.n for j in subset)
+    return labels and all(isinstance(p, Polynomial) and p.ring == DEFAULT_VARS for p in polys)
+
+
 def verify_certificate(ledger: ConstraintLedger, certificate: Certificate) -> bool:
     """Re-check an infeasibility certificate without the Groebner kernel.
 
-    Checks that the certificate's shape carries the claimed real-arithmetic
-    contradiction, and that the subset and multiplier it prints are the
-    ones its kind uses (none where it uses none), then proves the
-    polynomial a member of the equality ideal by `exactcheck.lift`:
-    cofactors h_i with sum h_i * e_i equal to it, confirmed by
-    multiplication alone.  Every equality the lemmas emit is homogeneous,
-    where the lift's degree bound is exact.  Every shape that passes has a
-    nonzero polynomial, for which `lift` finds no cofactors over an empty
-    list of equalities.
+    Looks up the certificate's kind in `KINDS` (an unknown kind fails) and
+    checks, by `_well_formed` and the kind's shape check, that the
+    certificate carries the claimed real-arithmetic contradiction and that
+    the subset and multiplier it prints are the ones its kind uses (none
+    where it uses none); a malformed certificate fails, it never raises.
+    Then it proves the polynomial a member of the equality ideal by
+    `exactcheck.lift`: cofactors h_i with sum h_i * e_i equal to it,
+    confirmed by multiplication alone.  Every equality the lemmas emit is
+    homogeneous, where the lift's degree bound is exact.  Every shape that
+    passes has a nonzero polynomial, for which `lift` finds no cofactors
+    over an empty list of equalities.
     """
     from .exactcheck import lift
 
-    allowed = {f"G{i}" for i in range(1, ledger.n + 1)}
-    if certificate.kind == "direct-disequality":
-        if certificate.polynomial not in ledger.nonzeros:
-            return False
-        if certificate.subset or certificate.multiplier is not None:
-            return False
-    elif certificate.kind == "vanishing-monomial":
-        # The subset printed with it names the strengths that would vanish.
-        if len(certificate.polynomial.terms) != 1 or certificate.multiplier is not None:
-            return False
-        names = certificate.polynomial.variables()
-        if not names <= allowed:
-            return False
-        if certificate.subset != tuple(sorted(int(v[1:]) for v in names)):
-            return False
-    elif certificate.kind == "sum-of-squares":
-        # Only a nonzero monomial multiplier and a nonempty subset make
-        # every square vanish and force some vorticity to zero.
-        mult = certificate.multiplier if certificate.multiplier is not None else Polynomial.constant(1)
-        if len(mult.terms) != 1 or not mult.variables() <= allowed:
-            return False
-        if not certificate.subset or not set(certificate.subset) <= set(range(1, ledger.n + 1)):
-            return False
-        if _sum_of_squares(certificate.subset, mult) != certificate.polynomial:
-            return False
-    else:
+    entry = KINDS.get(certificate.kind) if isinstance(certificate.kind, str) else None
+    if entry is None or not _well_formed(ledger, certificate) or not entry[1](ledger, certificate):
         return False
     return lift(certificate.polynomial, ledger.equalities) is not None

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -52,6 +53,20 @@ class TestCheck:
         assert result["reason"] == (
             "RuleIV-vorticity(z), RuleIV-vorticity(w) G2 + G3=0 vs SumT12(z), CorSumT12(z) nonzero"
         )
+
+    def test_product_certificate_excludes_the_n6_triangle_pair(self, tmp_path):
+        # z: triangles 126 and 345, w: all of 1..6, so e2(126) = e2(345) =
+        # e2(1..6) = 0; one triangle's sum vanishes, and with it its strengths
+        d = Diagram(6, [(1, 2), (1, 6), (2, 6), (3, 4), (3, 5), (4, 5)], list(itertools.combinations(range(1, 7), 2)))
+        assert canonical_key(d) == "6:1711:7fff:0:0"
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(d.to_json()))
+        out = tmp_path / "res.json"
+        assert main(["check", str(path), "--out", str(out)]) == 1
+        result = json.loads(out.read_text())
+        assert (result["outcome"], result["excluded_by"]) == ("excluded", "constraint-infeasibility")
+        certificate = result["verdict"]["certificate"]
+        assert (certificate["kind"], certificate["subset"]) == ("product", [1, 2, 3, 4])
 
     def test_invalid_diagram_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,9 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from candidates import table_candidates
 
 from vortexdiagrams.atlas import load_catalog
-from vortexdiagrams import atlas, exactpoly, quadrilateral, vorticity
+from vortexdiagrams import atlas, exactpoly, quadrilateral
 from vortexdiagrams.exactcheck import _rational, is_cofactor_identity, lift, normal_form
 from vortexdiagrams.lemmas import analyze
 from vortexdiagrams.exactpoly import (
@@ -734,10 +735,7 @@ class TestLazyBasis:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_decided_equality_sets(self, n):
-        candidates = [
-            vorticity._candidate_certificate(c).polynomial
-            for c in vorticity._certificate_candidates(n)
-        ]
+        candidates = [cert.polynomial for _, cert in table_candidates(n)]
         members = nonzero = 0
         equality_sets = decided_equality_sets(n)
         for equalities in equality_sets:

@@ -26,7 +26,7 @@ from vortexdiagrams.vorticity import Certificate, ConstraintLedger, decide, sati
 VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 
 # sha256 of `vortexdiagrams enumerate --n 6` stdout, as acceptance 10 pins n=5.
-REPORT_N6_SHA256 = "506a9558111931725b98b0b130191fd07a5ab65f0bc06ed4a000cea6ba038b34"
+REPORT_N6_SHA256 = "91ad55d500e483760c729bb735f6919c2c169486807500cee91b2cd772a6ece4"
 
 
 def class_masks(rep) -> list:
@@ -239,8 +239,8 @@ def test_check_path_beyond_the_scan(n):
 def test_n6_counts_and_histogram(enumerated):
     rep = enumerated(6)
     assert rep.unique_classes == 268
-    assert len(rep.survivors) == 146
-    assert rep.histogram == {0: 15, 2: 7, 3: 9, 4: 32, 5: 27, 6: 29, 7: 15, 8: 9, 9: 1, 10: 2}
+    assert len(rep.survivors) == 145
+    assert rep.histogram == {0: 15, 2: 7, 3: 9, 4: 32, 5: 27, 6: 29, 7: 14, 8: 9, 9: 1, 10: 2}
 
 
 def test_n6_report_is_byte_identical_to_the_record(enumerated):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from candidates import table_candidates
 
 from vortexdiagrams import atlas, exactpoly, quadrilateral, vorticity
 from vortexdiagrams.exactcheck import lift
@@ -30,6 +31,9 @@ from vortexdiagrams.vorticity import (
 )
 
 G = {i: gamma_var(i) for i in range(1, 6)}
+ONE = Polynomial.constant(1)
+RING_ONE = Polynomial.constant(1, quadrilateral.RING)
+RING_G1, RING_G3 = (Polynomial.variable(g, quadrilateral.RING) for g in ("G1", "G3"))
 
 
 class TestBuilders:
@@ -187,6 +191,11 @@ class TestLedger:
     def test_json_field_that_is_not_a_list_of_strings_is_refused(self, field, value):
         with pytest.raises(ValueError, match=f"ledger field '{field}' must be a list"):
             ConstraintLedger.from_json({field: value}, 5)
+
+    @pytest.mark.parametrize("data", [[], "x", None, 5])
+    def test_json_that_is_not_an_object_is_refused(self, data):
+        with pytest.raises(ValueError, match="a ledger must be a JSON object"):
+            ConstraintLedger.from_json(data, 5)
 
     @pytest.mark.parametrize("field", ["equalities", "nonzeros"])
     def test_another_ring_is_refused(self, field):
@@ -438,6 +447,8 @@ class TestVerifyCertificate:
             Certificate("vanishing-monomial", G[1] + G[2]),
             # no longer a certificate kind, even for a ledger this infeasible
             Certificate("saturation-unit", Polynomial.constant(1)),
+            # a kind that names none, as a JSON report could print it
+            Certificate(["direct-disequality"], pair),
             Certificate("vanishing-monomial", monomial, subset=(1,)),
             Certificate("vanishing-monomial", monomial, subset=(1,), multiplier=G[1] + G[4]),
             Certificate("vanishing-monomial", monomial, subset=(2, 3), multiplier=G[1] + G[4]),
@@ -488,6 +499,70 @@ class TestVerifyCertificate:
             assert lift(monomial, led.equalities) is not None
             cert = vorticity.Certificate("vanishing-monomial", monomial, subset=(1, k))
             assert verify_certificate(led, cert) == passes
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [
+            # a bool or float label: the rebuild raised on it, or True
+            # passed for 1
+            vorticity.Certificate("sum-of-squares", G[1] * G[1] + G[2] * G[2], (True, 2), ONE),
+            vorticity.Certificate("sum-of-squares", G[1] * G[1] + G[2] * G[2], (1.0, 2), ONE),
+            vorticity.Certificate("vanishing-monomial", G[1] * G[2], (True, 2)),
+            # a polynomial over another ring: the rebuild or the lift raised
+            vorticity.Certificate("sum-of-squares", G[1] * G[1] + G[2] * G[2], (1, 2), RING_ONE),
+            vorticity.Certificate("vanishing-monomial", RING_G1 * RING_G3, (1, 3)),
+            # no polynomial, or a subset that is no tuple of labels
+            vorticity.Certificate("vanishing-monomial", None, (1, 2)),
+            vorticity.Certificate("sum-of-squares", G[1] * G[1] + G[2] * G[2], 2, ONE),
+        ],
+        ids=[
+            "bool-label",
+            "float-label",
+            "bool-monomial-label",
+            "ring-multiplier",
+            "ring-polynomial",
+            "no-polynomial",
+            "int-subset",
+        ],
+    )
+    def test_answers_false_on_a_malformed_certificate(self, certificate):
+        # the ledger's one equality 1 makes every polynomial over G1..G8 a
+        # member, so only the shape check can reject
+        led = ConstraintLedger((Polynomial.constant(1),), n=5)
+        assert verify_certificate(led, certificate) is False
+
+    def test_rejects_a_forged_product(self):
+        # e2(126) = e2(345) = e2(1..6) = 0 forces one triangle's sum, then
+        # its strengths, to zero: Q12 * Q34 lies in the ideal
+        led = ConstraintLedger(tuple(map(angular_momentum, ([1, 2, 6], [3, 4, 5], range(1, 7)))), n=6)
+        Q = vorticity._pair_quadric
+        cert = decide(led).certificate
+        assert cert == vorticity.Certificate("product", Q(1, 2) * Q(3, 4), (1, 2, 3, 4))
+        assert verify_certificate(led, cert)
+        # every polynomial is a member for the ledger whose one equality is
+        # 1, so only the shape check can reject
+        whole = ConstraintLedger((Polynomial.constant(1),), n=6)
+        assert verify_certificate(whole, cert)
+        assert verify_certificate(whole, cert._replace(subset=(3, 4, 1, 2)))
+        forged = [
+            cert._replace(polynomial=Q(1, 1) * Q(3, 4), subset=(1, 1, 3, 4)),
+            cert._replace(polynomial=Q(1, 2) * Q(4, 4), subset=(1, 2, 4, 4)),
+            cert._replace(polynomial=Q(1, 7) * Q(3, 4), subset=(1, 7, 3, 4)),
+            cert._replace(polynomial=Q(1, 2) * G[3] * G[3], subset=(1, 2, 3)),
+            cert._replace(subset=(1, 2, 3)),
+            cert._replace(subset=(1, 2, 3, 5)),
+            cert._replace(subset=(1, 3, 2, 4)),
+            cert._replace(multiplier=ONE),
+        ]
+        for f in forged:
+            assert not verify_certificate(whole, f), f
+
+    def test_pair_quadric_is_positive_where_a_strength_is_nonzero(self):
+        # Q_ab = (Ga + Gb/2)^2 + 3/4*Gb^2
+        for a, b in itertools.permutations(range(1, 9), 2):
+            ga, gb = gamma_var(a), gamma_var(b)
+            half = ga + gb * Fraction(1, 2)
+            assert vorticity._pair_quadric(a, b) == half * half + gb * gb * Fraction(3, 4)
 
     def test_rejects_a_sum_of_squares_of_another_subset(self):
         # G1^2 + G2^2 + G3^2 lies in the ideal and is the certificate `decide`
@@ -553,18 +628,18 @@ def reference_candidates(n):
 
 
 def candidate_certificates(n):
-    return [vorticity._candidate_certificate(c) for c in vorticity._certificate_candidates(n)]
+    return [cert for _, cert in table_candidates(n)]
 
 
 class TestCertificateCandidates:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_packed_candidates_match_the_polynomial_reference(self, n):
-        candidates = vorticity._certificate_candidates(n)
+        candidates = table_candidates(n)
         certificates = candidate_certificates(n)
         # order, kind, polynomial, subset and multiplier
         assert certificates == reference_candidates(n)
         packing = exactpoly._Packing(len(DEFAULT_VARS))
-        for (terms, *_), cert in zip(candidates, certificates):
+        for terms, cert in candidates:
             assert terms == exactpoly._int_terms(cert.polynomial, packing)
 
     @pytest.mark.parametrize("n, count", [(3, 63), (4, 209), (5, 621), (6, 1714)])
@@ -623,10 +698,10 @@ class TestDecisionStages:
     @pytest.mark.parametrize(
         "n, stages, kinds",
         [
-            (3, (1, 1, 0, 0), (1, 0, 0)),
-            (4, (6, 7, 0, 1), (3, 1, 3)),
-            (5, (27, 21, 0, 2), (9, 2, 10)),
-            (6, (67, 57, 8, 11), (24, 5, 28)),
+            (3, (1, 1, 0, 0), (1, 0, 0, 0)),
+            (4, (6, 7, 0, 1), (3, 1, 3, 0)),
+            (5, (27, 21, 0, 2), (9, 2, 10, 0)),
+            (6, (67, 58, 8, 10), (24, 5, 28, 1)),
         ],
     )
     def test_which_stage_decides_each_distinct_ledger(self, n, stages, kinds):
@@ -644,11 +719,12 @@ class TestDecisionStages:
             else:
                 stage[verdict.kind] += 1
         assert tuple(stage[s] for s in ("quick", "certificate", "late", "Unknown")) == stages
-        assert tuple(kind[k] for k in ("direct-disequality", "vanishing-monomial", "sum-of-squares")) == kinds
+        names = ("direct-disequality", "vanishing-monomial", "sum-of-squares", "product")
+        assert tuple(kind[k] for k in names) == kinds
 
 
 class TestResidueScreen:
-    @pytest.mark.parametrize("n, infeasible", [(3, 1), (4, 7), (5, 21), (6, 57)])
+    @pytest.mark.parametrize("n, infeasible", [(3, 1), (4, 7), (5, 21), (6, 58)])
     def test_one_exact_zero_test_per_infeasible_verdict(self, n, infeasible):
         calls, zero_tests = decided(n)
         assert sum(verdict.infeasible for _, verdict in calls) == infeasible
@@ -659,7 +735,7 @@ class TestResidueScreen:
         # The exact zero-test is the oracle for every candidate and required
         # nonzero polynomial against every basis the enumeration builds; the
         # packed candidates' residue is their polynomial's.
-        packed = vorticity._certificate_candidates(n)
+        packed = [terms for terms, _ in table_candidates(n)]
         candidates = [c.polynomial for c in candidate_certificates(n)]
         bases: dict = {}  # equality set -> (basis, residue of each polynomial checked)
         members = false_zeros = 0
@@ -680,7 +756,7 @@ class TestResidueScreen:
                 members += member
                 false_zeros += residue == 0 and not member
             if first:
-                for (terms, *_), p in zip(packed, candidates):
+                for terms, p in zip(packed, candidates):
                     assert basis.packed_residue(terms) == checked[p], (ledger.to_json(), p)
         assert members > 0
         assert false_zeros == 0
