@@ -44,7 +44,7 @@ N_VORTICES = 5
 # certificate search has failed; the quick search before it tries 40.  In
 # one enumeration the quick search runs 41 times at n=5 and finds 27
 # witnesses, 119 times at n=6 and finds 67.  The late search never
-# succeeds at n=4 or n=5 (1 and 2 runs), but at n=6 it runs 19 times and
+# succeeds at n=4 or n=5 (1 and 2 runs), but at n=6 it runs 18 times and
 # finds 8 witnesses that would otherwise leave their ledgers Unknown.
 WITNESS_ATTEMPTS = 200
 # The witness search's default seed, the one the recorded reports use.
@@ -355,6 +355,11 @@ def _sum_of_squares(subset, mult: Polynomial) -> Polynomial:
     return total
 
 
+def _labels(p: Polynomial) -> tuple:
+    """The labels i of the strengths G_i that `p` names, sorted."""
+    return tuple(sorted(int(v[1:]) for v in p.variables()))
+
+
 def _direct_disequalities(ledger: ConstraintLedger, basis):
     """(a) a polynomial required nonzero lies in the equality ideal."""
     return (Certificate("direct-disequality", q) for q in ledger.nonzeros if not basis.residue(q))
@@ -395,8 +400,7 @@ def _vanishing_monomials(ledger: ConstraintLedger, basis):
 def _monomial_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
     # The subset printed with it names the strengths that would vanish.
     poly = certificate.polynomial
-    labels = tuple(sorted(int(v[1:]) for v in poly.variables()))
-    return len(poly.terms) == 1 and certificate.multiplier is None and certificate.subset == labels
+    return len(poly.terms) == 1 and certificate.multiplier is None and certificate.subset == _labels(poly)
 
 
 @lru_cache(maxsize=None)
@@ -442,44 +446,38 @@ def _squares_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
     return _sum_of_squares(certificate.subset, mult) == certificate.polynomial
 
 
-@polynomial_cache
-def _pair_quadric(a: int, b: int) -> Polynomial:
-    """Q_ab = Ga^2 + Ga*Gb + Gb^2 = (Ga + Gb/2)^2 + 3/4*Gb^2: positive
-    wherever Gb is nonzero."""
-    ga, gb = gamma_var(a), gamma_var(b)
-    return ga * ga + ga * gb + gb * gb
-
-
 def _products(ledger: ConstraintLedger, basis):
-    """(d) Q_ab * Q_cd lies in the ideal, (a, b) in a triple T1 and (c, d)
-    in a triple T2 != T1 with e2(T1) and e2(T2) equalities of the ledger:
-    each factor is positive where the strengths are nonzero.
+    """(d) P_T1 * P_T2 lies in the ideal, P_T the sum of G_i^2 over T, for
+    T1 != T2 of three or more strengths whose e2 are equalities: each
+    factor is positive where the strengths are nonzero.
 
-    Q_ab lies in the ideal of sum(T1) and e2(T1), so the product is a
-    member wherever sum(T1) * sum(T2) is: as when T1 and T2 are disjoint
-    and e2 of their union, e2(T1) + e2(T2) + sum(T1) * sum(T2), is an
-    equality too.  Triples, pairs of triples and pairs go in
-    `itertools.combinations` order, each product once.
+    P_T = s(T)^2 - 2 * e2(T), s(T) the sum of G_i over T, so the product
+    is a member wherever s(T1) * s(T2) is: as when T1 and T2 are disjoint
+    and e2 of their union, e2(T1) + e2(T2) + s(T1) * s(T2), is an equality
+    too.  Pairs go in `itertools.combinations` order over the equalities;
+    T1 prints as the subset and P_T2 as the multiplier.
     """
-    triples = [
-        T for T in itertools.combinations(range(1, ledger.n + 1), 3) if angular_momentum(T) in ledger.equalities
+    squares = [
+        (T, _sum_of_squares(T, 1))
+        for p in ledger.equalities
+        if len(T := _labels(p)) >= 3 and p == angular_momentum(T)
     ]
-    subsets = {}
-    for T1, T2 in itertools.combinations(triples, 2):
-        for ab, cd in itertools.product(itertools.combinations(T1, 2), itertools.combinations(T2, 2)):
-            subsets.setdefault(frozenset((ab, cd)), ab + cd)
-    for S in subsets.values():
-        poly = _pair_quadric(*S[:2]) * _pair_quadric(*S[2:])
+    for (T1, P1), (_, P2) in itertools.combinations(squares, 2):
+        poly = P1 * P2
         if not basis.residue(poly):
-            yield Certificate("product", poly, S)
+            yield Certificate("product", poly, T1, P2)
 
 
 def _product_shape(ledger: ConstraintLedger, certificate: Certificate) -> bool:
-    # Two pairs of distinct labels, whose Q's the polynomial is the product of.
-    S = certificate.subset
-    if len(S) != 4 or S[0] == S[1] or S[2] == S[3] or certificate.multiplier is not None:
+    # A nonempty subset, and a multiplier the sum of the squares of its own
+    # strengths, at least one and each in G1..Gn: both factors are positive.
+    mult = certificate.multiplier
+    if mult is None or not certificate.subset:
         return False
-    return _pair_quadric(*S[:2]) * _pair_quadric(*S[2:]) == certificate.polynomial
+    labels = _labels(mult)
+    if not labels or labels[-1] > ledger.n or mult != _sum_of_squares(labels, 1):
+        return False
+    return _sum_of_squares(certificate.subset, 1) * mult == certificate.polynomial
 
 
 # The certificate kinds, in search order.  Each maps to its candidate

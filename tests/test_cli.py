@@ -1,6 +1,5 @@
 import hashlib
 import importlib.util
-import itertools
 import json
 import os
 import subprocess
@@ -10,14 +9,15 @@ from pathlib import Path
 import pytest
 
 from synthetic import synthetic_sequence, to_jsonl
-from vortexdiagrams import atlas, exactcheck, exactpoly, quadrilateral
+from vortexdiagrams import atlas, exactcheck, exactpoly, quadrilateral, vorticity
 from vortexdiagrams.atlas import load_catalog
 from vortexdiagrams.cli import _join_signed_values, build_parser, main
-from vortexdiagrams.diagram import Diagram, canonical_key
+from vortexdiagrams.diagram import Diagram, canonical_key, from_canonical_masks
 from vortexdiagrams.exactcheck import normal_form
-from vortexdiagrams.exactpoly import groebner_basis
+from vortexdiagrams.exactpoly import groebner_basis, parse_polynomial
 from vortexdiagrams.numeric import SingularSequenceSample, make_configuration
 from vortexdiagrams.render import render
+from vortexdiagrams.vorticity import Certificate, ConstraintLedger, verify_certificate
 
 
 @pytest.fixture
@@ -54,19 +54,55 @@ class TestCheck:
             "RuleIV-vorticity(z), RuleIV-vorticity(w) G2 + G3=0 vs SumT12(z), CorSumT12(z) nonzero"
         )
 
-    def test_product_certificate_excludes_the_n6_triangle_pair(self, tmp_path):
-        # z: triangles 126 and 345, w: all of 1..6, so e2(126) = e2(345) =
-        # e2(1..6) = 0; one triangle's sum vanishes, and with it its strengths
-        d = Diagram(6, [(1, 2), (1, 6), (2, 6), (3, 4), (3, 5), (4, 5)], list(itertools.combinations(range(1, 7), 2)))
-        assert canonical_key(d) == "6:1711:7fff:0:0"
+    @pytest.mark.parametrize(
+        "key",
+        [
+            # z: triangles 126 and 345, w: K6
+            "6:1711:7fff:0:0",
+            # z: K4 + K3, w: K7
+            "7:5bc21:1fffff:0:0",
+            # the same plus a lone vertex 8
+            "8:4ce821:2ddefbf:0:0",
+            # z: K4 + K4, w: K8
+            "8:2de10c3:fffffff:0:0",
+            # z: K5 + K3, w: K8
+            "8:2ddf041:fffffff:0:0",
+        ],
+    )
+    def test_product_certificate_excludes_the_n6_triangle_pair(self, key, tmp_path, monkeypatch):
+        # e2 of each z block and of the one w block are equalities, so e2 of
+        # the union forces s(T1) * s(T2), then P_T1 * P_T2, into the ideal
+        n, *masks = key.split(":")
+        d = from_canonical_masks(int(n), [int(m, 16) for m in masks])
+        assert canonical_key(d) == key
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(d.to_json()))
         out = tmp_path / "res.json"
         assert main(["check", str(path), "--out", str(out)]) == 1
         result = json.loads(out.read_text())
         assert (result["outcome"], result["excluded_by"]) == ("excluded", "constraint-infeasibility")
-        certificate = result["verdict"]["certificate"]
-        assert (certificate["kind"], certificate["subset"]) == ("product", [1, 2, 3, 4])
+        printed = result["verdict"]["certificate"]
+        assert printed["kind"] == "product"
+        ledger = ConstraintLedger.from_json(result["ledger"], d.n)
+        certificate = Certificate(
+            "product",
+            parse_polynomial(printed["polynomial"]),
+            tuple(printed["subset"]),
+            parse_polynomial(printed["multiplier"]),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_certificate must not run the Groebner kernel")
+
+        for module, name in [
+            (exactpoly, "groebner_basis"),
+            (exactpoly, "_int_reduce"),
+            (exactpoly, "reduces_to_zero"),
+            (vorticity, "groebner_basis"),
+            (vorticity, "reduces_to_zero"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert verify_certificate(ledger, certificate)
 
     def test_invalid_diagram_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"

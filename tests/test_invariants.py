@@ -26,7 +26,7 @@ from vortexdiagrams.vorticity import Certificate, ConstraintLedger, decide, sati
 VALID_LABELED = {3: 7, 4: 161, 5: 2569, 6: 43579}
 
 # sha256 of `vortexdiagrams enumerate --n 6` stdout, as acceptance 10 pins n=5.
-REPORT_N6_SHA256 = "91ad55d500e483760c729bb735f6919c2c169486807500cee91b2cd772a6ece4"
+REPORT_N6_SHA256 = "b0df9897442139e6dc12605ab8f1a826ca4d6e23d1f9f45486284c6d88cf290e"
 
 
 def class_masks(rep) -> list:

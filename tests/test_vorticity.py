@@ -532,37 +532,35 @@ class TestVerifyCertificate:
         assert verify_certificate(led, certificate) is False
 
     def test_rejects_a_forged_product(self):
-        # e2(126) = e2(345) = e2(1..6) = 0 forces one triangle's sum, then
-        # its strengths, to zero: Q12 * Q34 lies in the ideal
+        # e2(126) = e2(345) = e2(1..6) = 0 forces s(126) * s(345) into the
+        # ideal, and with it P_126 * P_345, P_T the sum of G_i^2 over T
         led = ConstraintLedger(tuple(map(angular_momentum, ([1, 2, 6], [3, 4, 5], range(1, 7)))), n=6)
-        Q = vorticity._pair_quadric
+        P = functools.partial(vorticity._sum_of_squares, mult=1)
+        g6 = gamma_var(6)
         cert = decide(led).certificate
-        assert cert == vorticity.Certificate("product", Q(1, 2) * Q(3, 4), (1, 2, 3, 4))
+        assert cert == vorticity.Certificate("product", P((1, 2, 6)) * P((3, 4, 5)), (1, 2, 6), P((3, 4, 5)))
         assert verify_certificate(led, cert)
         # every polynomial is a member for the ledger whose one equality is
-        # 1, so only the shape check can reject
+        # 1, so only the shape check can reject; T1 = T2 or a two-label T is
+        # no forgery, since P_T^2 is positive too
         whole = ConstraintLedger((Polynomial.constant(1),), n=6)
         assert verify_certificate(whole, cert)
-        assert verify_certificate(whole, cert._replace(subset=(3, 4, 1, 2)))
+        def times(mult):
+            # the certificate with this multiplier and the product it builds
+            return cert._replace(polynomial=P((1, 2, 6)) * mult, multiplier=mult)
+
         forged = [
-            cert._replace(polynomial=Q(1, 1) * Q(3, 4), subset=(1, 1, 3, 4)),
-            cert._replace(polynomial=Q(1, 2) * Q(4, 4), subset=(1, 2, 4, 4)),
-            cert._replace(polynomial=Q(1, 7) * Q(3, 4), subset=(1, 7, 3, 4)),
-            cert._replace(polynomial=Q(1, 2) * G[3] * G[3], subset=(1, 2, 3)),
-            cert._replace(subset=(1, 2, 3)),
-            cert._replace(subset=(1, 2, 3, 5)),
-            cert._replace(subset=(1, 3, 2, 4)),
-            cert._replace(multiplier=ONE),
+            cert._replace(subset=(), polynomial=Polynomial.zero()),
+            cert._replace(multiplier=None),
+            times(G[3] * G[3] - G[4] * G[4]),
+            times(G[3] * G[3] + ONE),
+            times(Polynomial.zero()),
+            times(P((3, 4, 7))),
+            cert._replace(subset=(1, 2, 7), polynomial=P((1, 2, 7)) * P((3, 4, 5))),
+            cert._replace(polynomial=P((1, 2, 6)) * P((3, 4, 5)) + g6 * g6),
         ]
         for f in forged:
             assert not verify_certificate(whole, f), f
-
-    def test_pair_quadric_is_positive_where_a_strength_is_nonzero(self):
-        # Q_ab = (Ga + Gb/2)^2 + 3/4*Gb^2
-        for a, b in itertools.permutations(range(1, 9), 2):
-            ga, gb = gamma_var(a), gamma_var(b)
-            half = ga + gb * Fraction(1, 2)
-            assert vorticity._pair_quadric(a, b) == half * half + gb * gb * Fraction(3, 4)
 
     def test_rejects_a_sum_of_squares_of_another_subset(self):
         # G1^2 + G2^2 + G3^2 lies in the ideal and is the certificate `decide`
