@@ -7,9 +7,12 @@ time, each with a fresh verdict memo, as `check` does:
     python3 scripts/check_sweep.py --n 7 --count 1000 --seed 1007 > sweep.json
 
 prints one JSON report on stdout: the outcome counts; for the base ledgers
-and for the multiplier-branch ledgers, the Unknown verdicts drawn and the
-distinct ledgers behind them; the canonical keys of the classes retained
-on an Unknown base; and `judge`'s p50, p95 and maximum in milliseconds.
+and for the multiplier-branch ledgers, the Unknown verdicts drawn, the
+distinct ledgers behind them, and how many of those stay distinct up to
+relabeling (the ledgers, per multiplier class for branches, that
+`lemmas.analyze` gives on each Unknown draw's canonical diagram); the
+canonical keys of the classes retained on an Unknown base; and `judge`'s
+p50, p95 and maximum in milliseconds.
 Quantiles are `statistics.quantiles(method='inclusive')`.  It computes
 nothing the `check` command would not.
 """
@@ -27,13 +30,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from random_diagrams import random_valid_diagrams  # noqa: E402
 
+from vortexdiagrams import lemmas  # noqa: E402
 from vortexdiagrams.atlas import judge  # noqa: E402
-from vortexdiagrams.diagram import canonical_key  # noqa: E402
+from vortexdiagrams.diagram import _masks, canonical_masks, from_canonical_masks, masks_key  # noqa: E402
 
 
 def sweep(n: int, count: int, seed: int) -> dict:
     outcomes = collections.Counter()
     unknown = {"base": collections.Counter(), "branch": collections.Counter()}  # ledger -> draws
+    relabeled = {"base": set(), "branch": set()}  # ledgers of the canonical diagrams
     retained_keys = set()
     seconds = []
     for d in random_valid_diagrams(n, count, seed):
@@ -43,13 +48,19 @@ def sweep(n: int, count: int, seed: int) -> dict:
         outcomes[j.outcome] += 1
         if j.outcome != "retained":
             continue
-        if j.verdict.kind == "Unknown":
-            ledger = j.analysis.base_ledger
-            unknown["base"][ledger] += 1
-            retained_keys.add(canonical_key(d))
-        for ledger, verdict in j.branches.values():
-            if verdict.kind == "Unknown":
-                unknown["branch"][ledger] += 1
+        base_unknown = j.verdict.kind == "Unknown"
+        branches_unknown = {cls: led for cls, (led, verdict) in j.branches.items() if verdict.kind == "Unknown"}
+        if not (base_unknown or branches_unknown):
+            continue
+        masks = canonical_masks(n, *_masks(d))
+        canonical = lemmas.analyze(from_canonical_masks(n, masks))
+        if base_unknown:
+            unknown["base"][j.analysis.base_ledger] += 1
+            relabeled["base"].add(canonical.base_ledger)
+            retained_keys.add(masks_key(n, masks))
+        for cls, ledger in branches_unknown.items():
+            unknown["branch"][ledger] += 1
+            relabeled["branch"].add((cls, canonical.branch_ledgers[cls]))
     p = statistics.quantiles(seconds, n=20, method="inclusive")
     return {
         "n": n,
@@ -60,6 +71,7 @@ def sweep(n: int, count: int, seed: int) -> dict:
             side: {
                 "draws": ledgers.total(),
                 "distinct_ledgers": len(ledgers),
+                "distinct_up_to_relabeling": len(relabeled[side]),
                 "ledgers": [ledger.to_json() for ledger in ledgers],
             }
             for side, ledgers in unknown.items()

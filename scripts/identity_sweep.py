@@ -7,10 +7,13 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from vortexdiagrams import numeric
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from vortexdiagrams import numeric  # noqa: E402
 
 
 def main() -> int:

@@ -8,8 +8,10 @@ import argparse
 import pathlib
 import sys
 
-from vortexdiagrams.atlas import load_catalog
-from vortexdiagrams.render import render
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from vortexdiagrams.atlas import load_catalog  # noqa: E402
+from vortexdiagrams.render import render  # noqa: E402
 
 
 def main() -> int:

@@ -622,6 +622,15 @@ class TestExperimentScripts:
         assert all(f.suffix == ".dot" and f.read_text().startswith("graph") for f in files)
         assert capsys.readouterr().out == f"wrote {count} files to {tmp_path}/\n"
 
+    @pytest.mark.parametrize(
+        "name, argv", [("identity_sweep.py", ["--count", "1"]), ("render_catalog.py", ["--format", "dot"])]
+    )
+    def test_runs_from_a_checkout_without_an_install(self, name, argv, tmp_path):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        path = Path(__file__).resolve().parent.parent / "scripts" / name
+        done = subprocess.run([sys.executable, str(path), *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -70,6 +70,32 @@ def count_jacobians(monkeypatch):
     return calls
 
 
+def solo_attempts(monkeypatch):
+    """A list that grows by one for every attempt that runs alone."""
+    calls = []
+    gauss_newton = numeric._gauss_newton
+
+    def recorded(*args):
+        calls.append(args)
+        return gauss_newton(*args)
+
+    monkeypatch.setattr(numeric, "_gauss_newton", recorded)
+    return calls
+
+
+def stacked_starts(monkeypatch):
+    """A list that grows by a copy of the starts of every stack of attempts."""
+    stacks = []
+    stack = numeric._gauss_newton_stack
+
+    def recorded(X, *args):
+        stacks.append(X.copy())  # the stack overwrites X
+        return stack(X, *args)
+
+    monkeypatch.setattr(numeric, "_gauss_newton_stack", recorded)
+    return stacks
+
+
 def two_vortex():
     s = 1 / math.sqrt(2)
     return make_configuration([1.0, 1.0], [s, -s], None, 1.0)
@@ -193,6 +219,15 @@ class TestSolve:
         calls = count_jacobians(monkeypatch)
         with pytest.raises(NoConvergenceError, match="no solution exists"):
             solve(gamma, lam)
+        assert calls == []
+
+    @pytest.mark.parametrize("gamma", [[1.0, -2.0, 3.0], [2.0, 2.0, -1.0]])
+    def test_zero_multiplier_is_refused_before_any_attempt(self, gamma, monkeypatch):
+        # at lambda = 0 nothing fixes the scale: the iterates drift to
+        # |z| ~ 1e14, where every velocity is below SOLVE_TOL
+        calls = count_jacobians(monkeypatch)
+        with pytest.raises(ValueError, match="nonzero"):
+            solve(gamma, 0.0)
         assert calls == []
 
     def test_non_real_multiplier_of_the_right_sign_is_attempted(self, monkeypatch):
@@ -386,12 +421,15 @@ class TestStackedAttempts:
 
     def test_seed_22_pool(self):
         # both multipliers for every vector, except the sign refusals,
-        # which run no attempt to compare
+        # which run no attempt to compare; some calls run every attempt stacked
+        stacked_from_the_first = 0
         for gamma, seed in _sweep_vectors(22):
             for lam in (1.0, -1.0):
                 got = _outcome(solve, gamma, lam, seed, 10)
                 if not got[0].startswith("no solution exists"):
                     assert got == _outcome(_sequential_solve, gamma, lam, seed, 10), (gamma.tolist(), lam)
+                    stacked_from_the_first += numeric._expected_unsolvable(gamma, complex(lam))
+        assert stacked_from_the_first >= 3
 
     @pytest.mark.parametrize("attempts", [2, 10, 24])
     def test_sign_cases(self, attempts):
@@ -441,21 +479,60 @@ class TestStackedAttempts:
     def test_stacks_hold_at_most_stack_rows(self, attempts, monkeypatch):
         # an unsolvable input runs every attempt: after the solo ones, in
         # seed order, in full stacks and a last one holding the rest
-        stacks = []
-        stack = numeric._gauss_newton_stack
-
-        def recorded(X, *args):
-            stacks.append(X.copy())
-            return stack(X, *args)
-
-        monkeypatch.setattr(numeric, "_gauss_newton_stack", recorded)
+        solo, stacks = solo_attempts(monkeypatch), stacked_starts(monkeypatch)
         with pytest.raises(NoConvergenceError):
             solve([1, -2], 1.0, attempts=attempts)
+        assert len(solo) == numeric.SOLO_ATTEMPTS
         sizes = [len(X) for X in stacks]
         assert all(size == numeric.STACK_ROWS for size in sizes[:-1])
         assert 0 < sizes[-1] <= numeric.STACK_ROWS
         expected = [numeric._start(0, attempt, 2) for attempt in range(numeric.SOLO_ATTEMPTS, attempts)]
         assert np.array_equal(np.concatenate(stacks), expected)
+
+    @pytest.mark.parametrize(
+        "gamma, lam, expected",
+        [
+            ([3.0, 3.0, -1.0], -1.0, True),  # L = 3 > 0, lambda against sum 5
+            ([3.0, 3.0, -1.0], 1.0, False),
+            ([1.0, -2.0], 1.0, False),  # L < 0
+            ([2.0, 2.0, -1.0], -1.0, False),  # L = 0
+            ([1.0, -1.0, 2.0, -2.0], 1.0, False),  # L = -5 < 0, sum 0
+        ],
+    )
+    def test_expected_unsolvable_cases(self, gamma, lam, expected):
+        assert numeric._expected_unsolvable(gamma, complex(lam)) is expected
+
+    @pytest.mark.parametrize("attempts", [4, 10, 24, 30])
+    def test_expected_unsolvable_input_runs_every_attempt_stacked(self, attempts, monkeypatch):
+        solo, stacks = solo_attempts(monkeypatch), stacked_starts(monkeypatch)
+        with pytest.raises(NoConvergenceError, match=f"after {attempts} attempts"):
+            solve([3.0, 3.0, -1.0], -1.0, attempts=attempts)
+        assert solo == []
+        sizes = [len(X) for X in stacks]
+        assert all(size == numeric.EXPECTED_UNSOLVABLE_ROWS for size in sizes[:-1])
+        assert 0 < sizes[-1] <= numeric.EXPECTED_UNSOLVABLE_ROWS
+        expected = [numeric._start(0, attempt, 3) for attempt in range(attempts)]
+        assert np.array_equal(np.concatenate(stacks), expected)
+
+    def test_winner_inside_an_expected_unsolvable_stack(self, monkeypatch):
+        # the predicate forced true: each solve is one stack, won by a late row
+        solo, wins = solo_attempts(monkeypatch), []
+        stack = numeric._gauss_newton_stack
+
+        def recorded(*args):
+            won = stack(*args)
+            wins.append(won is not None)
+            return won
+
+        monkeypatch.setattr(numeric, "_gauss_newton_stack", recorded)
+        monkeypatch.setattr(numeric, "_expected_unsolvable", lambda gamma, lam: True)
+        for position in LATE_WINNERS:
+            gamma, seed = _late_winner(position)
+            solo.clear()
+            wins.clear()
+            got = _outcome(solve, gamma, 1.0, seed, 10)
+            assert solo == [] and wins == [True], position
+            assert got == _outcome(_sequential_solve, gamma, 1.0, seed, 10), position
 
     @pytest.mark.parametrize("attempt", [3, 4])
     def test_colliding_start_ends_only_its_row(self, attempt, monkeypatch):
